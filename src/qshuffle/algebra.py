@@ -2,8 +2,10 @@
 
 An Element is a finite map from words to nonzero Laurent coefficients. It
 carries the free (concatenation) product and the q-shuffle product. The
-shuffle kernel works on packed word keys and raw {exponent: int} dicts;
-results are wrapped back into Element/LaurentPoly at the boundary.
+shuffle kernel works on packed word keys and raw {exponent: int} dicts and
+is integer-only: Element.shuffle clears each operand's Fraction
+denominators once on the way in and divides them back out once on the way
+out, where results are wrapped back into Element/LaurentPoly.
 
 The kernel memoizes word-pair shuffles: pairs with few letters go into a
 persistent table reused across calls, larger pairs into a transient table
@@ -14,10 +16,11 @@ are identical with caching disabled; only speed changes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import words as W
 from .errors import CapExceededError
-from .qlaurent import LaurentPoly, Q_COMM, q_pow
+from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
 
 _ONE_POLY = {0: 1}
 
@@ -138,7 +141,11 @@ def _shuffle_keys(u: int, v: int) -> dict:
 
 
 def _accumulate(out: dict, sub: dict, cw: dict) -> None:
-    """out[w] += cw * p for every (w, p) in sub; all raw dicts."""
+    """out[w] += cw * p for every (w, p) in sub; all raw dicts of ints.
+
+    Element.shuffle clears denominators before calling this, so every
+    coefficient here is an int and the loop never touches Fraction.
+    """
     if len(cw) == 1:
         ((e0, c0),) = cw.items()
         for wk, p in sub.items():
@@ -313,15 +320,34 @@ class Element:
                     out[w] = s
         return Element(out, _raw=True)
 
+    def _cleared(self):
+        """(d, terms scaled by d): d is the lcm of the coefficient denominators,
+        so every scaled coefficient is an int; d == 1 returns the terms as they are."""
+        d = 1
+        for c in self._terms.values():
+            for v in c._c.values():
+                if isinstance(v, Fraction):
+                    d = lcm(d, v.denominator)
+        if d == 1:
+            return 1, self._terms
+        return d, {w: c.scale(d) for w, c in self._terms.items()}
+
     def shuffle(self, other: "Element") -> "Element":
+        """The q-shuffle product.
+
+        Fraction coefficients never reach the kernel: each operand is scaled
+        by the lcm of its denominators, the product is accumulated in ints,
+        and each result coefficient is divided by both scales once at the end.
+        """
         cap = W.length_cap()
+        d1, left = self._cleared()
+        d2, right = other._cleared()
         out: dict = {}
-        rev_self = {u: _rev_key(u.key) for u in self._terms}
-        rev_other = {v: _rev_key(v.key) for v in other._terms}
-        for u, cu in self._terms.items():
-            ur = rev_self[u]
+        rev_other = {v: _rev_key(v.key) for v in right}
+        for u, cu in left.items():
+            ur = _rev_key(u.key)
             cu_raw = cu._c
-            for v, cv in other._terms.items():
+            for v, cv in right.items():
                 if len(u) + len(v) > cap:
                     raise CapExceededError(
                         f"shuffle would create a word of length {len(u) + len(v)}"
@@ -334,9 +360,12 @@ class Element:
                     cw = {e1 + e2: c1 * c2}
                 sub = _shuffle_keys(ur, rev_other[v])
                 _accumulate(out, sub, cw)
+        den = d1 * d2
         terms = {}
         for wk, acc in out.items():
             if acc:
+                if den != 1:
+                    acc = {e: _norm(Fraction(c, den)) for e, c in acc.items()}
                 terms[W.Word(_rev_key(wk))] = LaurentPoly(acc, _raw=True)
         return Element(terms, _raw=True)
 

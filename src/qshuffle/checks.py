@@ -40,9 +40,10 @@ class Witness:
 class CheckReport:
     name: str
     params: dict
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail", or "empty" when no identity was evaluated
     witness: Optional[Witness]
     elapsed: float
+    evaluated: int = 0
 
     @property
     def passed(self) -> bool:
@@ -57,6 +58,7 @@ class CheckReport:
         }
         if timings:
             out["elapsed"] = round(self.elapsed, 3)
+            out["evaluated"] = self.evaluated
         return out
 
     def line(self) -> str:
@@ -144,39 +146,46 @@ class CheckContext:
 
 
 class _Run:
-    """Collects the first (minimal-degree) failure of one check."""
+    """Collects the first (minimal-degree) failure of one check and counts
+    the identity instances it compared; a run that compared none is "empty"."""
 
     def __init__(self, name: str, params: dict):
         self.name = name
         self.params = params
         self.t0 = time.perf_counter()
         self.witness: Optional[Witness] = None
+        self.evaluated = 0
 
     def ok(self) -> bool:
         return self.witness is None
+
+    def tally(self, holds: bool) -> bool:
+        """Count one compared identity instance; returns whether it holds."""
+        self.evaluated += 1
+        return holds
 
     def require_zero(self, diff, description, m=None, n=None) -> bool:
         """Record a witness if diff is nonzero; returns True when zero."""
         if isinstance(diff, Series):
             for deg, el in enumerate(diff.coeffs):
-                if not el.is_zero():
+                if not self.tally(el.is_zero()):
                     self.witness = Witness(f"{description} (t^{deg})", m, n, el)
                     return False
             return True
-        if diff.is_zero():
+        if self.tally(diff.is_zero()):
             return True
         self.witness = Witness(description, m, n, diff)
         return False
 
     def report(self) -> CheckReport:
         elapsed = time.perf_counter() - self.t0
-        return CheckReport(
-            self.name,
-            self.params,
-            "pass" if self.witness is None else "fail",
-            self.witness,
-            elapsed,
-        )
+        if self.witness is not None:
+            status = "fail"
+        elif self.evaluated == 0:
+            status = "empty"
+        else:
+            status = "pass"
+        return CheckReport(self.name, self.params, status, self.witness, elapsed, self.evaluated)
 
 
 def _commutator_x_num(m: int, u: Element) -> Element:
@@ -499,7 +508,7 @@ def check_main_theorems(cfg: VerifyConfig = None) -> CheckReport:
             den = q_pow(n) - q_pow(-n)
             rhs = num.div_exact(den)
             d = lhs - rhs
-            if not d.is_zero():
+            if not run.tally(d.is_zero()):
                 run.witness = Witness(
                     f"power-sum scalar identity at n={n} m={m}", m, n,
                     Element.from_word(W.EMPTY_WORD, d),
@@ -558,12 +567,14 @@ def check_zeta_suite(cfg: VerifyConfig = None) -> CheckReport:
     for n in range(1, cfg.n_max + 1):
         for w in W.enumerate_catalan(n):
             zw = W.zeta_word(w)
-            if not W.is_catalan(zw):
+            if not run.tally(W.is_catalan(zw)):
                 run.witness = Witness("zeta image not Catalan", None, n, Element.from_word(w))
                 return run.report()
             for m in cfg.m_range():
-                if catalan.nabla_scalar(m, w) != catalan.nabla_scalar(m, zw) or \
-                   catalan.delta_scalar(m, w) != catalan.delta_scalar(m, zw):
+                if not run.tally(
+                    catalan.nabla_scalar(m, w) == catalan.nabla_scalar(m, zw)
+                    and catalan.delta_scalar(m, w) == catalan.delta_scalar(m, zw)
+                ):
                     run.witness = Witness("scalar not zeta-invariant", m, n, Element.from_word(w))
                     return run.report()
     samples = [
@@ -620,7 +631,7 @@ def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
         for b in rng:
             for c in rng:
                 d1 = p2(a + c, b + c) - p2(a, b) - q_int(c) * q_int(a + b + c)
-                if not d1.is_zero():
+                if not run.tally(d1.is_zero()):
                     wit(f"identity (i) at {(a, b, c)}", d1)
                     return run.report()
                 d2 = (
@@ -628,7 +639,7 @@ def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
                     + q_int(b) * q_int(c - a)
                     + q_int(c) * q_int(a - b)
                 )
-                if not d2.is_zero():
+                if not run.tally(d2.is_zero()):
                     wit(f"identity (ii) at {(a, b, c)}", d2)
                     return run.report()
     for a in rng:
@@ -641,7 +652,7 @@ def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
                         + p2(c, d) * q_int(a - b)
                         + p2(d, a) * q_int(b - c)
                     )
-                    if not d3.is_zero():
+                    if not run.tally(d3.is_zero()):
                         wit(f"identity (iii) at {(a, b, c, d)}", d3)
                         return run.report()
                     d4 = (
@@ -651,7 +662,7 @@ def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
                         + p2(d, a) * q_int(d - a)
                         - p2(a - c, b - d) * q_int(a + c - b - d)
                     )
-                    if not d4.is_zero():
+                    if not run.tally(d4.is_zero()):
                         wit(f"identity (iv) at {(a, b, c, d)}", d4)
                         return run.report()
     return run.report()
@@ -686,7 +697,7 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
                 falls = sum(
                     1 for i in range(1, len(es)) if es[i - 1] == k and es[i] - es[i - 1] == -1
                 )
-                if rises != falls:
+                if not run.tally(rises == falls):
                     wit(f"rise/fall mismatch at level {k}", None, half, Element.from_word(w))
                     return run.report()
 
@@ -697,7 +708,7 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
                 for u in W.enumerate_catalan(k):
                     prod = Element.from_word(v).shuffle(Element.from_word(u))
                     for ww in prod.support():
-                        if not W.is_catalan(ww):
+                        if not run.tally(W.is_catalan(ww)):
                             wit("shuffle left the Catalan span", None, n + k, Element.from_word(ww))
                             return run.report()
 
@@ -705,7 +716,7 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
     for n in range(1, cfg.n_max + 1):
         for w in W.enumerate_catalan(n):
             bits = w.letter_bits()
-            if bits[0] != 0 or bits[-1] != 1:
+            if not run.tally(bits[0] == 0 and bits[-1] == 1):
                 wit("Catalan word with wrong boundary letters", None, n, Element.from_word(w))
                 return run.report()
 
@@ -727,7 +738,7 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
                     factor = q_int(h_next) * q_int(h_next + m - 1) - q_int(l_j) * q_int(l_j + m - 1)
                     total = total + catalan.nabla_from_profile(m, shifted) * factor
                 direct = catalan.nabla_from_profile(m, p)
-                if total != direct:
+                if not run.tally(total == direct):
                     wit("telescoping profile identity", m, n, Element.from_word(w, direct - total))
                     return run.report()
 
@@ -737,20 +748,20 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
             for m in cfg.m_range():
                 ds = catalan.delta_scalar(m, w)
                 ns = catalan.nabla_scalar(m, w)
-                if ds != q_int(m) * ns:
+                if not run.tally(ds == q_int(m) * ns):
                     wit("full vs reduced scalar", m, n, Element.from_word(w, ds))
                     return run.report()
                 px, py = catalan.nabla_split(m, w)
-                if px * py != ns:
+                if not run.tally(px * py == ns):
                     wit("split product mismatch", m, n, Element.from_word(w))
                     return run.report()
-                if py != catalan.nabla_split(1, w)[0]:
+                if not run.tally(py == catalan.nabla_split(1, w)[0]):
                     wit("y-part vs m=1 x-part", m, n, Element.from_word(w))
                     return run.report()
-                if catalan.nabla_from_profile(m, W.profile(w)) != ns:
+                if not run.tally(catalan.nabla_from_profile(m, W.profile(w)) == ns):
                     wit("profile formula", m, n, Element.from_word(w))
                     return run.report()
-                if m <= -1 and catalan.vanishing_bound(m, w) != (not ds.is_zero()):
+                if m <= -1 and not run.tally(catalan.vanishing_bound(m, w) == (not ds.is_zero())):
                     wit("vanishing criterion", m, n, Element.from_word(w))
                     return run.report()
 

@@ -201,7 +201,13 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        # a constant hashes as the number it equals, so `poly == 0` implies equal hashes
+        c = self._c
+        if not c:
+            return hash(0)
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(frozenset(c.items()))
 
     # -- display / serialization ---------------------------------------------
 

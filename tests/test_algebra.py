@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -248,6 +249,45 @@ def test_memo_budget_overflow_is_correctness_neutral():
         assert a @ b == reference
     finally:
         algebra.set_memo_limits(small_limit=12, big_limit=15, big_term_budget=12_000_000)
+
+
+def test_fraction_coefficients_leave_an_integral_product_integral():
+    prod = Element.from_word("xy", Fraction(1, 2)).shuffle(Element.from_word("xy", 2))
+    assert prod.is_integral()
+    assert all(type(c) is int for _, p in prod.terms() for _, c in p.terms())
+    assert prod == el("xy") @ el("xy")
+
+
+def _random_rational_element(rng, integral):
+    out = Element.zero()
+    for _ in range(rng.randint(1, 3)):
+        w = "".join(rng.choice("xy") for _ in range(rng.randint(0, 4)))
+        coeff = LaurentPoly({
+            rng.randint(-3, 3): rng.choice((-1, 1)) * (
+                rng.randint(1, 5) if integral else Fraction(rng.randint(1, 9), rng.randint(2, 7))
+            )
+            for _ in range(rng.randint(1, 3))
+        })
+        out = out + el(w, coeff)
+    return out
+
+
+def _shuffle_by_oracle(a, b):
+    out = Element.zero()
+    for u, cu in a.terms():
+        for v, cv in b.terms():
+            out = out + shuffle_bruteforce(str(u), str(v)).scale(cu * cv)
+    return out
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_rational_shuffle_matches_bruteforce(cached):
+    algebra.set_cache_enabled(cached)
+    rng = random.Random(11)
+    for i in range(30):
+        a = _random_rational_element(rng, integral=i % 3 == 0)
+        b = _random_rational_element(rng, integral=i % 3 == 1)
+        assert a @ b == _shuffle_by_oracle(a, b), (a, b)
 
 
 def test_json_round_trip_and_order():

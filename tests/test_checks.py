@@ -28,6 +28,7 @@ def test_each_check_passes_on_small_grid(name):
     assert report.passed, report.witness and report.witness.description
     assert report.params is not None
     assert report.elapsed >= 0
+    assert report.evaluated > 0
 
 
 def test_qserre_negative_control():
@@ -92,6 +93,15 @@ def test_run_all_empty_m_range():
     assert run_all(VerifyConfig(m_min=1, m_max=0)) == []
 
 
+def test_grid_that_evaluates_nothing_is_empty_not_pass():
+    cfg = VerifyConfig(n_max=0, cutoff=0)
+    report = check_nabla_recursion(cfg)
+    assert report.evaluated == 0
+    assert report.status == "empty"
+    assert not report.passed
+    assert report.to_json()["status"] == "empty"
+
+
 def test_run_all_selection_and_order():
     reports = run_all(SMALL, names=["zeta_suite", "qserre"])
     assert [r.name for r in reports] == ["qserre", "zeta_suite"]
@@ -121,7 +131,10 @@ def test_report_json_shape():
     assert obj["status"] == "pass"
     assert obj["witness"] is None
     assert "elapsed" not in obj
-    assert "elapsed" in r.to_json(timings=True)
+    assert "evaluated" not in obj
+    timed = r.to_json(timings=True)
+    assert "elapsed" in timed
+    assert timed["evaluated"] == r.evaluated > 0
     assert "PASS" in r.line()
 
 

@@ -78,6 +78,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_empty_grid_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "nabla_recursion", "zeta_suite", "structural",
+                           "--n-max", "0", "--cutoff", "0")
+    assert code == 1
+    assert "EMPTY" in out
+    assert out.strip().split("\n")[-1] == "2/3 checks passed"
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "qserre", "zeta_suite",
                              "--n-max", "2", "--format", "json")

@@ -146,3 +146,15 @@ def test_equality_with_int():
     assert LaurentPoly.one() == 1
     assert LaurentPoly.const(5) == 5
     assert q_int(2) != 1
+
+
+def test_hash_agrees_with_equality_with_int():
+    assert hash(LaurentPoly.const(3)) == hash(3)
+    assert hash(LaurentPoly.zero()) == hash(0)
+    assert len({LaurentPoly.zero(), 0}) == 1
+    assert len({LaurentPoly.const(-4), -4, q_int(2)}) == 2
+    table = {0: "zero", 1: "one", q_int(3): "three"}
+    assert table[LaurentPoly.zero()] == "zero"
+    assert table[LaurentPoly.one()] == "one"
+    assert table[q_int(3)] == "three"
+    assert LaurentPoly.const(7) in {7}

@@ -1,5 +1,6 @@
 import pytest
 
+from qshuffle import algebra
 from qshuffle.algebra import Element, UNIT, X_EL
 from qshuffle.catalan import (
     catalan_element,
@@ -152,6 +153,25 @@ def test_exp_coefficients_are_integral():
         e = nabla0_log_argument(m, N).exp()
         for n in range(N + 1):
             assert e[n].is_integral(), (m, n)
+
+
+def test_shuffle_kernel_sees_only_ints(monkeypatch):
+    inner = algebra._accumulate
+
+    def guarded(out, sub, cw):
+        assert all(type(c) is int for c in cw.values())
+        assert all(type(c) is int for p in sub.values() for c in p.values())
+        inner(out, sub, cw)
+
+    monkeypatch.setattr(algebra, "_accumulate", guarded)
+    for m in (-2, 3):
+        assert beck_log_argument(m, 4).exp() == delta_series(m, 4), m
+        assert nabla0_log_argument(m, 4).exp() == delta_series(m, 4), m
+
+
+@pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
+def test_beck_exp_at_cutoff_6(m):
+    assert beck_log_argument(m, 6).exp() == delta_series(m, 6)
 
 
 def test_apply_truncations():
