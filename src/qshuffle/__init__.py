@@ -33,7 +33,14 @@ from .words import (
     word,
     zeta_word,
 )
-from .algebra import Element, commutator_x, set_cache_enabled, shuffle_fold, zeta
+from .algebra import (
+    Element,
+    commutator_x,
+    set_cache_enabled,
+    shuffle_fold,
+    shuffle_pair,
+    zeta,
+)
 from .catalan import (
     catalan_element,
     d_element,

@@ -11,12 +11,16 @@ The kernel memoizes word-pair shuffles: pairs with few letters go into a
 persistent table reused across calls, larger pairs into a transient table
 scoped to one element product (they are too big to keep around). Results
 are identical with caching disabled; only speed changes.
+
+Before any kernel call a product is priced: the interleavings it would walk
+are summed over its word pairs, and a product above _SHUFFLE_BUDGET is
+refused with CapExceededError instead of running for hours.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import words as W
 from .errors import CapExceededError
@@ -29,6 +33,9 @@ _SMALL_LIMIT = 12        # combined letter count kept in the persistent memo
 _BIG_LIMIT = 15          # combined letter count kept in the transient memo
 _MEMO_CAP = 1 << 17      # persistent entries
 _BIG_TERM_BUDGET = 12_000_000  # total terms held in the transient memo
+# Interleavings one product may walk. The (6, 6) pair of the (n, k) recursion
+# at n_max = 6 needs about 2.4e9; nabla(3, 7) * delta(2, 6) needs 5.5e11.
+_SHUFFLE_BUDGET = 10**10
 
 _memo_small: dict = {}
 _memo_big: dict = {}
@@ -177,6 +184,32 @@ def _accumulate(out: dict, sub: dict, cw: dict) -> None:
                     acc[ee] = s
                 else:
                     del acc[ee]
+
+
+def _length_counts(el) -> dict:
+    counts: dict = {}
+    for w in el._terms:
+        n = len(w)
+        counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def check_shuffle_cost(a, b) -> None:
+    """Refuse a ⋆ b up front when its longest word passes the length cap or
+    it would walk more than _SHUFFLE_BUDGET interleavings: C(i + j, i) for
+    every pair of a word of length i in a and a word of length j in b."""
+    la, lb = _length_counts(a), _length_counts(b)
+    if not la or not lb:
+        return
+    longest = max(la) + max(lb)
+    if longest > W.length_cap():
+        raise CapExceededError(f"shuffle would create a word of length {longest}")
+    cost = sum(na * nb * comb(i + j, i) for i, na in la.items() for j, nb in lb.items())
+    if cost > _SHUFFLE_BUDGET:
+        raise CapExceededError(
+            f"shuffle would walk {cost:.2e} interleavings, over the budget of"
+            f" {_SHUFFLE_BUDGET:.0e}"
+        )
 
 
 class Element:
@@ -339,7 +372,7 @@ class Element:
         by the lcm of its denominators, the product is accumulated in ints,
         and each result coefficient is divided by both scales once at the end.
         """
-        cap = W.length_cap()
+        check_shuffle_cost(self, other)
         d1, left = self._cleared()
         d2, right = other._cleared()
         out: dict = {}
@@ -348,10 +381,6 @@ class Element:
             ur = _rev_key(u.key)
             cu_raw = cu._c
             for v, cv in right.items():
-                if len(u) + len(v) > cap:
-                    raise CapExceededError(
-                        f"shuffle would create a word of length {len(u) + len(v)}"
-                    )
                 if len(cu_raw) > 1 or len(cv._c) > 1:
                     cw = (cu * cv)._c
                 else:
@@ -456,6 +485,47 @@ def zeta(u: Element) -> Element:
     return u.zeta()
 
 
+def _bar_weight(el: Element):
+    """The weight #x - #y shared by every word of el, when every coefficient
+    is bar-invariant (unchanged by q -> q^-1); None otherwise and for zero."""
+    wt = None
+    for w, c in el._terms.items():
+        n = len(w)
+        ww = n - 2 * (bin(w.key).count("1") - 1)  # key bits past the sentinel are the y's
+        if wt is None:
+            wt = ww
+        elif ww != wt:
+            return None
+        p = c._c
+        for e, v in p.items():
+            if p.get(-e) != v:
+                return None
+    return wt
+
+
+def shuffle_pair(a: Element, b: Element):
+    """Both orders (a ⋆ b, b ⋆ a) of the q-shuffle product.
+
+    The reversal symmetry: for words u, v, v ⋆ u = q^(2 wt(u) wt(v)) bar(u ⋆ v),
+    where bar is q -> q^-1 and wt is #x - #y, because every pair of letters
+    (one from each word) adds its pairing to exactly one of the two orders of
+    each interleaving. When both operands are weight-homogeneous with
+    bar-invariant coefficients (every family member and its y^-1 image, x,
+    y, xy) the symmetry extends linearly, and b ⋆ a is read off a ⋆ b term by
+    term. Otherwise b ⋆ a is computed by a second product.
+    """
+    wa, wb = _bar_weight(a), _bar_weight(b)
+    ab = a.shuffle(b)
+    if wa is None or wb is None:
+        return ab, b.shuffle(a)
+    t = 2 * wa * wb
+    ba = {
+        w: LaurentPoly({t - e: c for e, c in p._c.items()}, _raw=True)
+        for w, p in ab._terms.items()
+    }
+    return ab, Element(ba, _raw=True)
+
+
 def commutator_x(m: int, u: Element) -> Element:
     """(q^m x * u - q^-m u * x) / (q - q^-1), with * the shuffle product.
 
@@ -463,8 +533,8 @@ def commutator_x(m: int, u: Element) -> Element:
     insertions; the division is always exact on valid inputs and raises
     InexactDivisionError otherwise.
     """
-    num = (X_EL.shuffle(u)).scale(q_pow(m)) - (u.shuffle(X_EL)).scale(q_pow(-m))
-    return num.div_exact(Q_COMM)
+    xu, ux = shuffle_pair(X_EL, u)
+    return (xu.scale(q_pow(m)) - ux.scale(q_pow(-m))).div_exact(Q_COMM)
 
 
 def shuffle_fold(elements) -> Element:

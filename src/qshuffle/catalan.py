@@ -113,61 +113,69 @@ def vanishing_bound(m: int, w: W.Word) -> bool:
     return max(W.elevation_sequence(w)) <= -m
 
 
+def _walk(n: int, x_factor, y_factor, reduced: bool = False) -> Element:
+    """Sum of the Catalan words of length 2n, each weighted by the product of
+    its position factors: x_factor(e) at an x and y_factor(e) at a y, e the
+    elevation before the letter; reduced drops the first position.
+
+    One depth-first walk over Catalan prefixes: each prefix's product is
+    computed once and shared by all its extensions, and a prefix whose
+    product is zero is dropped with all of them. Words come out in the
+    lexicographic order of enumerate_catalan.
+    """
+    W._check_cap(2 * n)
+    if n == 0:
+        return Element.unit()
+    xf = [x_factor(e) for e in range(n)]
+    yf = [y_factor(e) for e in range(n + 1)]
+    end = 2 * n
+    terms = {}
+
+    def rec(key: int, pos: int, xs: int, e: int, c: LaurentPoly) -> None:
+        if pos == end:
+            terms[W.Word(key | (1 << pos))] = c
+            return
+        if xs < n:
+            cx = c * xf[e]
+            if not cx.is_zero():
+                rec(key, pos + 1, xs + 1, e + 1, cx)
+        if e > 0:
+            cy = c * yf[e]
+            if not cy.is_zero():
+                rec(key | (1 << pos), pos + 1, xs, e - 1, cy)
+
+    # every nontrivial Catalan word starts with x at elevation 0
+    first = LaurentPoly.one() if reduced else xf[0]
+    if not first.is_zero():
+        rec(0, 1, 1, 1, first)
+    return Element(terms, _raw=True)
+
+
 def delta_element(m: int, n: int) -> Element:
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = {}
-    for w in W.enumerate_catalan(n):
-        c = delta_scalar(m, w)
-        if not c.is_zero():
-            terms[w] = c
-    return Element(terms, _raw=True)
+    return _walk(n, lambda e: q_int(e + m), q_int)
 
 
 def nabla_element(m: int, n: int) -> Element:
     if n < 1:
         raise TrivialWordError("the reduced family starts at n = 1")
-    terms = {}
-    for w in W.enumerate_catalan(n):
-        c = nabla_scalar(m, w)
-        if not c.is_zero():
-            terms[w] = c
-    return Element(terms, _raw=True)
+    return _walk(n, lambda e: q_int(e + m), q_int, reduced=True)
 
 
 def catalan_element(n: int) -> Element:
-    """C_n: coefficient of each Catalan word is the product of [1 + e_i]_q."""
+    """C_n: coefficient of each Catalan word is the product of [1 + e_i]_q,
+    e_i the elevation after each step (e + 1 after an x, e - 1 after a y)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = {}
-    for w in W.enumerate_catalan(n):
-        c = LaurentPoly.one()
-        for e in W.elevation_sequence(w)[1:]:
-            c = c * q_int(1 + e)
-            if c.is_zero():
-                break
-        if not c.is_zero():
-            terms[w] = c
-    return Element(terms, _raw=True)
+    return _walk(n, lambda e: q_int(e + 2), q_int)
 
 
 def d_element(n: int) -> Element:
     """D_n: the closed form (-1)^n sum of [e_{i-1} + 1]_q / [e_{i-1}]_q products."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    sign = -1 if n % 2 else 1
-    terms = {}
-    for w in W.enumerate_catalan(n):
-        c = LaurentPoly.one()
-        e = 0
-        for b in w.letter_bits():
-            c = c * (q_int(e) if b else q_int(e + 1))
-            if c.is_zero():
-                break
-            e += -1 if b else 1
-        if not c.is_zero():
-            terms[w] = c.scale(sign)
-    return Element(terms, _raw=True)
+    return _walk(n, lambda e: q_int(e + 1), q_int).scale((-1) ** n)
 
 
 def gtilde_element(n: int) -> Element:

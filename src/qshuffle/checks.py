@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import catalan, words as W
-from .algebra import Element, X_EL, XY_EL, Y_EL, shuffle_fold
+from .algebra import Element, X_EL, XY_EL, Y_EL, commutator_x, shuffle_fold, shuffle_pair
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from .series import Series
 
@@ -188,10 +188,6 @@ class _Run:
         return CheckReport(self.name, self.params, status, self.witness, elapsed, self.evaluated)
 
 
-def _commutator_x_num(m: int, u: Element) -> Element:
-    return (X_EL.shuffle(u)).scale(q_pow(m)) - (u.shuffle(X_EL)).scale(q_pow(-m))
-
-
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -222,29 +218,27 @@ def check_nabla_recursion(cfg: VerifyConfig = None) -> CheckReport:
         for m in cfg.m_range():
             dn = ctx.delta(m, n)
             lhs = ctx.delta(m, n + 1)
-            rec_x = _commutator_x_num(m, dn).div_exact(Q_COMM) * Y_EL
+            rec_x = commutator_x(m, dn) * Y_EL
             if not run.require_zero(lhs - rec_x, "delta recursion, x form", m, n + 1):
                 return run.report()
-            rec_y = X_EL * (
-                (dn.shuffle(Y_EL)).scale(q_pow(m)) - (Y_EL.shuffle(dn)).scale(q_pow(-m))
-            ).div_exact(Q_COMM)
+            dy, yd = shuffle_pair(dn, Y_EL)
+            rec_y = X_EL * (dy.scale(q_pow(m)) - yd.scale(q_pow(-m))).div_exact(Q_COMM)
             if not run.require_zero(lhs - rec_y, "delta recursion, y form", m, n + 1):
                 return run.report()
             if n >= 1:
                 nn = ctx.nabla(m, n)
                 nlhs = ctx.nabla(m, n + 1)
-                nrec_x = _commutator_x_num(m, nn).div_exact(Q_COMM) * Y_EL
+                nrec_x = commutator_x(m, nn) * Y_EL
                 if not run.require_zero(nlhs - nrec_x, "nabla recursion, x form", m, n + 1):
                     return run.report()
-                nrec_y = X_EL * (
-                    (nn.shuffle(Y_EL)).scale(q_pow(m)) - (Y_EL.shuffle(nn)).scale(q_pow(-m))
-                ).div_exact(Q_COMM)
+                ny, yn = shuffle_pair(nn, Y_EL)
+                nrec_y = X_EL * (ny.scale(q_pow(m)) - yn.scale(q_pow(-m))).div_exact(Q_COMM)
                 if not run.require_zero(nlhs - nrec_y, "nabla recursion, y form", m, n + 1):
                     return run.report()
     for n in range(1, cfg.n_max):
         # x C_n = (x * xC_(n-1)y - xC_(n-1)y * x)/(q - q^-1)
         body = ctx.x_cn_y(n)
-        rec = _commutator_x_num(0, body).div_exact(Q_COMM)
+        rec = commutator_x(0, body)
         lhs = X_EL * ctx.named("C", n)
         if not run.require_zero(lhs - rec, "free-product recursion at m=0", 0, n):
             return run.report()
@@ -262,7 +256,7 @@ def check_nabla_recursion(cfg: VerifyConfig = None) -> CheckReport:
                     )
                     if i < 2 * n:
                         prefix += 1 if s[i] == "x" else -1
-                got = _commutator_x_num(m, base).div_exact(Q_COMM)
+                got = commutator_x(m, base)
                 if not run.require_zero(got - ins, "single-insertion expansion", m, n):
                     return run.report()
     return run.report()
@@ -283,23 +277,17 @@ def check_commutation(cfg: VerifyConfig = None) -> CheckReport:
     )
     for n in range(0, cfg.n_max + 1):
         for m in cfg.m_range():
-            dn = ctx.delta(m, n)
-            if not run.require_zero(
-                XY_EL.shuffle(dn) - dn.shuffle(XY_EL), "xy commutation (delta)", m, n
-            ):
+            xyd, dxy = shuffle_pair(XY_EL, ctx.delta(m, n))
+            if not run.require_zero(xyd - dxy, "xy commutation (delta)", m, n):
                 return run.report()
             if n >= 1:
-                nn = ctx.nabla(m, n)
-                if not run.require_zero(
-                    XY_EL.shuffle(nn) - nn.shuffle(XY_EL), "xy commutation (nabla)", m, n
-                ):
+                xyn, nxy = shuffle_pair(XY_EL, ctx.nabla(m, n))
+                if not run.require_zero(xyn - nxy, "xy commutation (nabla)", m, n):
                     return run.report()
     for k in range(2, cfg.n_max + 1):
         for n in range(1, k):
-            a, b = ctx.nabla(0, n), ctx.nabla(0, k)
-            if not run.require_zero(
-                a.shuffle(b) - b.shuffle(a), f"m=0 family pair ({n},{k})", 0, n + k
-            ):
+            ab, ba = shuffle_pair(ctx.nabla(0, n), ctx.nabla(0, k))
+            if not run.require_zero(ab - ba, f"m=0 family pair ({n},{k})", 0, n + k):
                 return run.report()
     # cross-family grid, bounded in total degree, scanned degree-ascending
     members = []
@@ -317,8 +305,9 @@ def check_commutation(cfg: VerifyConfig = None) -> CheckReport:
     for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
         a = ctx.delta(ma, na) if fam_a == "delta" else ctx.nabla(ma, na)
         b = ctx.delta(mb, nb) if fam_b == "delta" else ctx.nabla(mb, nb)
+        ab, ba = shuffle_pair(a, b)
         if not run.require_zero(
-            a.shuffle(b) - b.shuffle(a),
+            ab - ba,
             f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})",
             ma,
             na + nb,
@@ -345,8 +334,10 @@ def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
                     continue
                 u = ctx.delta(m, n) if fam == "delta" else ctx.nabla(m, n)
                 uy = u.y_inverse()
-                lhs = X_EL.shuffle(u) - u.shuffle(X_EL)
-                rhs = uy.shuffle(XY_EL) - XY_EL.shuffle(uy)
+                xu, ux = shuffle_pair(X_EL, u)
+                uyxy, xyuy = shuffle_pair(uy, XY_EL)
+                lhs = xu - ux
+                rhs = uyxy - xyuy
                 if not run.require_zero(lhs - rhs, f"commutator via y^-1 ({fam})", m, n):
                     return run.report()
 
@@ -354,10 +345,12 @@ def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
         nn = ctx.nabla(0, n)
         ny = nn.y_inverse()
         target = ctx.nabla(0, n + 1).y_inverse()
-        one = (X_EL.shuffle(nn) - nn.shuffle(X_EL)).div_exact(Q_COMM)
+        xn, nx = shuffle_pair(X_EL, nn)
+        one = (xn - nx).div_exact(Q_COMM)
         if not run.require_zero(target - one, "one-step truncated recursion (i)", 0, n + 1):
             return run.report()
-        two = (ny.shuffle(XY_EL) - XY_EL.shuffle(ny)).div_exact(Q_COMM)
+        nyxy, xyny = shuffle_pair(ny, XY_EL)
+        two = (nyxy - xyny).div_exact(Q_COMM)
         if not run.require_zero(target - two, "one-step truncated recursion (ii)", 0, n + 1):
             return run.report()
 
@@ -368,10 +361,16 @@ def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
                 continue
             ny = ctx.nabla(0, n).y_inverse()
             nk = ctx.nabla(0, k)
-            rhs = (ny.shuffle(nk) - nk.shuffle(ny)).div_exact(Q_COMM)
-            lhs = catalan.nabla_element(0, n + k).y_inverse()
+            nynk, nkny = shuffle_pair(ny, nk)
+            rhs = (nynk - nkny).div_exact(Q_COMM)
+            # the (5, 5) pair sets the peak memory of verify --all: drop each
+            # pair before building its left side, and both sides before the
+            # next pair
+            del nynk, nkny
+            lhs = ctx.nabla(0, n + k).y_inverse()
             if not run.require_zero(lhs - rhs, f"(n,k) truncated recursion ({n},{k})", 0, n + k):
                 return run.report()
+            del lhs, rhs
 
     for n in range(0, cfg.n_max):
         for m in cfg.m_range():
@@ -381,8 +380,9 @@ def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
             for k in range(0, n + 1):
                 nky = ctx.nabla(0, k + 1).y_inverse()
                 dk = ctx.delta(m, n - k)
-                s1 = s1 + nky.shuffle(dk).scale(q_pow(-m * k))
-                s2 = s2 + dk.shuffle(nky).scale(q_pow(m * k))
+                nkyd, dnky = shuffle_pair(nky, dk)
+                s1 = s1 + nkyd.scale(q_pow(-m * k))
+                s2 = s2 + dnky.scale(q_pow(m * k))
             if not run.require_zero(
                 target - s1.scale(q_int(m)), "weighted convolution (i)", m, n + 1
             ):
@@ -823,10 +823,8 @@ def check_genfuns(cfg: VerifyConfig = None) -> CheckReport:
     # mutual commutation of the free products, bounded total degree
     for n in range(1, cfg.pair_degree_cap):
         for k in range(n + 1, cfg.pair_degree_cap - n + 1):
-            a, b = ctx.x_cn_y(n), ctx.x_cn_y(k)
-            if not run.require_zero(
-                a.shuffle(b) - b.shuffle(a), f"free products commute ({n},{k})", None, n + k
-            ):
+            ab, ba = shuffle_pair(ctx.x_cn_y(n), ctx.x_cn_y(k))
+            if not run.require_zero(ab - ba, f"free products commute ({n},{k})", None, n + k):
                 return run.report()
 
     if not run.require_zero(
@@ -877,12 +875,13 @@ CHECKS = {
 def run_all(cfg: VerifyConfig = None, names=None):
     """Run the selected checks (all by default) in catalog order.
 
-    An empty m-range yields an empty report list. Reports come back in
-    catalog order regardless of the thread count.
+    An empty m-range raises ValueError: it would evaluate nothing, and an
+    empty report list reads as a pass. Reports come back in catalog order
+    regardless of the thread count.
     """
     cfg = cfg or VerifyConfig()
     if cfg.m_min > cfg.m_max:
-        return []
+        raise ValueError(f"empty m-range: m_min {cfg.m_min} > m_max {cfg.m_max}")
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:

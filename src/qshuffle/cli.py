@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import algebra, catalan, checks, render, series, words
 from .algebra import Element
@@ -203,7 +204,11 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         cutoff=cfg.cutoff,
         threads=cfg.threads,
     )
-    reports = checks.run_all(vcfg, names=names)
+    try:
+        reports = checks.run_all(vcfg, names=names)
+    except QShuffleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if cfg.output_format == "json":
         payload = [r.to_json(timings=args.timings) for r in reports]
         _emit(json.dumps(payload, indent=2) + "\n", cfg)
@@ -285,12 +290,20 @@ def cmd_table(args, cfg: CliConfig) -> int:
 
 
 def cmd_bench(args, cfg: CliConfig) -> int:
+    pairs = chain([(2, 2)], ((n, k) for n in range(3, args.max_n + 1) for k in (n, n + 1)))
+    operands = []
+    try:
+        # price every product before timing any, so an absurd --max-n is refused at once
+        for n, k in pairs:
+            if k <= args.max_n:
+                a, b = catalan.nabla_element(0, n), catalan.nabla_element(0, k)
+                algebra.check_shuffle_cost(a, b)
+                operands.append((n, k, a, b))
+    except QShuffleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     rows = []
-    for n, k in ((2, 2), (3, 3), (3, 4), (4, 4), (4, 5)):
-        if max(n, k) > args.max_n:
-            continue
-        a = catalan.nabla_element(0, n)
-        b = catalan.nabla_element(0, k)
+    for n, k, a, b in operands:
         algebra.clear_caches()
         t0 = time.perf_counter()
         a.shuffle(b)

@@ -8,6 +8,7 @@ reproduces; anything else falls back to the expanded Laurent form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import words as W
 from .algebra import Element
@@ -22,8 +23,16 @@ def qint_factorization(p: LaurentPoly):
     Factors are extracted greedily from the largest plausible q-integer
     down; the remaining unit must be a rational constant.
     """
+    fact = _factorization(p)
+    return None if fact is None else (fact[0], dict(fact[1]))
+
+
+@lru_cache(maxsize=4096)
+def _factorization(p: LaurentPoly):
+    """qint_factorization with the factors as ascending (n, multiplicity)
+    pairs; memoized, since a family element repeats few distinct coefficients."""
     if p.is_zero():
-        return Fraction(0), {}
+        return Fraction(0), ()
     factors: dict = {}
     cur = p
     while not cur.is_zero() and (cur.max_exp() != 0 or cur.min_exp() != 0):
@@ -41,7 +50,7 @@ def qint_factorization(p: LaurentPoly):
     c = cur.coeff(0)
     if not isinstance(c, Fraction):
         c = Fraction(c)
-    return c, factors
+    return c, tuple(sorted(factors.items()))
 
 
 def _rational_str(c: Fraction) -> str:
@@ -52,16 +61,13 @@ def laurent_str(p: LaurentPoly, bracket: bool = True) -> str:
     """Render a coefficient; bracket notation when it factors, else expanded."""
     if not bracket:
         return str(p)
-    fact = qint_factorization(p)
+    fact = _factorization(p)
     if fact is None:
         return f"({p})"
     c, factors = fact
     if not factors:
         return _rational_str(c)
-    body = "".join(
-        f"[{n}]_q" + (f"^{e}" if e > 1 else "")
-        for n, e in sorted(factors.items())
-    )
+    body = "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
     if c == 1:
         return body
     if c == -1:
@@ -70,7 +76,7 @@ def laurent_str(p: LaurentPoly, bracket: bool = True) -> str:
 
 
 def laurent_latex(p: LaurentPoly) -> str:
-    fact = qint_factorization(p)
+    fact = _factorization(p)
     if fact is None:
         parts = []
         for e, c in p.terms():
@@ -89,10 +95,7 @@ def laurent_latex(p: LaurentPoly) -> str:
             out += t if t.startswith("-") else "+" + t
         return out
     c, factors = fact
-    body = "".join(
-        f"[{n}]_q" + (f"^{e}" if e > 1 else "")
-        for n, e in sorted(factors.items())
-    )
+    body = "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
     if not factors:
         return _rational_str(c)
     if c == 1:

@@ -22,6 +22,7 @@ from qshuffle.catalan import (
     x_cn_y,
 )
 from qshuffle.errors import (
+    CapExceededError,
     DegenerateProfileError,
     NonCatalanWordError,
     TrivialWordError,
@@ -168,6 +169,37 @@ def test_d_elements_match_reference_expansions():
         + Element.from_word("xxyxyy", P("[2]^4"))
         + Element.from_word("xxxyyy", P("[2]^2[3]^2"))
     )
+
+
+def test_prefix_walk_matches_word_by_word_products():
+    # the builders walk Catalan prefixes; the scalar functions multiply each
+    # word's factors from scratch, as the builders once did
+    for n in range(0, 8):
+        cat = W.enumerate_catalan(n)
+        for m in range(-3, 4):
+            full = {w: delta_scalar(m, w) for w in cat}
+            assert delta_element(m, n) == Element(full)
+            if n >= 1:
+                assert nabla_element(m, n) == Element({w: nabla_scalar(m, w) for w in cat})
+        c_terms = {}
+        for w in cat:
+            c = LaurentPoly.one()
+            for e in W.elevation_sequence(w)[1:]:
+                c = c * q_int(1 + e)
+            c_terms[w] = c
+        assert catalan_element(n) == Element(c_terms)
+        assert d_element(n) == Element(
+            {w: delta_scalar(1, w).scale((-1) ** n) for w in cat}
+        )
+
+
+def test_builders_keep_the_length_cap():
+    W.set_length_cap(6)
+    assert len(nabla_element(2, 3)) == 5
+    for build in (lambda: delta_element(1, 4), lambda: nabla_element(0, 4),
+                  lambda: catalan_element(4), lambda: d_element(4)):
+        with pytest.raises(CapExceededError):
+            build()
 
 
 def test_named_element_dispatch():

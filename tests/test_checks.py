@@ -12,6 +12,7 @@ from qshuffle.checks import (
     check_ode,
     check_qserre,
     check_structural,
+    check_yinv_calculus,
     run_all,
 )
 from qshuffle.qlaurent import LaurentPoly, q_int
@@ -66,12 +67,14 @@ def test_perturbed_table_fails_exp_theorem():
     assert not report.witness.diff.is_zero()
 
 
-def test_perturbed_nabla_fails_structural():
-    def bump_nabla(family, m, n, el):
-        if family == "nabla" and m == 0 and n == 2:
-            return el + Element.from_word("xyxy", q_int(2))
-        return el
+def bump_nabla(family, m, n, el):
+    """Add [2]_q xyxy to the m = 0, n = 2 reduced-family element."""
+    if family == "nabla" and m == 0 and n == 2:
+        return el + Element.from_word("xyxy", q_int(2))
+    return el
 
+
+def test_perturbed_nabla_fails_structural():
     cfg = VerifyConfig(m_min=-1, m_max=1, n_max=3, cutoff=3, perturb=bump_nabla)
     report = check_structural(cfg)
     assert not report.passed
@@ -90,7 +93,27 @@ def test_perturbation_through_run_all():
 
 
 def test_run_all_empty_m_range():
-    assert run_all(VerifyConfig(m_min=1, m_max=0)) == []
+    with pytest.raises(ValueError):
+        run_all(VerifyConfig(m_min=1, m_max=0))
+
+
+def test_perturbed_nk_left_side_fails_yinv_calculus():
+    # nabla(0, n_max + 1) is consumed only by the left-hand side of the
+    # (n, k) truncated recursion, so only that identity can see it
+    hits = []
+
+    def bump(family, m, n, el):
+        if (family, m, n) == ("nabla", 0, SMALL.n_max + 1):
+            hits.append(n)
+            return el + Element.from_word("xxyy")
+        return el
+
+    report = check_yinv_calculus(VerifyConfig(**{**SMALL.__dict__, "perturb": bump}))
+    assert hits
+    assert not report.passed
+    assert report.witness.description.startswith("(n,k) truncated recursion")
+    assert report.witness.n == SMALL.n_max + 1
+    assert not report.witness.diff.is_zero()
 
 
 def test_grid_that_evaluates_nothing_is_empty_not_pass():

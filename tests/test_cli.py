@@ -279,3 +279,21 @@ def test_bench_runs(capsys):
     code, out, _ = run_cli(capsys, "bench", "--max-n", "2")
     assert code == 0
     assert "cold(s)" in out
+
+
+def test_bench_refuses_products_over_the_cost_budget(capsys):
+    # from --max-n 7 on, nabla0_6 * nabla0_7 prices at about 5.4e10 interleavings
+    code, out, err = run_cli(capsys, "bench", "--max-n", "7")
+    assert code == 2
+    assert out == ""
+    assert "interleavings" in err
+
+
+def test_verify_refused_product_exits_2(capsys, monkeypatch):
+    from qshuffle import algebra
+
+    monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 10)
+    code, out, err = run_cli(capsys, "verify", "commutation", "--n-max", "2")
+    assert code == 2
+    assert out == ""
+    assert "interleavings" in err

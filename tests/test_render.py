@@ -24,6 +24,14 @@ from qshuffle.words import word
 from conftest import P
 
 
+def test_qint_factorization_results_are_not_shared():
+    # memoized by coefficient; a caller that edits its result must not edit the memo
+    p = P("[2]^2[3]")
+    qint_factorization(p)[1][2] = 99
+    assert qint_factorization(p) == (Fraction(1), {2: 2, 3: 1})
+    assert laurent_str(p) == "[2]_q^2[3]_q"
+
+
 def test_qint_factorization_products():
     assert qint_factorization(P("[2]^2[3]")) == (Fraction(1), {2: 2, 3: 1})
     assert qint_factorization(P("-[2][3]^2[4]")) == (Fraction(-1), {2: 1, 3: 2, 4: 1})
