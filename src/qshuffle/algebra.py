@@ -7,10 +7,17 @@ is integer-only: Element.shuffle clears each operand's Fraction
 denominators once on the way in and divides them back out once on the way
 out, where results are wrapped back into Element/LaurentPoly.
 
-The kernel memoizes word-pair shuffles: pairs with few letters go into a
-persistent table reused across calls, larger pairs into a transient table
-scoped to one element product (they are too big to keep around). Results
-are identical with caching disabled; only speed changes.
+A product takes one of two paths, chosen by its operands' longest words:
+
+* at most _SMALL_LIMIT letters together (every series product at cutoff 6):
+  one kernel call per word pair, memoized in a persistent table that later
+  products reuse, with the partial sums added up by _accumulate;
+* more letters: one walk over the suffix tries of both operands
+  (_trie_shuffle), which shares the work of every common suffix among all
+  word pairs and keeps nothing once the product is done.
+
+Results are identical on both paths and with caching disabled; only speed
+changes.
 
 Before any kernel call a product is priced: the interleavings it would walk
 are summed over its word pairs, and a product above _SHUFFLE_BUDGET is
@@ -29,17 +36,15 @@ from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
 _ONE_POLY = {0: 1}
 
 _cache_enabled = True
-_SMALL_LIMIT = 12        # combined letter count kept in the persistent memo
-_BIG_LIMIT = 15          # combined letter count kept in the transient memo
+# Products whose longest words have at most this many letters together take
+# the word-pair path and its persistent memo; longer ones take the trie walk.
+_SMALL_LIMIT = 12
 _MEMO_CAP = 1 << 17      # persistent entries
-_BIG_TERM_BUDGET = 12_000_000  # total terms held in the transient memo
 # Interleavings one product may walk. The (6, 6) pair of the (n, k) recursion
 # at n_max = 6 needs about 2.4e9; nabla(3, 7) * delta(2, 6) needs 5.5e11.
 _SHUFFLE_BUDGET = 10**10
 
-_memo_small: dict = {}
-_memo_big: dict = {}
-_big_terms = 0
+_memo: dict = {}
 
 
 def set_cache_enabled(flag: bool) -> None:
@@ -54,22 +59,7 @@ def cache_enabled() -> bool:
 
 
 def clear_caches() -> None:
-    global _big_terms
-    _memo_small.clear()
-    _memo_big.clear()
-    _big_terms = 0
-
-
-def set_memo_limits(small_limit=None, big_limit=None, big_term_budget=None) -> None:
-    """Tune the memoization tiers (performance knob; results never change)."""
-    global _SMALL_LIMIT, _BIG_LIMIT, _BIG_TERM_BUDGET
-    if small_limit is not None:
-        _SMALL_LIMIT = small_limit
-    if big_limit is not None:
-        _BIG_LIMIT = big_limit
-    if big_term_budget is not None:
-        _BIG_TERM_BUDGET = big_term_budget
-    clear_caches()
+    _memo.clear()
 
 
 def _rev_key(key: int) -> int:
@@ -81,36 +71,35 @@ def _rev_key(key: int) -> int:
     return out
 
 
+def _key_weight(key: int) -> int:
+    """#x - #y of a packed word, reversed or not: the set bits past the sentinel are the y's."""
+    return key.bit_length() + 1 - 2 * bin(key).count("1")
+
+
 def _shuffle_keys(u: int, v: int) -> dict:
     """q-shuffle of two packed words, both REVERSED, as {revkey: {exp: int}}.
 
     Peels the last letters of the original words (the first bits here):
     u*v = (u*(v minus last))·v_s + ((u minus last)*v)·u_r q^<u_r, v>.
     Working back-to-front lets truncated words (y^-1 images) share memo
-    state with their parents. Coefficients stay non-negative ints.
+    state with their parents. Coefficients stay non-negative ints. Every
+    pair is memoized: Element.shuffle sends only pairs of at most
+    _SMALL_LIMIT letters here.
     """
     if u == 1:
         return {v: _ONE_POLY}
     if v == 1:
         return {u: _ONE_POLY}
     key = (u, v)
-    lu = u.bit_length() - 1
-    lv = v.bit_length() - 1
-    small = lu + lv <= _SMALL_LIMIT
-    if small:
-        res = _memo_small.get(key)
-        if res is not None:
-            return res
-    else:
-        res = _memo_big.get(key)
-        if res is not None:
-            return res
+    res = _memo.get(key)
+    if res is not None:
+        return res
     a = u & 1
     b = v & 1
     s1 = _shuffle_keys(u, v >> 1)
     s2 = _shuffle_keys(u >> 1, v)
     # <u_r, v> summed over all letters of v: 2*(x-count - y-count), negated for u_r = y
-    wsum = lv - 2 * (bin(v).count("1") - 1)
+    wsum = _key_weight(v)
     e = 2 * wsum if a == 0 else -2 * wsum
     out: dict = {}
     get = out.get
@@ -132,18 +121,8 @@ def _shuffle_keys(u: int, v: int) -> dict:
             for ee, c in p.items():
                 ee += e
                 cur[ee] = cg(ee, 0) + c
-    if _cache_enabled:
-        if small:
-            if len(_memo_small) < _MEMO_CAP:
-                _memo_small[key] = out
-        elif lu + lv <= _BIG_LIMIT:
-            global _big_terms
-            nterms = sum(len(p) for p in out.values())
-            if _big_terms + nterms > _BIG_TERM_BUDGET:
-                _memo_big.clear()
-                _big_terms = 0
-            _memo_big[key] = out
-            _big_terms += nterms
+    if _cache_enabled and len(_memo) < _MEMO_CAP:
+        _memo[key] = out
     return out
 
 
@@ -186,6 +165,160 @@ def _accumulate(out: dict, sub: dict, cw: dict) -> None:
                     del acc[ee]
 
 
+class _Node:
+    """A node of the suffix trie of an operand's reversed word keys.
+
+    It stands for the operand's words that end in one suffix s. ``rest``
+    holds their nonempty prefixes (each word with s removed) as
+    {revkey: {exp: int}}, ``alpha`` the coefficient of the word s itself
+    (None when s is not a word of the operand), ``kids`` the (letter, child)
+    split of ``rest`` by last letter, and ``wt`` the weight #x - #y of every
+    prefix in ``rest`` when the operand is weight-homogeneous.
+    """
+
+    __slots__ = ("alpha", "rest", "kids", "wt")
+
+    def __init__(self, terms: dict, wt: int = 0):
+        self.alpha = terms.get(1)
+        self.rest = rest = {k: p for k, p in terms.items() if k != 1}
+        self.wt = wt
+        split: tuple = ({}, {})
+        for k, p in rest.items():
+            split[k & 1][k >> 1] = p
+        # peeling an x (bit 0) lowers the weight of what is left by one, a y raises it
+        self.kids = tuple(
+            (letter, _Node(sub, wt - 1 + 2 * letter)) for letter, sub in enumerate(split) if sub
+        )
+
+
+def _add_shifted(out: dict, table: dict, letter: int, shift: int, owned: bool) -> None:
+    """out[k·letter] += q^shift · table[k] for every k (k a reversed key);
+    an owned table's coefficient dicts may be taken over."""
+    if not out:  # nothing to merge into: one comprehension
+        if shift:
+            out.update({(k << 1) | letter: {e + shift: c for e, c in p.items()}
+                        for k, p in table.items()})
+        else:
+            out.update({(k << 1) | letter: p if owned else dict(p) for k, p in table.items()})
+        return
+    get = out.get
+    for k, p in table.items():
+        k = (k << 1) | letter
+        acc = get(k)
+        if acc is None:
+            if shift:
+                out[k] = {e + shift: c for e, c in p.items()}
+            else:
+                out[k] = p if owned else dict(p)
+        else:
+            ag = acc.get
+            for e, c in p.items():
+                e += shift
+                acc[e] = ag(e, 0) + c
+
+
+def _add_scaled(out: dict, terms: dict, letter: int, coeff: dict, shift: int) -> None:
+    """out[k·letter] += q^shift · coeff · terms[k] for every k (k a reversed key)."""
+    cw = [(e + shift, c) for e, c in coeff.items()]
+    get = out.get
+    for k, p in terms.items():
+        k = (k << 1) | letter
+        acc = get(k)
+        if acc is None:
+            acc = out[k] = {}
+        ag = acc.get
+        for e1, c1 in p.items():
+            for e0, c0 in cw:
+                e = e1 + e0
+                acc[e] = ag(e, 0) + c1 * c0
+
+
+def _trie_shuffle(left: dict, right: dict) -> dict:
+    """The q-shuffle of two cleared operands {revkey: {exp: int}}, walking
+    their suffix tries instead of their word pairs.
+
+    For nodes a, b let A_a, B_b be their prefix sums (``rest``) and α, β the
+    coefficients of their suffixes as words (``alpha``). The last letter ℓ of
+    an interleaving of p in A_a and r in B_b is the last letter of r, or the
+    last letter of p, which then comes after every letter of r and weighs
+    q^(2 wt(ℓ) wt(r)). So T(a, b) = A_a ⋆ B_b is, over the children aℓ, bℓ,
+
+        T(a, b) = Σ_ℓ [T(a, bℓ) + β_bℓ A_a + q^(±2 wt_b) (T(aℓ, b) + α_aℓ B_b)] ℓ
+
+    with + for ℓ = x. The right operand is split by weight, so that wt_b,
+    the weight of every prefix in B_b, is one number per node. Each table
+    T(a, b) has two readers, (a, parent of b) and (parent of a, b), and is
+    dropped after the second read. The empty-word terms are added at the
+    root. Coefficients that cancel stay in the tables as zeros until the root.
+    """
+    ra = _Node(left)
+    parts: dict = {}
+    for k, p in right.items():
+        parts.setdefault(_key_weight(k), {})[k] = p
+    tables: dict = {}
+
+    def add_table(out, a, b, letter, shift):
+        t = tables.pop((a, b), None)
+        owned = t is not None  # the second and last read
+        if t is None:
+            t = pair(a, b)
+            owned = a is ra or b is rb  # the only read
+            if not owned:
+                tables[(a, b)] = t
+        _add_shifted(out, t, letter, shift, owned)
+
+    def pair(a, b):
+        out: dict = {}
+        for letter, bc in b.kids:
+            if bc.kids:
+                add_table(out, a, bc, letter, 0)
+            if bc.alpha is not None:
+                _add_scaled(out, a.rest, letter, bc.alpha, 0)
+        for letter, ac in a.kids:
+            e = -2 * b.wt if letter else 2 * b.wt
+            if ac.kids:
+                add_table(out, ac, b, letter, e)
+            if ac.alpha is not None:
+                _add_scaled(out, b.rest, letter, ac.alpha, e)
+        return out
+
+    out: dict = {}
+    for wt, part in parts.items():
+        rb = _Node(part, wt)
+        if ra.kids and rb.kids:
+            # _accumulate takes no zero coefficients: drop the ones that cancelled
+            root = {}
+            for k, p in pair(ra, rb).items():
+                p = {e: c for e, c in p.items() if c}
+                if p:
+                    root[k] = p
+            _accumulate(out, root, _ONE_POLY)
+        if ra.alpha is not None:
+            _accumulate(out, part, ra.alpha)
+        if rb.alpha is not None:
+            _accumulate(out, ra.rest, rb.alpha)
+    return out
+
+
+def _word_pair_shuffle(left: dict, right: dict) -> dict:
+    """The q-shuffle of two cleared operands {Word: LaurentPoly} as
+    {revkey: {exp: int}}: one memoized kernel call per word pair."""
+    out: dict = {}
+    rev_right = {v: _rev_key(v.key) for v in right}
+    for u, cu in left.items():
+        ur = _rev_key(u.key)
+        cu_raw = cu._c
+        for v, cv in right.items():
+            if len(cu_raw) > 1 or len(cv._c) > 1:
+                cw = (cu * cv)._c
+            else:
+                ((e1, c1),) = cu_raw.items()
+                ((e2, c2),) = cv._c.items()
+                cw = {e1 + e2: c1 * c2}
+            _accumulate(out, _shuffle_keys(ur, rev_right[v]), cw)
+    return out
+
+
 def _length_counts(el) -> dict:
     counts: dict = {}
     for w in el._terms:
@@ -194,13 +327,14 @@ def _length_counts(el) -> dict:
     return counts
 
 
-def check_shuffle_cost(a, b) -> None:
+def check_shuffle_cost(a, b) -> int:
     """Refuse a ⋆ b up front when its longest word passes the length cap or
     it would walk more than _SHUFFLE_BUDGET interleavings: C(i + j, i) for
-    every pair of a word of length i in a and a word of length j in b."""
+    every pair of a word of length i in a and a word of length j in b.
+    Returns the length of the longest word of a ⋆ b (0 when it is zero)."""
     la, lb = _length_counts(a), _length_counts(b)
     if not la or not lb:
-        return
+        return 0
     longest = max(la) + max(lb)
     if longest > W.length_cap():
         raise CapExceededError(f"shuffle would create a word of length {longest}")
@@ -210,6 +344,7 @@ def check_shuffle_cost(a, b) -> None:
             f"shuffle would walk {cost:.2e} interleavings, over the budget of"
             f" {_SHUFFLE_BUDGET:.0e}"
         )
+    return longest
 
 
 class Element:
@@ -372,23 +507,16 @@ class Element:
         by the lcm of its denominators, the product is accumulated in ints,
         and each result coefficient is divided by both scales once at the end.
         """
-        check_shuffle_cost(self, other)
+        longest = check_shuffle_cost(self, other)
         d1, left = self._cleared()
         d2, right = other._cleared()
-        out: dict = {}
-        rev_other = {v: _rev_key(v.key) for v in right}
-        for u, cu in left.items():
-            ur = _rev_key(u.key)
-            cu_raw = cu._c
-            for v, cv in right.items():
-                if len(cu_raw) > 1 or len(cv._c) > 1:
-                    cw = (cu * cv)._c
-                else:
-                    ((e1, c1),) = cu_raw.items()
-                    ((e2, c2),) = cv._c.items()
-                    cw = {e1 + e2: c1 * c2}
-                sub = _shuffle_keys(ur, rev_other[v])
-                _accumulate(out, sub, cw)
+        if longest <= _SMALL_LIMIT:
+            out = _word_pair_shuffle(left, right)
+        else:
+            out = _trie_shuffle(
+                {_rev_key(u.key): c._c for u, c in left.items()},
+                {_rev_key(v.key): c._c for v, c in right.items()},
+            )
         den = d1 * d2
         terms = {}
         for wk, acc in out.items():
@@ -490,8 +618,7 @@ def _bar_weight(el: Element):
     is bar-invariant (unchanged by q -> q^-1); None otherwise and for zero."""
     wt = None
     for w, c in el._terms.items():
-        n = len(w)
-        ww = n - 2 * (bin(w.key).count("1") - 1)  # key bits past the sentinel are the y's
+        ww = _key_weight(w.key)
         if wt is None:
             wt = ww
         elif ww != wt:

@@ -123,7 +123,7 @@ def _walk(n: int, x_factor, y_factor, reduced: bool = False) -> Element:
     product is zero is dropped with all of them. Words come out in the
     lexicographic order of enumerate_catalan.
     """
-    W._check_cap(2 * n)
+    W.check_catalan_cost(n)
     if n == 0:
         return Element.unit()
     xf = [x_factor(e) for e in range(n)]

@@ -8,6 +8,7 @@ anywhere: pass means the difference is the zero element or zero series.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -89,20 +90,27 @@ class VerifyConfig:
 
 
 class CheckContext:
-    """Caches the element families for one run and applies the perturb hook."""
+    """Caches the element families for one run and applies the perturb hook.
+
+    run_all shares one context among all its checks, threads included, so
+    each member is built and perturbed once per run.
+    """
 
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self._cache: dict = {}
+        self._lock = threading.Lock()
 
     def _get(self, family, m, n, builder):
         key = (family, m, n)
-        if key not in self._cache:
-            el = builder()
-            if self.cfg.perturb is not None:
-                el = self.cfg.perturb(family, m, n, el)
-            self._cache[key] = el
-        return self._cache[key]
+        with self._lock:
+            el = self._cache.get(key)
+            if el is None:
+                el = builder()
+                if self.cfg.perturb is not None:
+                    el = self.cfg.perturb(family, m, n, el)
+                self._cache[key] = el
+        return el
 
     def delta(self, m: int, n: int) -> Element:
         return self._get("delta", m, n, lambda: catalan.delta_element(m, n))
@@ -193,7 +201,9 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def check_qserre(cfg: VerifyConfig = None, third_coeff: LaurentPoly = None) -> CheckReport:
+def check_qserre(
+    cfg: VerifyConfig = None, third_coeff: LaurentPoly = None, ctx: CheckContext = None
+) -> CheckReport:
     """Both shuffle images of the degree-4 defining relations vanish."""
     run = _Run("qserre", {})
     c = q_int(3) if third_coeff is None else third_coeff
@@ -208,11 +218,11 @@ def check_qserre(cfg: VerifyConfig = None, third_coeff: LaurentPoly = None) -> C
     return run.report()
 
 
-def check_nabla_recursion(cfg: VerifyConfig = None) -> CheckReport:
+def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """One-step recursions: both families, both the x- and the mirrored y-form,
     plus the m = 0 specialization for the free products x C_n."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("nabla_recursion", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
     for n in range(0, cfg.n_max):
         for m in cfg.m_range():
@@ -262,11 +272,11 @@ def check_nabla_recursion(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_commutation(cfg: VerifyConfig = None) -> CheckReport:
+def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """xy commutes with every family member; the m = 0 family commutes
     pairwise; cross-family pairs commute up to the configured total degree."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run(
         "commutation",
         {
@@ -316,12 +326,12 @@ def check_commutation(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
+def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The y^-1 / x^-1 calculus: commutator reformulations, the one-step and
     the (n, k) truncated recursions, the weighted convolution identities, and
     their generating-function forms."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run(
         "yinv_calculus",
         {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff},
@@ -415,10 +425,10 @@ def check_yinv_calculus(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_ode(cfg: VerifyConfig = None) -> CheckReport:
+def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The t-derivative identity and both generating-function recursions."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("ode", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
     N = cfg.cutoff
     nab_t = ctx.nabla0_t(N)
@@ -447,11 +457,11 @@ def check_ode(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_exp_theorem(cfg: VerifyConfig = None) -> CheckReport:
+def check_exp_theorem(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The family's generating function equals the exponential of the weighted
     m = 0 series; verified by exponentiating and, independently, by taking log."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("exp_theorem", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
     N = cfg.cutoff
     for m in cfg.m_range():
@@ -464,11 +474,11 @@ def check_exp_theorem(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_main_theorems(cfg: VerifyConfig = None) -> CheckReport:
+def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The m-fold rescaled factorizations, their closed-form coefficients,
     and the scalar power-sum identity behind them."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run(
         "main_theorems",
         {
@@ -517,11 +527,11 @@ def check_main_theorems(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_recurrences_expderivative(cfg: VerifyConfig = None) -> CheckReport:
+def check_recurrences_expderivative(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The derivative-of-exponential convolution recurrences for the three
     named families."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("expderivative", {"cutoff": cfg.cutoff})
     for n in range(1, cfg.cutoff + 1):
         acc_c = Element.zero()
@@ -549,11 +559,11 @@ def check_recurrences_expderivative(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_zeta_suite(cfg: VerifyConfig = None) -> CheckReport:
+def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The reverse-and-swap antiautomorphism: fixes the families, reverses
     both products, turns y^-1 into x^-1, and squares to the identity."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("zeta_suite", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
     for n in range(0, cfg.n_max + 1):
         for m in cfg.m_range():
@@ -608,7 +618,7 @@ def check_zeta_suite(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
+def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The four q-integer identities on the configured integer grid."""
     cfg = cfg or VerifyConfig()
     g = cfg.qint_grid
@@ -668,12 +678,12 @@ def check_qint_identities(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_structural(cfg: VerifyConfig = None) -> CheckReport:
+def check_structural(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """Word-level and scalar-level structure: rise/fall counts, Catalan
     closure of the shuffle, the telescoping profile identity, the family
     comparisons, the vanishing criterion, and the special columns."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run(
         "structural",
         {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max},
@@ -801,12 +811,12 @@ def check_structural(cfg: VerifyConfig = None) -> CheckReport:
     return run.report()
 
 
-def check_genfuns(cfg: VerifyConfig = None) -> CheckReport:
+def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The classical generating-function package: the inverse pair, the three
     exponential formulas, the two-parameter rescaled product, and mutual
     commutation of the free products."""
     cfg = cfg or VerifyConfig()
-    ctx = CheckContext(cfg)
+    ctx = ctx or CheckContext(cfg)
     run = _Run("genfuns", {"cutoff": cfg.cutoff, "pair_degree_cap": cfg.pair_degree_cap})
     N = cfg.cutoff
     gt = ctx.gtilde_t(N)
@@ -877,7 +887,7 @@ def run_all(cfg: VerifyConfig = None, names=None):
 
     An empty m-range raises ValueError: it would evaluate nothing, and an
     empty report list reads as a pass. Reports come back in catalog order
-    regardless of the thread count.
+    regardless of the thread count. The checks share one CheckContext.
     """
     cfg = cfg or VerifyConfig()
     if cfg.m_min > cfg.m_max:
@@ -887,8 +897,9 @@ def run_all(cfg: VerifyConfig = None, names=None):
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
     ordered = [n for n in CHECKS if n in selected]
+    ctx = CheckContext(cfg)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {name: pool.submit(CHECKS[name], cfg) for name in ordered}
+            futures = {name: pool.submit(CHECKS[name], cfg, ctx=ctx) for name in ordered}
             return [futures[name].result() for name in ordered]
-    return [CHECKS[name](cfg) for name in ordered]
+    return [CHECKS[name](cfg, ctx=ctx) for name in ordered]

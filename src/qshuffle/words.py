@@ -268,11 +268,28 @@ def _check_cap(nletters: int) -> None:
         )
 
 
+# Catalan words one enumeration or family build may walk. The (6, 6) pair of
+# the (n, k) recursion at n_max = 6 builds nabla(0, 12), C_12 = 208,012 words
+# (about 1 GB and 20 s); C_13 = 742,900 would take about four times that.
+_CATALAN_BUDGET = 300_000
+
+
+def check_catalan_cost(n: int) -> None:
+    """Refuse a walk over the Catalan words of length 2n up front: past the
+    length cap, or past _CATALAN_BUDGET words."""
+    _check_cap(2 * n)
+    count = catalan_number(n)
+    if count > _CATALAN_BUDGET:
+        raise CapExceededError(
+            f"n = {n} has {count} Catalan words, over the budget of {_CATALAN_BUDGET}"
+        )
+
+
 def enumerate_catalan(n: int) -> tuple:
     """All Catalan words of length 2n, lexicographic with x < y."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_cap(2 * n)
+    check_catalan_cost(n)
     return _enumerate_catalan(n)
 
 

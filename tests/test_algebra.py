@@ -242,18 +242,6 @@ def test_cache_disabled_gives_identical_results():
     assert a @ b == with_cache
 
 
-def test_memo_budget_overflow_is_correctness_neutral():
-    a = el("xyxyxyx") + el("xxyyxyx", q_int(2))
-    b = el("xyxxyyxy")
-    reference = a @ b
-    try:
-        # force the transient tier to clear repeatedly mid-product
-        algebra.set_memo_limits(small_limit=4, big_limit=15, big_term_budget=200)
-        assert a @ b == reference
-    finally:
-        algebra.set_memo_limits(small_limit=12, big_limit=15, big_term_budget=12_000_000)
-
-
 def test_fraction_coefficients_leave_an_integral_product_integral():
     prod = Element.from_word("xy", Fraction(1, 2)).shuffle(Element.from_word("xy", 2))
     assert prod.is_integral()
@@ -291,6 +279,83 @@ def test_rational_shuffle_matches_bruteforce(cached):
         a = _random_rational_element(rng, integral=i % 3 == 0)
         b = _random_rational_element(rng, integral=i % 3 == 1)
         assert a @ b == _shuffle_by_oracle(a, b), (a, b)
+
+
+# -- the two product paths: word pairs and the trie walk ---------------------------
+
+
+def _on_trie(monkeypatch):
+    """Send every product down the trie walk; any word-pair kernel call fails."""
+    monkeypatch.setattr(algebra, "_SMALL_LIMIT", -1)
+    monkeypatch.setattr(algebra, "_shuffle_keys", None)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_trie_walk_matches_bruteforce(monkeypatch, cached):
+    # mixed weights, empty words, multi-term int and Fraction coefficients
+    algebra.set_cache_enabled(cached)
+    _on_trie(monkeypatch)
+    rng = random.Random(31)
+    for i in range(150):
+        a = _random_rational_element(rng, integral=i % 3 == 0)
+        b = _random_rational_element(rng, integral=i % 3 == 1)
+        assert a @ b == _shuffle_by_oracle(a, b), (a, b)
+
+
+def test_trie_walk_edge_operands(monkeypatch):
+    _on_trie(monkeypatch)
+    a = el("xyy", q_int(2)) + el("yxy") + UNIT.scale(Fraction(1, 3))
+    for other in (UNIT, UNIT.scale(q_pow(2)), Element.zero(), el("x"), a):
+        assert a @ other == _shuffle_by_oracle(a, other)
+        assert other @ a == _shuffle_by_oracle(other, a)
+    # x * xy and x * yx both make xyx with coefficient 1, so it cancels here
+    prod = el("x") @ (el("xy") - el("yx"))
+    assert prod == el("xxy", q_int(2) * q_pow(1)) - el("yxx", q_int(2) * q_pow(-1))
+    assert W.word("xyx") not in prod.support()
+    # ... and again in the weight-0 part of a right operand split by weight,
+    # after the weight-2 part has made xyx with another power of q
+    a, b = el("x") + el("y"), el("xx") + el("xy") - el("yx")
+    assert a @ b == _shuffle_by_oracle(a, b)
+
+
+def test_products_route_by_combined_word_length(monkeypatch):
+    calls = []
+    real = algebra._shuffle_keys
+
+    def counted(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(algebra, "_shuffle_keys", counted)
+    a = catalan.nabla_element(1, 3)  # six letters
+    a.shuffle(a)
+    assert calls  # 6 + 6 letters: the word-pair path
+    calls.clear()
+    longer = a * X_EL
+    assert longer.shuffle(a) == _shuffle_by_oracle(longer, a)
+    assert not calls  # 7 + 6 letters: the trie walk
+
+
+def test_trie_walk_matches_word_pairs_on_members(monkeypatch):
+    # 40 products of 13 or more letters among the members and y^-1 images
+    # with n <= 4, m in -3..3, against the word-pair path forced on each pair
+    ops = []
+    for m in range(-3, 4):
+        for n in range(3, 5):
+            for u in (catalan.delta_element(m, n), catalan.nabla_element(m, n)):
+                for op in (u, u.y_inverse()):
+                    if not op.is_zero() and op not in ops:
+                        ops.append(op)
+    rng = random.Random(5)
+    pairs = [(a, b) for a in ops for b in ops if a.max_word_len() + b.max_word_len() > 12]
+    try:
+        for a, b in rng.sample(pairs, 40):
+            trie = a.shuffle(b)
+            monkeypatch.setattr(algebra, "_SMALL_LIMIT", 64)
+            assert trie == a.shuffle(b)
+            monkeypatch.setattr(algebra, "_SMALL_LIMIT", 12)
+    finally:
+        algebra.clear_caches()  # the forced word-pair path memoized long pairs
 
 
 def test_json_round_trip_and_order():

@@ -202,6 +202,15 @@ def test_builders_keep_the_length_cap():
             build()
 
 
+def test_builders_refuse_oversized_families_up_front(monkeypatch):
+    monkeypatch.setattr(W, "_CATALAN_BUDGET", 13)  # C_3 = 5 and C_4 = 14
+    assert len(delta_element(2, 3)) == 5
+    for build in (lambda: delta_element(2, 4), lambda: nabla_element(0, 4),
+                  lambda: catalan_element(4), lambda: d_element(4)):
+        with pytest.raises(CapExceededError, match="14 Catalan words"):
+            build()
+
+
 def test_named_element_dispatch():
     assert named_element("C", 2) == catalan_element(2)
     assert named_element("D", 2) == d_element(2)

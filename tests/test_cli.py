@@ -65,7 +65,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from qshuffle import checks as checks_mod
     from qshuffle.checks import CheckReport, Witness
 
-    def failing(cfg):
+    def failing(cfg, ctx=None):
         return CheckReport(
             "qserre", {}, "fail",
             Witness("forced failure", None, 4, Element.from_word("xxxy")),
@@ -287,6 +287,15 @@ def test_bench_refuses_products_over_the_cost_budget(capsys):
     assert code == 2
     assert out == ""
     assert "interleavings" in err
+
+
+def test_oversized_family_is_refused_at_once(capsys):
+    # within the 32-letter cap, but 35,357,670 Catalan words
+    for argv in (("compute", "delta", "--m", "2", "--n", "16"), ("enumerate", "16")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "35357670 Catalan words" in err
 
 
 def test_verify_refused_product_exits_2(capsys, monkeypatch):

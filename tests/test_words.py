@@ -119,6 +119,15 @@ def test_length_cap():
     assert len(enumerate_catalan(2)) == 2
 
 
+def test_catalan_count_bound(monkeypatch):
+    # C_12 = 208,012 (the n_max = 6 grid builds nabla(0, 12)) is admitted;
+    # C_13 = 742,900 is refused before any word is walked
+    W.check_catalan_cost(12)
+    monkeypatch.setattr(W, "_enumerate_catalan", None)
+    with pytest.raises(CapExceededError, match="742900 Catalan words"):
+        enumerate_catalan(13)
+
+
 def test_profiles_match_reference_table():
     expected = {
         "": (0,),
