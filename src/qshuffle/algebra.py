@@ -2,10 +2,29 @@
 
 An Element is a finite map from words to nonzero Laurent coefficients. It
 carries the free (concatenation) product and the q-shuffle product. The
-shuffle kernel works on packed word keys and raw {exponent: int} dicts and
-is integer-only: Element.shuffle clears each operand's Fraction
-denominators once on the way in and divides them back out once on the way
-out, where results are wrapped back into Element/LaurentPoly.
+shuffle kernel works on packed word keys and packed coefficients and is
+integer-only: Element.shuffle clears each operand's Fraction denominators
+once on the way in and divides them back out once on the way out, where
+results are wrapped back into Element/LaurentPoly.
+
+Inside the kernel a Laurent coefficient P(q) = Σ c_e q^e is one packed entry
+(o, N) (Kronecker substitution): N·2^o = P(2^unit), where o = unit·e0 and e0
+is the entry's own lowest exponent. The coefficients c_e are the balanced
+(signed) digits of N, one per slot of w bits: w = unit, or w = 2·unit when
+each operand's exponents all have one parity, since then so do those of
+every result coefficient and the odd slots would stay empty. Evaluation at
+2^unit is a ring map, so sums and products of entries are exact big-int
+operations: adding two entries shifts the one with the larger offset left
+by the difference, and multiplying by a coefficient is one multiply. Only
+the final result is decoded, once per word, and the decoding is exact when
+every result coefficient lies below 2^(w-1) in absolute value. The
+pre-flight bounds them by
+
+    ‖(a ⋆ b)_w‖∞ ≤ Σ_{u,v} ‖c_u‖₁ ‖c_v‖₁ C(|u| + |v|, |u|) = B,
+
+since u ⋆ v has C(|u| + |v|, |u|) interleavings, each with coefficient 1,
+and takes w as the smallest power of two from 64 up with B < 2^(w-1).
+Intermediate entries need no bound.
 
 A product takes one of two paths, chosen by its operands' longest words:
 
@@ -26,6 +45,7 @@ refused with CapExceededError instead of running for hours.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, lcm
 
@@ -33,7 +53,7 @@ from . import words as W
 from .errors import CapExceededError
 from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
 
-_ONE_POLY = {0: 1}
+_ONE = (0, 1)  # the packed coefficient 1
 
 _cache_enabled = True
 # Products whose longest words have at most this many letters together take
@@ -64,11 +84,7 @@ def clear_caches() -> None:
 
 def _rev_key(key: int) -> int:
     """Reverse the letters of a packed word."""
-    out = 1
-    while key > 1:
-        out = (out << 1) | (key & 1)
-        key >>= 1
-    return out
+    return int("1" + bin(key)[:2:-1], 2)
 
 
 def _key_weight(key: int) -> int:
@@ -76,93 +92,84 @@ def _key_weight(key: int) -> int:
     return key.bit_length() + 1 - 2 * bin(key).count("1")
 
 
-def _shuffle_keys(u: int, v: int) -> dict:
-    """q-shuffle of two packed words, both REVERSED, as {revkey: {exp: int}}.
+def _pack(p: dict, unit: int) -> tuple:
+    """The packed entry (o, N) of an {exp: int} coefficient: N·2^o is the
+    coefficient at q = 2^unit, and o is unit times its lowest exponent."""
+    e0 = min(p)
+    return e0 * unit, sum(c << unit * (e - e0) for e, c in p.items())
+
+
+def _shuffle_keys(u: int, v: int, unit: int) -> dict:
+    """q-shuffle of two packed words, both REVERSED, as {revkey: (o, N)}.
 
     Peels the last letters of the original words (the first bits here):
     u*v = (u*(v minus last))·v_s + ((u minus last)*v)·u_r q^<u_r, v>.
     Working back-to-front lets truncated words (y^-1 images) share memo
-    state with their parents. Coefficients stay non-negative ints. Every
-    pair is memoized: Element.shuffle sends only pairs of at most
+    state with their parents. Every pair is memoized, keyed with the unit
+    its entries are packed in: Element.shuffle sends only pairs of at most
     _SMALL_LIMIT letters here.
     """
     if u == 1:
-        return {v: _ONE_POLY}
+        return {v: _ONE}
     if v == 1:
-        return {u: _ONE_POLY}
-    key = (u, v)
+        return {u: _ONE}
+    key = (u, v, unit)
     res = _memo.get(key)
     if res is not None:
         return res
     a = u & 1
     b = v & 1
-    s1 = _shuffle_keys(u, v >> 1)
-    s2 = _shuffle_keys(u >> 1, v)
-    # <u_r, v> summed over all letters of v: 2*(x-count - y-count), negated for u_r = y
-    wsum = _key_weight(v)
-    e = 2 * wsum if a == 0 else -2 * wsum
-    out: dict = {}
-    get = out.get
-    for w, p in s1.items():
-        k2 = (w << 1) | b
-        cur = get(k2)
-        if cur is None:
-            out[k2] = dict(p)
-        else:
-            for ee, c in p.items():
-                cur[ee] = cur.get(ee, 0) + c
-    for w, p in s2.items():
-        k2 = (w << 1) | a
-        cur = get(k2)
-        if cur is None:
-            out[k2] = {ee + e: c for ee, c in p.items()}
-        else:
-            cg = cur.get
-            for ee, c in p.items():
-                ee += e
-                cur[ee] = cg(ee, 0) + c
+    # <u_r, v> summed over all letters of v: 2*(x-count - y-count), negated for
+    # u_r = y; as a shift of packed entries, unit bits per power of q
+    e = 2 * unit * _key_weight(v)
+    out = {(k << 1) | b: p for k, p in _shuffle_keys(u, v >> 1, unit).items()}
+    _add_letter(out, _shuffle_keys(u >> 1, v, unit), a, -e if a else e)
     if _cache_enabled and len(_memo) < _MEMO_CAP:
         _memo[key] = out
     return out
 
 
-def _accumulate(out: dict, sub: dict, cw: dict) -> None:
-    """out[w] += cw * p for every (w, p) in sub; all raw dicts of ints.
+def _accumulate(out: dict, sub: dict, cw: tuple) -> None:
+    """out[k] += cw · sub[k] for every k; packed entries (o, N).
 
-    Element.shuffle clears denominators before calling this, so every
-    coefficient here is an int and the loop never touches Fraction.
+    Element.shuffle clears denominators before packing, so every N here is
+    an int and the loop never touches Fraction.
     """
-    if len(cw) == 1:
-        ((e0, c0),) = cw.items()
-        for wk, p in sub.items():
-            acc = out.get(wk)
-            if acc is None:
-                out[wk] = {e1 + e0: c1 * c0 for e1, c1 in p.items()}
-            else:
-                ag = acc.get
-                for e1, c1 in p.items():
-                    ee = e1 + e0
-                    s = ag(ee, 0) + c1 * c0
-                    if s:
-                        acc[ee] = s
-                    else:
-                        del acc[ee]
+    c0, cn = cw
+    get = out.get
+    for k, (f, n) in sub.items():
+        f += c0
+        n *= cn
+        cur = get(k)
+        if cur is None:
+            out[k] = (f, n)
+        else:
+            g, m = cur
+            out[k] = (g, m + (n << f - g)) if g <= f else (f, n + (m << g - f))
+
+
+def _add_letter(out: dict, terms: dict, letter: int, shift: int) -> None:
+    """out[k·letter] += 2^shift · terms[k] for every k (k a reversed key);
+    packed entries (o, N)."""
+    if not out:  # nothing to merge into: one comprehension
+        out.update({(k << 1) | letter: (f + shift, n) for k, (f, n) in terms.items()})
         return
-    cw_items = tuple(cw.items())
-    for wk, p in sub.items():
-        acc = out.get(wk)
-        if acc is None:
-            acc = {}
-            out[wk] = acc
-        ag = acc.get
-        for e1, c1 in p.items():
-            for e0, c0 in cw_items:
-                ee = e1 + e0
-                s = ag(ee, 0) + c1 * c0
-                if s:
-                    acc[ee] = s
-                else:
-                    del acc[ee]
+    get = out.get
+    for k, (f, n) in terms.items():
+        k = (k << 1) | letter
+        f += shift
+        cur = get(k)
+        if cur is None:
+            out[k] = (f, n)
+        else:
+            g, m = cur
+            out[k] = (g, m + (n << f - g)) if g <= f else (f, n + (m << g - f))
+
+
+def _scaled(terms: dict, c: tuple) -> dict:
+    """c · terms[k] for every k; packed entries (o, N)."""
+    c0, cn = c
+    return {k: (f + c0, n * cn) for k, (f, n) in terms.items()}
 
 
 class _Node:
@@ -170,7 +177,7 @@ class _Node:
 
     It stands for the operand's words that end in one suffix s. ``rest``
     holds their nonempty prefixes (each word with s removed) as
-    {revkey: {exp: int}}, ``alpha`` the coefficient of the word s itself
+    {revkey: (o, N)}, ``alpha`` the packed coefficient of the word s itself
     (None when s is not a word of the operand), ``kids`` the (letter, child)
     split of ``rest`` by last letter, and ``wt`` the weight #x - #y of every
     prefix in ``rest`` when the operand is weight-homogeneous.
@@ -191,50 +198,8 @@ class _Node:
         )
 
 
-def _add_shifted(out: dict, table: dict, letter: int, shift: int, owned: bool) -> None:
-    """out[k·letter] += q^shift · table[k] for every k (k a reversed key);
-    an owned table's coefficient dicts may be taken over."""
-    if not out:  # nothing to merge into: one comprehension
-        if shift:
-            out.update({(k << 1) | letter: {e + shift: c for e, c in p.items()}
-                        for k, p in table.items()})
-        else:
-            out.update({(k << 1) | letter: p if owned else dict(p) for k, p in table.items()})
-        return
-    get = out.get
-    for k, p in table.items():
-        k = (k << 1) | letter
-        acc = get(k)
-        if acc is None:
-            if shift:
-                out[k] = {e + shift: c for e, c in p.items()}
-            else:
-                out[k] = p if owned else dict(p)
-        else:
-            ag = acc.get
-            for e, c in p.items():
-                e += shift
-                acc[e] = ag(e, 0) + c
-
-
-def _add_scaled(out: dict, terms: dict, letter: int, coeff: dict, shift: int) -> None:
-    """out[k·letter] += q^shift · coeff · terms[k] for every k (k a reversed key)."""
-    cw = [(e + shift, c) for e, c in coeff.items()]
-    get = out.get
-    for k, p in terms.items():
-        k = (k << 1) | letter
-        acc = get(k)
-        if acc is None:
-            acc = out[k] = {}
-        ag = acc.get
-        for e1, c1 in p.items():
-            for e0, c0 in cw:
-                e = e1 + e0
-                acc[e] = ag(e, 0) + c1 * c0
-
-
-def _trie_shuffle(left: dict, right: dict) -> dict:
-    """The q-shuffle of two cleared operands {revkey: {exp: int}}, walking
+def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
+    """The q-shuffle of two packed operands {revkey: (o, N)}, walking
     their suffix tries instead of their word pairs.
 
     For nodes a, b let A_a, B_b be their prefix sums (``rest``) and α, β the
@@ -249,7 +214,7 @@ def _trie_shuffle(left: dict, right: dict) -> dict:
     the weight of every prefix in B_b, is one number per node. Each table
     T(a, b) has two readers, (a, parent of b) and (parent of a, b), and is
     dropped after the second read. The empty-word terms are added at the
-    root. Coefficients that cancel stay in the tables as zeros until the root.
+    root. Coefficients that cancel stay in the tables as N = 0.
     """
     ra = _Node(left)
     parts: dict = {}
@@ -259,13 +224,11 @@ def _trie_shuffle(left: dict, right: dict) -> dict:
 
     def add_table(out, a, b, letter, shift):
         t = tables.pop((a, b), None)
-        owned = t is not None  # the second and last read
         if t is None:
             t = pair(a, b)
-            owned = a is ra or b is rb  # the only read
-            if not owned:
+            if a is not ra and b is not rb:  # a second reader will come
                 tables[(a, b)] = t
-        _add_shifted(out, t, letter, shift, owned)
+        _add_letter(out, t, letter, shift)
 
     def pair(a, b):
         out: dict = {}
@@ -273,26 +236,21 @@ def _trie_shuffle(left: dict, right: dict) -> dict:
             if bc.kids:
                 add_table(out, a, bc, letter, 0)
             if bc.alpha is not None:
-                _add_scaled(out, a.rest, letter, bc.alpha, 0)
+                _add_letter(out, _scaled(a.rest, bc.alpha), letter, 0)
+        ex = 2 * unit * b.wt
         for letter, ac in a.kids:
-            e = -2 * b.wt if letter else 2 * b.wt
+            e = -ex if letter else ex
             if ac.kids:
                 add_table(out, ac, b, letter, e)
             if ac.alpha is not None:
-                _add_scaled(out, b.rest, letter, ac.alpha, e)
+                _add_letter(out, _scaled(b.rest, ac.alpha), letter, e)
         return out
 
     out: dict = {}
     for wt, part in parts.items():
         rb = _Node(part, wt)
         if ra.kids and rb.kids:
-            # _accumulate takes no zero coefficients: drop the ones that cancelled
-            root = {}
-            for k, p in pair(ra, rb).items():
-                p = {e: c for e, c in p.items() if c}
-                if p:
-                    root[k] = p
-            _accumulate(out, root, _ONE_POLY)
+            _accumulate(out, pair(ra, rb), _ONE)
         if ra.alpha is not None:
             _accumulate(out, part, ra.alpha)
         if rb.alpha is not None:
@@ -300,31 +258,94 @@ def _trie_shuffle(left: dict, right: dict) -> dict:
     return out
 
 
-def _word_pair_shuffle(left: dict, right: dict) -> dict:
-    """The q-shuffle of two cleared operands {Word: LaurentPoly} as
-    {revkey: {exp: int}}: one memoized kernel call per word pair."""
+def _word_pair_shuffle(left: dict, right: dict, unit: int) -> dict:
+    """The q-shuffle of two packed operands {revkey: (o, N)}: one memoized
+    kernel call per word pair."""
     out: dict = {}
-    rev_right = {v: _rev_key(v.key) for v in right}
-    for u, cu in left.items():
-        ur = _rev_key(u.key)
-        cu_raw = cu._c
-        for v, cv in right.items():
-            if len(cu_raw) > 1 or len(cv._c) > 1:
-                cw = (cu * cv)._c
-            else:
-                ((e1, c1),) = cu_raw.items()
-                ((e2, c2),) = cv._c.items()
-                cw = {e1 + e2: c1 * c2}
-            _accumulate(out, _shuffle_keys(ur, rev_right[v]), cw)
+    for u, (o1, n1) in left.items():
+        for v, (o2, n2) in right.items():
+            _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
     return out
 
 
-def _length_counts(el) -> dict:
-    counts: dict = {}
-    for w in el._terms:
-        n = len(w)
-        counts[n] = counts.get(n, 0) + 1
-    return counts
+def _decode(out: dict, unit: int, step: int, den: int) -> dict:
+    """{Word: LaurentPoly} from a kernel result {revkey: (o, N)}, every
+    coefficient divided by den.
+
+    The exponents of one result coefficient step by ``step`` (1, or 2 when
+    they all have one parity), so its coefficients are the balanced digits
+    of N in slots of w = step·unit bits. Adding 2^(w-1) to every slot makes
+    every digit non-negative, and flipping the top bit of every slot back
+    leaves each slot the two's complement of its digit.
+    """
+    w = step * unit
+    size = w // 8
+    cast = w == 64 and sys.byteorder == "little"
+    biases: dict = {}  # slot count -> 2^(w-1) in every slot
+    terms = {}
+    for k, (o, n) in out.items():
+        if not n:
+            continue
+        slots = abs(n).bit_length() // w + 1
+        bias = biases.get(slots)
+        if bias is None:
+            bias = biases[slots] = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
+        raw = ((n + bias) ^ bias).to_bytes(slots * size, "little")
+        if cast:
+            digits = memoryview(raw).cast("q")
+        else:
+            digits = [int.from_bytes(raw[i:i + size], "little", signed=True)
+                      for i in range(0, len(raw), size)]
+        e0 = o // unit
+        p = {e0 + step * i: c for i, c in enumerate(digits) if c}
+        if den != 1:
+            p = {e: _norm(Fraction(c, den)) for e, c in p.items()}
+        terms[W.Word(_rev_key(k))] = LaurentPoly(p, _raw=True)
+    return terms
+
+
+def _length_norms(terms: dict) -> dict:
+    """{word length: (word count, summed L1 norm of their coefficients)}."""
+    out: dict = {}
+    for word, c in terms.items():
+        count, norm = out.get(len(word), (0, 0))
+        out[len(word)] = (count + 1, norm + sum(map(abs, c._c.values())))
+    return out
+
+
+def _preflight(left: dict, right: dict) -> tuple:
+    """(longest word, unit, step) for the product of two term dicts with
+    int coefficients, refused as check_shuffle_cost says.
+
+    Every result coefficient is bounded by B = Σ C(i + j, i) L1_i L1_j, over
+    the summed L1 norms L1_i of the coefficients of the words of length i.
+    Its exponents step by 2 when each operand's exponents have one parity,
+    by 1 otherwise. The slot width step·unit is the smallest power of two
+    from 64 up with B < 2^(step·unit - 1).
+    """
+    la, lb = _length_norms(left), _length_norms(right)
+    if not la or not lb:
+        return 0, 64, 1
+    longest = max(la) + max(lb)
+    if longest > W.length_cap():
+        raise CapExceededError(f"shuffle would create a word of length {longest}")
+    cost = bound = 0
+    for i, (na, norm_a) in la.items():
+        for j, (nb, norm_b) in lb.items():
+            c = comb(i + j, i)
+            cost += na * nb * c
+            bound += norm_a * norm_b * c
+    if cost > _SHUFFLE_BUDGET:
+        raise CapExceededError(
+            f"shuffle would walk {cost:.2e} interleavings, over the budget of"
+            f" {_SHUFFLE_BUDGET:.0e}"
+        )
+    w = 64
+    while bound >= 1 << (w - 1):
+        w *= 2
+    step = 2 if all(len({e & 1 for c in t.values() for e in c._c}) == 1
+                    for t in (left, right)) else 1
+    return longest, w // step, step
 
 
 def check_shuffle_cost(a, b) -> int:
@@ -332,19 +353,7 @@ def check_shuffle_cost(a, b) -> int:
     it would walk more than _SHUFFLE_BUDGET interleavings: C(i + j, i) for
     every pair of a word of length i in a and a word of length j in b.
     Returns the length of the longest word of a ⋆ b (0 when it is zero)."""
-    la, lb = _length_counts(a), _length_counts(b)
-    if not la or not lb:
-        return 0
-    longest = max(la) + max(lb)
-    if longest > W.length_cap():
-        raise CapExceededError(f"shuffle would create a word of length {longest}")
-    cost = sum(na * nb * comb(i + j, i) for i, na in la.items() for j, nb in lb.items())
-    if cost > _SHUFFLE_BUDGET:
-        raise CapExceededError(
-            f"shuffle would walk {cost:.2e} interleavings, over the budget of"
-            f" {_SHUFFLE_BUDGET:.0e}"
-        )
-    return longest
+    return _preflight(a._terms, b._terms)[0]
 
 
 class Element:
@@ -494,7 +503,7 @@ class Element:
         d = 1
         for c in self._terms.values():
             for v in c._c.values():
-                if isinstance(v, Fraction):
+                if type(v) is Fraction:
                     d = lcm(d, v.denominator)
         if d == 1:
             return 1, self._terms
@@ -504,27 +513,20 @@ class Element:
         """The q-shuffle product.
 
         Fraction coefficients never reach the kernel: each operand is scaled
-        by the lcm of its denominators, the product is accumulated in ints,
-        and each result coefficient is divided by both scales once at the end.
+        by the lcm of its denominators and packed, the product is accumulated
+        in ints, and each result coefficient is unpacked and divided by both
+        scales once at the end.
         """
-        longest = check_shuffle_cost(self, other)
         d1, left = self._cleared()
         d2, right = other._cleared()
-        if longest <= _SMALL_LIMIT:
-            out = _word_pair_shuffle(left, right)
-        else:
-            out = _trie_shuffle(
-                {_rev_key(u.key): c._c for u, c in left.items()},
-                {_rev_key(v.key): c._c for v, c in right.items()},
-            )
-        den = d1 * d2
-        terms = {}
-        for wk, acc in out.items():
-            if acc:
-                if den != 1:
-                    acc = {e: _norm(Fraction(c, den)) for e, c in acc.items()}
-                terms[W.Word(_rev_key(wk))] = LaurentPoly(acc, _raw=True)
-        return Element(terms, _raw=True)
+        longest, unit, step = _preflight(left, right)
+        product = _word_pair_shuffle if longest <= _SMALL_LIMIT else _trie_shuffle
+        out = product(
+            {_rev_key(u.key): _pack(c._c, unit) for u, c in left.items()},
+            {_rev_key(v.key): _pack(c._c, unit) for v, c in right.items()},
+            unit,
+        )
+        return Element(_decode(out, unit, step, d1 * d2), _raw=True)
 
     def __matmul__(self, other):
         if not isinstance(other, Element):

@@ -8,9 +8,7 @@ anywhere: pass means the difference is the zero element or zero series.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -81,7 +79,6 @@ class VerifyConfig:
     qmn_m_max: int = 5
     qmn_n_max: int = 4
     qint_grid: int = 6
-    threads: int = 1
     # optional hook (family, m, n, element) -> element, used by negative controls
     perturb: Optional[Callable] = None
 
@@ -92,24 +89,22 @@ class VerifyConfig:
 class CheckContext:
     """Caches the element families for one run and applies the perturb hook.
 
-    run_all shares one context among all its checks, threads included, so
-    each member is built and perturbed once per run.
+    run_all shares one context among all its checks, so each member is
+    built and perturbed once per run.
     """
 
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def _get(self, family, m, n, builder):
         key = (family, m, n)
-        with self._lock:
-            el = self._cache.get(key)
-            if el is None:
-                el = builder()
-                if self.cfg.perturb is not None:
-                    el = self.cfg.perturb(family, m, n, el)
-                self._cache[key] = el
+        el = self._cache.get(key)
+        if el is None:
+            el = builder()
+            if self.cfg.perturb is not None:
+                el = self.cfg.perturb(family, m, n, el)
+            self._cache[key] = el
         return el
 
     def delta(self, m: int, n: int) -> Element:
@@ -886,8 +881,8 @@ def run_all(cfg: VerifyConfig = None, names=None):
     """Run the selected checks (all by default) in catalog order.
 
     An empty m-range raises ValueError: it would evaluate nothing, and an
-    empty report list reads as a pass. Reports come back in catalog order
-    regardless of the thread count. The checks share one CheckContext.
+    empty report list reads as a pass. Reports come back in catalog order.
+    The checks share one CheckContext.
     """
     cfg = cfg or VerifyConfig()
     if cfg.m_min > cfg.m_max:
@@ -898,8 +893,4 @@ def run_all(cfg: VerifyConfig = None, names=None):
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
     ordered = [n for n in CHECKS if n in selected]
     ctx = CheckContext(cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {name: pool.submit(CHECKS[name], cfg, ctx=ctx) for name in ordered}
-            return [futures[name].result() for name in ordered]
     return [CHECKS[name](cfg, ctx=ctx) for name in ordered]

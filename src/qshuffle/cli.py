@@ -30,7 +30,6 @@ DEFAULTS = {
     "output_format": "human",
     "output_path": None,
     "cache_enabled": True,
-    "threads": 1,
 }
 
 
@@ -43,7 +42,6 @@ class CliConfig:
     output_format: str = "human"
     output_path: str | None = None
     cache_enabled: bool = True
-    threads: int = 1
 
     def validate(self):
         if self.cutoff < 0:
@@ -52,8 +50,6 @@ class CliConfig:
             raise ValueError("m-min must be <= m-max")
         if self.n_max < 0:
             raise ValueError("n-max must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _parse_bool(s: str) -> bool:
@@ -76,7 +72,6 @@ def resolve_config(args) -> CliConfig:
             layers[k] = v
     env_map = {
         "QSHUFFLE_CUTOFF": ("cutoff", int),
-        "QSHUFFLE_THREADS": ("threads", lambda s: os.cpu_count() if s == "auto" else int(s)),
         "QSHUFFLE_CACHE": ("cache_enabled", _parse_bool),
     }
     for var, (key, conv) in env_map.items():
@@ -90,9 +85,6 @@ def resolve_config(args) -> CliConfig:
         "n_max": args.n_max,
         "output_format": args.format,
         "output_path": args.output,
-        "threads": (os.cpu_count() if args.threads == "auto" else int(args.threads))
-        if args.threads is not None
-        else None,
     }
     for key, val in flag_map.items():
         if val is not None:
@@ -202,7 +194,6 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         m_max=cfg.m_max,
         n_max=cfg.n_max,
         cutoff=cfg.cutoff,
-        threads=cfg.threads,
     )
     try:
         reports = checks.run_all(vcfg, names=names)
@@ -338,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache = common.add_mutually_exclusive_group()
     cache.add_argument("--cache", dest="cache", action="store_true", default=None)
     cache.add_argument("--no-cache", dest="cache", action="store_false", default=None)
-    common.add_argument("--threads", help="worker threads for verification ('auto' allowed)")
 
     p = argparse.ArgumentParser(
         prog="qshuffle",

@@ -16,7 +16,7 @@ from .errors import InexactDivisionError
 
 def _norm(v):
     # keep integers as int so the hot paths stay on fast int arithmetic
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
 
@@ -69,7 +69,7 @@ class LaurentPoly:
 
     def is_integral(self) -> bool:
         """True when every coefficient has denominator 1."""
-        return all(not isinstance(c, Fraction) for c in self._c.values())
+        return Fraction not in map(type, self._c.values())
 
     def terms(self):
         """Sorted (exponent, coefficient) pairs, ascending in powers of q."""
@@ -97,7 +97,7 @@ class LaurentPoly:
         for e, c in other._c.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = _norm(s)
+                out[e] = _norm(s) if type(s) is Fraction else s
             else:
                 out.pop(e, None)
         return LaurentPoly(out, _raw=True)
@@ -109,7 +109,7 @@ class LaurentPoly:
         for e, c in other._c.items():
             s = out.get(e, 0) - c
             if s:
-                out[e] = _norm(s)
+                out[e] = _norm(s) if type(s) is Fraction else s
             else:
                 out.pop(e, None)
         return LaurentPoly(out, _raw=True)
@@ -134,7 +134,9 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly({e: _norm(c) for e, c in out.items()}, _raw=True)
+        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
+            out = {e: _norm(c) for e, c in out.items()}
+        return LaurentPoly(out, _raw=True)
 
     __rmul__ = __mul__
 
@@ -178,9 +180,11 @@ class LaurentPoly:
             if rn < dn:
                 raise InexactDivisionError(f"{self!r} is not divisible by {other!r}")
             qe = rn - dn
-            qc = rem[rn] / dlead if isinstance(rem[rn], Fraction) or isinstance(dlead, Fraction) \
-                else Fraction(rem[rn], dlead)
-            qc = _norm(qc)
+            r = rem[rn]
+            if type(r) is int and type(dlead) is int and not r % dlead:
+                qc = r // dlead  # always so for a monic divisor such as q_int(n) or Q_COMM
+            else:
+                qc = _norm(Fraction(r, dlead))
             quot[qe] = qc
             for e, c in den.items():
                 s = rem.get(e + qe, 0) - qc * c

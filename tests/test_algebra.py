@@ -318,13 +318,100 @@ def test_trie_walk_edge_operands(monkeypatch):
     assert a @ b == _shuffle_by_oracle(a, b)
 
 
+# -- the packed coefficients (Kronecker substitution) ----------------------------
+
+
+@pytest.mark.parametrize("unit, step", [(64, 1), (32, 2), (128, 1), (64, 2)])
+def test_packed_coefficients_round_trip(unit, step):
+    # balanced digits at both ends of the slot range, in every sign pattern,
+    # so that negative digits borrow from the slot above
+    rng = random.Random(unit + step)
+    top = (1 << (step * unit - 1)) - 1
+    key = W.word("xy").key
+    for _ in range(200):
+        e0 = rng.randint(-9, 9)
+        digits = [rng.choice((top, -top, 1, -1, 0, rng.randint(-top, top))) for _ in range(8)]
+        digits[0] = digits[0] or -1
+        p = {e0 + step * i: c for i, c in enumerate(digits) if c}
+        out = {algebra._rev_key(key): algebra._pack(p, unit)}
+        assert algebra._decode(out, unit, step, 1) == {W.word("xy"): LaurentPoly(p)}
+
+
+def _on_word_pairs(monkeypatch):
+    """Leave the routing alone: every operand below is short enough for the
+    word-pair path."""
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+@pytest.mark.parametrize("cached", [True, False])
+def test_slot_width_follows_the_coefficient_bound(monkeypatch, path, cached):
+    # the unit times a word: its one result coefficient reaches the bound
+    # B = |c| L1(c'), so B = 2^63 - 1 fits 64-bit slots and B = 2^63 does not
+    algebra.set_cache_enabled(cached)
+    path(monkeypatch)
+    for c in ((1 << 63) - 1, 1 << 63, -(1 << 63) + 1, (1 << 62) - 1, 1 << 62):
+        # one exponent; two of one parity, with a borrow; two of both parities
+        for exps, step in (({0: 1}, 2), ({0: 1, 2: -1}, 2), ({0: -1, 1: 1}, 1)):
+            a, b = UNIT.scale(c), el("xy", LaurentPoly(exps))
+            bound = abs(c) * len(exps)
+            _, unit, got_step = algebra._preflight(a._terms, b._terms)
+            assert got_step == step
+            assert unit * step == (64 if bound < 1 << 63 else 128), (c, exps)
+            want = el("xy", LaurentPoly({e: c * v for e, v in exps.items()}))
+            assert a @ b == want and b @ a == want
+    # a bound either side of 2^63 over a real shuffle: x * x has two
+    # interleavings, (1 + q^2) xx, so B = 2 L1(c) = 4|c|
+    for c in ((1 << 61) - 1, 1 << 61, -(1 << 61)):
+        a, b = el("x", LaurentPoly({0: c, 2: -c})), el("x", LaurentPoly({-2: 1}))
+        _, unit, step = algebra._preflight(a._terms, b._terms)
+        assert unit * step == (64 if 4 * abs(c) < 1 << 63 else 128)
+        assert a @ b == _shuffle_by_oracle(a, b)
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+@pytest.mark.parametrize("cached", [True, False])
+def test_packed_products_with_signed_rational_and_cancelling_coefficients(
+    monkeypatch, path, cached
+):
+    algebra.set_cache_enabled(cached)
+    path(monkeypatch)
+    # every operand has a common suffix "xy", so the trie walk makes a table
+    # for it below the root, and (xy - yx) * x cancels at xyx inside it
+    a = (el("xyxy") - el("yxxy")).scale(q_int(3)) + el("xy", LaurentPoly({1: -5, 3: 2}))
+    b = el("x", Fraction(-2, 3)) + el("yxy", LaurentPoly({0: Fraction(1, 2), 2: -7}))
+    zeros = {"table": 0, "root": 0}
+    add, acc = algebra._add_letter, algebra._accumulate
+
+    def count_zeros(where, terms):
+        zeros[where] += sum(1 for o, n in terms.values() if not n)
+
+    def add_spy(out, terms, letter, shift):
+        count_zeros("table", terms)
+        add(out, terms, letter, shift)
+
+    def acc_spy(out, sub, cw):
+        count_zeros("root", sub)
+        acc(out, sub, cw)
+
+    monkeypatch.setattr(algebra, "_add_letter", add_spy)
+    monkeypatch.setattr(algebra, "_accumulate", acc_spy)
+    for left, right in ((a, b), (b, a), (a, a), (a - a.scale(q_pow(2)), b)):
+        assert left @ right == _shuffle_by_oracle(left, right)
+    # x * xy and x * yx both make xyx with coefficient 1 at the root
+    prod = el("x") @ (el("xy") - el("yx"))
+    assert prod == _shuffle_by_oracle(el("x"), el("xy") - el("yx"))
+    assert W.word("xyx") not in prod.support()
+    if path is _on_trie:
+        assert zeros["table"] and zeros["root"]
+
+
 def test_products_route_by_combined_word_length(monkeypatch):
     calls = []
     real = algebra._shuffle_keys
 
-    def counted(u, v):
+    def counted(u, v, unit):
         calls.append((u, v))
-        return real(u, v)
+        return real(u, v, unit)
 
     monkeypatch.setattr(algebra, "_shuffle_keys", counted)
     a = catalan.nabla_element(1, 3)  # six letters

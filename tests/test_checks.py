@@ -1,7 +1,6 @@
 """The verification suite itself: green on small grids, and the negative
 controls really turn checks red with a nonzero witness."""
 
-import sys
 from collections import Counter
 
 import pytest
@@ -136,13 +135,6 @@ def test_run_all_selection_and_order():
         run_all(SMALL, names=["nonexistent"])
 
 
-def test_run_all_threaded_matches_sequential():
-    seq = run_all(SMALL, names=["qserre", "structural", "zeta_suite"])
-    par_cfg = VerifyConfig(**{**SMALL.__dict__, "threads": 3})
-    par = run_all(par_cfg, names=["qserre", "structural", "zeta_suite"])
-    assert [(r.name, r.status) for r in seq] == [(r.name, r.status) for r in par]
-
-
 def test_run_all_builds_each_member_once(monkeypatch):
     built = Counter()
     for name in ("delta_element", "nabla_element", "named_element", "x_cn_y"):
@@ -156,27 +148,6 @@ def test_run_all_builds_each_member_once(monkeypatch):
     reports = run_all(SMALL)
     assert all(r.passed for r in reports)
     assert built and max(built.values()) == 1
-
-
-def test_threads_share_one_context(monkeypatch):
-    # more threads than checks that read members, and a short switch interval,
-    # so that threads race for the same members; each is perturbed only once
-    perturbed = Counter()
-
-    def count(family, m, n, el):
-        perturbed[(family, m, n)] += 1
-        return el
-
-    seq = run_all(SMALL)
-    cfg = VerifyConfig(**{**SMALL.__dict__, "threads": 8, "perturb": count})
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        par = run_all(cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    assert perturbed and max(perturbed.values()) == 1
-    assert [r.to_json() for r in par] == [r.to_json() for r in seq]
 
 
 def test_pass_set_monotone_in_cutoff():

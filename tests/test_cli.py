@@ -254,9 +254,9 @@ def test_verify_all_small_grid(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
-def test_verify_json_independent_of_threads_and_cache(capsys):
+def test_verify_json_independent_of_cache(capsys):
     outs = []
-    for extra in (["--threads", "1"], ["--threads", "3"], ["--no-cache"]):
+    for extra in ([], ["--no-cache"]):
         code, out, _ = run_cli(
             capsys, "verify", "qserre", "structural", "zeta_suite",
             "--m-min", "-1", "--m-max", "1", "--n-max", "2", "--cutoff", "2",
@@ -264,7 +264,7 @@ def test_verify_json_independent_of_threads_and_cache(capsys):
         )
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_table_positionals_do_not_clash_with_global_flags(capsys):

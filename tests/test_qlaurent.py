@@ -74,6 +74,31 @@ def test_exact_division():
         q_int(2).div_exact(LaurentPoly.zero())
 
 
+def test_exact_division_by_monic_divisors_keeps_int_coefficients():
+    for n in range(1, 7):
+        for k in range(1, 5):
+            quot = (q_int(n) * q_int(k) * q_pow(n - k)).div_exact(q_int(n))
+            assert quot == q_int(k) * q_pow(n - k)
+            assert all(type(c) is int for _, c in quot.terms())
+    quot = (q_pow(5) - q_pow(-3)).scale(-7).div_exact(Q_COMM)
+    assert quot == q_int(4).scale(-7) * q_pow(1)
+    assert all(type(c) is int for _, c in quot.terms())
+
+
+def test_exact_division_by_a_non_monic_divisor():
+    # the leading coefficient 2 does not divide 3: the quotient is rational
+    quot = LaurentPoly({0: 3, 2: 3}).div_exact(LaurentPoly({0: 2, 2: 2}))
+    assert quot == LaurentPoly.const(Fraction(3, 2))
+    assert type(quot.coeff(0)) is Fraction
+    # ... and 2 divides 4: the quotient stays an int
+    quot = LaurentPoly({0: 4, 2: 4}).div_exact(LaurentPoly({0: 2, 2: 2}))
+    assert quot == LaurentPoly.const(2) and type(quot.coeff(0)) is int
+    with pytest.raises(InexactDivisionError):
+        LaurentPoly({0: 3, 2: 4}).div_exact(LaurentPoly({0: 2, 2: 2}))
+    with pytest.raises(InexactDivisionError):
+        (q_int(3) + LaurentPoly.const(2)).div_exact(q_int(2))
+
+
 def test_division_with_rational_coefficients():
     p = P("[2][5]").scale(Fraction(3, 7))
     assert p.div_exact(q_int(5)) == q_int(2).scale(Fraction(3, 7))

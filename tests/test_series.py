@@ -156,17 +156,29 @@ def test_exp_coefficients_are_integral():
 
 
 def test_shuffle_kernel_sees_only_ints(monkeypatch):
-    inner = algebra._accumulate
+    # every packed entry (o, N) that is accumulated, and every multiplier,
+    # holds ints only: no Fraction reaches a packed value
+    def packed_ints(entries):
+        return all(type(o) is int and type(n) is int for o, n in entries)
 
-    def guarded(out, sub, cw):
-        assert all(type(c) is int for c in cw.values())
-        assert all(type(c) is int for p in sub.values() for c in p.values())
-        inner(out, sub, cw)
+    inner_acc, inner_add = algebra._accumulate, algebra._add_letter
+    seen = []
 
-    monkeypatch.setattr(algebra, "_accumulate", guarded)
+    def guarded_acc(out, sub, cw):
+        assert packed_ints([cw]) and packed_ints(sub.values())
+        seen.append(len(sub))
+        inner_acc(out, sub, cw)
+
+    def guarded_add(out, terms, letter, shift):
+        assert type(shift) is int and packed_ints(terms.values())
+        inner_add(out, terms, letter, shift)
+
+    monkeypatch.setattr(algebra, "_accumulate", guarded_acc)
+    monkeypatch.setattr(algebra, "_add_letter", guarded_add)
     for m in (-2, 3):
         assert beck_log_argument(m, 4).exp() == delta_series(m, 4), m
         assert nabla0_log_argument(m, 4).exp() == delta_series(m, 4), m
+    assert seen
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
