@@ -36,7 +36,6 @@ from .words import (
 from .algebra import (
     Element,
     commutator_x,
-    set_cache_enabled,
     shuffle_fold,
     shuffle_pair,
     zeta,
@@ -48,11 +47,11 @@ from .catalan import (
     delta_scalar,
     embedding_image,
     gtilde_element,
+    member,
     nabla_element,
     nabla_from_profile,
     nabla_scalar,
     nabla_split,
-    named_element,
     vanishing_bound,
     x_cn_y,
 )
@@ -62,7 +61,9 @@ from .series import (
     c_series,
     d_series,
     delta_series,
+    family_series,
     gtilde_series,
+    log_argument,
     nabla0_log_argument,
     nabla0_series,
     x_cn_y_series,

@@ -35,8 +35,8 @@ A product takes one of two paths, chosen by its operands' longest words:
   (_trie_shuffle), which shares the work of every common suffix among all
   word pairs and keeps nothing once the product is done.
 
-Results are identical on both paths and with caching disabled; only speed
-changes.
+Results are identical on both paths and whatever the memo holds; only
+speed changes.
 
 Before any kernel call a product is priced: the interleavings it would walk
 are summed over its word pairs, and a product above _SHUFFLE_BUDGET is
@@ -55,7 +55,6 @@ from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
 
 _ONE = (0, 1)  # the packed coefficient 1
 
-_cache_enabled = True
 # Products whose longest words have at most this many letters together take
 # the word-pair path and its persistent memo; longer ones take the trie walk.
 _SMALL_LIMIT = 12
@@ -65,17 +64,6 @@ _MEMO_CAP = 1 << 17      # persistent entries
 _SHUFFLE_BUDGET = 10**10
 
 _memo: dict = {}
-
-
-def set_cache_enabled(flag: bool) -> None:
-    global _cache_enabled
-    _cache_enabled = bool(flag)
-    if not flag:
-        clear_caches()
-
-
-def cache_enabled() -> bool:
-    return _cache_enabled
 
 
 def clear_caches() -> None:
@@ -124,7 +112,7 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
     e = 2 * unit * _key_weight(v)
     out = {(k << 1) | b: p for k, p in _shuffle_keys(u, v >> 1, unit).items()}
     _add_letter(out, _shuffle_keys(u >> 1, v, unit), a, -e if a else e)
-    if _cache_enabled and len(_memo) < _MEMO_CAP:
+    if len(_memo) < _MEMO_CAP:
         _memo[key] = out
     return out
 

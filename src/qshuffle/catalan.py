@@ -182,21 +182,36 @@ def gtilde_element(n: int) -> Element:
     return Element.from_word(W.gtilde_word(n))
 
 
-def named_element(kind: str, n: int) -> Element:
-    if kind == "C":
-        return catalan_element(n)
-    if kind == "D":
-        return d_element(n)
-    if kind == "Gtilde":
-        return gtilde_element(n)
-    raise ValueError(f"unknown element family {kind!r}")
-
-
 def x_cn_y(n: int) -> Element:
     """The free product x C_{n-1} y, defined for n >= 1."""
     if n < 1:
         raise ValueError("x C_(n-1) y needs n >= 1")
     return X_EL * catalan_element(n - 1) * Y_EL
+
+
+# family name -> (builder, whether it takes m, first index n)
+FAMILIES = {
+    "delta": ("delta_element", True, 0),
+    "nabla": ("nabla_element", True, 1),
+    "C": ("catalan_element", False, 0),
+    "D": ("d_element", False, 0),
+    "Gtilde": ("gtilde_element", False, 0),
+    "xCny": ("x_cn_y", False, 1),
+}
+
+
+def member(family: str, m, n: int) -> Element:
+    """The n-th member of a named family: delta and nabla take the parameter
+    m, the others take m = None. The builder is looked up by name at call
+    time, so a builder wrapped or patched on this module is the one called."""
+    try:
+        builder, takes_m, _ = FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown element family {family!r}") from None
+    if takes_m != (m is not None):
+        raise ValueError(f"{family} takes {'an integer' if takes_m else 'no'} parameter m")
+    build = globals()[builder]
+    return build(m, n) if takes_m else build(n)
 
 
 def embedding_image(kind: str, n: int) -> Element:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from . import catalan, words as W
 from .algebra import Element, X_EL, XY_EL, Y_EL, commutator_x, shuffle_fold, shuffle_pair
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
-from .series import Series
+from .series import Series, family_series, log_argument
 
 
 @dataclass
@@ -79,7 +79,9 @@ class VerifyConfig:
     qmn_m_max: int = 5
     qmn_n_max: int = 4
     qint_grid: int = 6
-    # optional hook (family, m, n, element) -> element, used by negative controls
+    # optional hook (family, m, n, element) -> element, used by negative controls;
+    # family is one of catalan.FAMILIES: "delta" and "nabla" with an integer m,
+    # "C", "D", "Gtilde" and "xCny" with m = None
     perturb: Optional[Callable] = None
 
     def m_range(self):
@@ -87,65 +89,26 @@ class VerifyConfig:
 
 
 class CheckContext:
-    """Caches the element families for one run and applies the perturb hook.
+    """Caches the family members for one run and applies the perturb hook.
 
     run_all shares one context among all its checks, so each member is
-    built and perturbed once per run.
+    built and perturbed once per run. Pass ctx.member to series.family_series
+    and series.log_argument for series built from the same members.
     """
 
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self._cache: dict = {}
 
-    def _get(self, family, m, n, builder):
+    def member(self, family: str, m, n: int) -> Element:
         key = (family, m, n)
         el = self._cache.get(key)
         if el is None:
-            el = builder()
+            el = catalan.member(family, m, n)
             if self.cfg.perturb is not None:
                 el = self.cfg.perturb(family, m, n, el)
             self._cache[key] = el
         return el
-
-    def delta(self, m: int, n: int) -> Element:
-        return self._get("delta", m, n, lambda: catalan.delta_element(m, n))
-
-    def nabla(self, m: int, n: int) -> Element:
-        return self._get("nabla", m, n, lambda: catalan.nabla_element(m, n))
-
-    def named(self, kind: str, n: int) -> Element:
-        return self._get(kind, None, n, lambda: catalan.named_element(kind, n))
-
-    def x_cn_y(self, n: int) -> Element:
-        return self._get("xCny", None, n, lambda: catalan.x_cn_y(n))
-
-    # series built from the (possibly perturbed) families
-
-    def delta_t(self, m: int, cutoff: int) -> Series:
-        return Series.from_function(lambda n: self.delta(m, n), cutoff)
-
-    def nabla0_t(self, cutoff: int) -> Series:
-        return Series.from_function(
-            lambda n: self.nabla(0, n) if n >= 1 else Element.zero(), cutoff
-        )
-
-    def gtilde_t(self, cutoff: int) -> Series:
-        return Series.from_function(lambda n: self.named("Gtilde", n), cutoff)
-
-    def c_t(self, cutoff: int) -> Series:
-        return Series.from_function(lambda n: self.named("C", n), cutoff)
-
-    def d_t(self, cutoff: int) -> Series:
-        return Series.from_function(lambda n: self.named("D", n), cutoff)
-
-    def log_argument(self, m: int, cutoff: int, free_form: bool = False) -> Series:
-        def coeff(n):
-            if n == 0:
-                return Element.zero()
-            body = self.x_cn_y(n) if free_form else self.nabla(0, n)
-            return body.scale(q_int(m * n)).scale(Fraction(1, n))
-
-        return Series.from_function(coeff, cutoff)
 
 
 class _Run:
@@ -217,12 +180,12 @@ def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
     """One-step recursions: both families, both the x- and the mirrored y-form,
     plus the m = 0 specialization for the free products x C_n."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("nabla_recursion", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
     for n in range(0, cfg.n_max):
         for m in cfg.m_range():
-            dn = ctx.delta(m, n)
-            lhs = ctx.delta(m, n + 1)
+            dn = member("delta", m, n)
+            lhs = member("delta", m, n + 1)
             rec_x = commutator_x(m, dn) * Y_EL
             if not run.require_zero(lhs - rec_x, "delta recursion, x form", m, n + 1):
                 return run.report()
@@ -231,8 +194,8 @@ def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
             if not run.require_zero(lhs - rec_y, "delta recursion, y form", m, n + 1):
                 return run.report()
             if n >= 1:
-                nn = ctx.nabla(m, n)
-                nlhs = ctx.nabla(m, n + 1)
+                nn = member("nabla", m, n)
+                nlhs = member("nabla", m, n + 1)
                 nrec_x = commutator_x(m, nn) * Y_EL
                 if not run.require_zero(nlhs - nrec_x, "nabla recursion, x form", m, n + 1):
                     return run.report()
@@ -242,9 +205,9 @@ def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
                     return run.report()
     for n in range(1, cfg.n_max):
         # x C_n = (x * xC_(n-1)y - xC_(n-1)y * x)/(q - q^-1)
-        body = ctx.x_cn_y(n)
+        body = member("xCny", None, n)
         rec = commutator_x(0, body)
-        lhs = X_EL * ctx.named("C", n)
+        lhs = X_EL * member("C", None, n)
         if not run.require_zero(lhs - rec, "free-product recursion at m=0", 0, n):
             return run.report()
     # the commutator realizes the weighted single-insertion sum on words
@@ -271,7 +234,7 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     """xy commutes with every family member; the m = 0 family commutes
     pairwise; cross-family pairs commute up to the configured total degree."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run(
         "commutation",
         {
@@ -282,16 +245,16 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     )
     for n in range(0, cfg.n_max + 1):
         for m in cfg.m_range():
-            xyd, dxy = shuffle_pair(XY_EL, ctx.delta(m, n))
+            xyd, dxy = shuffle_pair(XY_EL, member("delta", m, n))
             if not run.require_zero(xyd - dxy, "xy commutation (delta)", m, n):
                 return run.report()
             if n >= 1:
-                xyn, nxy = shuffle_pair(XY_EL, ctx.nabla(m, n))
+                xyn, nxy = shuffle_pair(XY_EL, member("nabla", m, n))
                 if not run.require_zero(xyn - nxy, "xy commutation (nabla)", m, n):
                     return run.report()
     for k in range(2, cfg.n_max + 1):
         for n in range(1, k):
-            ab, ba = shuffle_pair(ctx.nabla(0, n), ctx.nabla(0, k))
+            ab, ba = shuffle_pair(member("nabla", 0, n), member("nabla", 0, k))
             if not run.require_zero(ab - ba, f"m=0 family pair ({n},{k})", 0, n + k):
                 return run.report()
     # cross-family grid, bounded in total degree, scanned degree-ascending
@@ -308,8 +271,8 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     ]
     pairs.sort(key=lambda p: (p[0][2] + p[1][2], p))
     for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
-        a = ctx.delta(ma, na) if fam_a == "delta" else ctx.nabla(ma, na)
-        b = ctx.delta(mb, nb) if fam_b == "delta" else ctx.nabla(mb, nb)
+        a = member(fam_a, ma, na)
+        b = member(fam_b, mb, nb)
         ab, ba = shuffle_pair(a, b)
         if not run.require_zero(
             ab - ba,
@@ -326,7 +289,7 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
     the (n, k) truncated recursions, the weighted convolution identities, and
     their generating-function forms."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run(
         "yinv_calculus",
         {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff},
@@ -337,7 +300,7 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
             for fam, start in (("delta", 0), ("nabla", 1)):
                 if n < start:
                     continue
-                u = ctx.delta(m, n) if fam == "delta" else ctx.nabla(m, n)
+                u = member(fam, m, n)
                 uy = u.y_inverse()
                 xu, ux = shuffle_pair(X_EL, u)
                 uyxy, xyuy = shuffle_pair(uy, XY_EL)
@@ -347,9 +310,9 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
                     return run.report()
 
     for n in range(1, cfg.n_max):
-        nn = ctx.nabla(0, n)
+        nn = member("nabla", 0, n)
         ny = nn.y_inverse()
-        target = ctx.nabla(0, n + 1).y_inverse()
+        target = member("nabla", 0, n + 1).y_inverse()
         xn, nx = shuffle_pair(X_EL, nn)
         one = (xn - nx).div_exact(Q_COMM)
         if not run.require_zero(target - one, "one-step truncated recursion (i)", 0, n + 1):
@@ -364,27 +327,27 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
             k = total - n
             if not 1 <= k <= cfg.n_max:
                 continue
-            ny = ctx.nabla(0, n).y_inverse()
-            nk = ctx.nabla(0, k)
+            ny = member("nabla", 0, n).y_inverse()
+            nk = member("nabla", 0, k)
             nynk, nkny = shuffle_pair(ny, nk)
             rhs = (nynk - nkny).div_exact(Q_COMM)
             # the (5, 5) pair sets the peak memory of verify --all: drop each
             # pair before building its left side, and both sides before the
             # next pair
             del nynk, nkny
-            lhs = ctx.nabla(0, n + k).y_inverse()
+            lhs = member("nabla", 0, n + k).y_inverse()
             if not run.require_zero(lhs - rhs, f"(n,k) truncated recursion ({n},{k})", 0, n + k):
                 return run.report()
             del lhs, rhs
 
     for n in range(0, cfg.n_max):
         for m in cfg.m_range():
-            target = ctx.delta(m, n + 1).y_inverse()
+            target = member("delta", m, n + 1).y_inverse()
             s1 = Element.zero()
             s2 = Element.zero()
             for k in range(0, n + 1):
-                nky = ctx.nabla(0, k + 1).y_inverse()
-                dk = ctx.delta(m, n - k)
+                nky = member("nabla", 0, k + 1).y_inverse()
+                dk = member("delta", m, n - k)
                 nkyd, dnky = shuffle_pair(nky, dk)
                 s1 = s1 + nkyd.scale(q_pow(-m * k))
                 s2 = s2 + dnky.scale(q_pow(m * k))
@@ -398,9 +361,9 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
                 return run.report()
 
     N = cfg.cutoff
-    nab_t = ctx.nabla0_t(N)
+    nab_t = family_series("nabla", 0, N, member)
     for m in cfg.m_range():
-        dt = ctx.delta_t(m, N)
+        dt = family_series("delta", m, N, member)
         dty = dt.apply_y_inverse()
         pref = q_pow(m) * q_int(m)
         rhs1 = nab_t.rescale_t(q_pow(-m)).apply_y_inverse().star_mul(dt).scale(pref)
@@ -423,10 +386,10 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
 def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
     """The t-derivative identity and both generating-function recursions."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("ode", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
     N = cfg.cutoff
-    nab_t = ctx.nabla0_t(N)
+    nab_t = family_series("nabla", 0, N, member)
 
     tx = Series([Element.zero(), X_EL], N)
     lhs = nab_t.apply_y_inverse()
@@ -435,7 +398,7 @@ def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport
         return run.report()
 
     for m in cfg.m_range():
-        dt = ctx.delta_t(m, N)
+        dt = family_series("delta", m, N, member)
         lhs = dt.apply_y_inverse()
         rhs = (
             tx.star_mul(dt).scale(q_pow(m)) - dt.star_mul(tx).scale(q_pow(-m))
@@ -456,12 +419,12 @@ def check_exp_theorem(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     """The family's generating function equals the exponential of the weighted
     m = 0 series; verified by exponentiating and, independently, by taking log."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("exp_theorem", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
     N = cfg.cutoff
     for m in cfg.m_range():
-        arg = ctx.log_argument(m, N)
-        dt = ctx.delta_t(m, N)
+        arg = log_argument(m, N, "nabla", member)
+        dt = family_series("delta", m, N, member)
         if not run.require_zero(arg.exp() - dt, "exp of weighted series", m, None):
             return run.report()
         if not run.require_zero(dt.log() - arg, "log extraction", m, None):
@@ -473,7 +436,7 @@ def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
     """The m-fold rescaled factorizations, their closed-form coefficients,
     and the scalar power-sum identity behind them."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run(
         "main_theorems",
         {
@@ -483,8 +446,8 @@ def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
         },
     )
     N = cfg.main_cutoff
-    gt = ctx.gtilde_t(N)
-    dt = ctx.d_t(N)
+    gt = family_series("Gtilde", None, N, member)
+    dt = family_series("D", None, N, member)
     for m in range(1, cfg.main_m_max + 1):
         gprod = None
         dprod = None
@@ -494,14 +457,14 @@ def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
             dfac = dt.rescale_t(c)
             gprod = gfac if gprod is None else gprod.star_mul(gfac)
             dprod = dfac if dprod is None else dprod.star_mul(dfac)
-        exp_minus = ctx.log_argument(-m, N, free_form=True).exp()
-        exp_plus = ctx.log_argument(m, N, free_form=True).exp()
+        exp_minus = log_argument(-m, N, "xCny", member).exp()
+        exp_plus = log_argument(m, N, "xCny", member).exp()
         if not run.require_zero(gprod - exp_minus, "alternating-factor product vs exp", m, None):
             return run.report()
         if not run.require_zero(dprod - exp_plus, "inverse-factor product vs exp", m, None):
             return run.report()
-        closed_minus = ctx.delta_t(-m, N)
-        closed_plus = ctx.delta_t(m, N)
+        closed_minus = family_series("delta", -m, N, member)
+        closed_plus = family_series("delta", m, N, member)
         if not run.require_zero(gprod - closed_minus, "closed form, negative side", m, None):
             return run.report()
         if not run.require_zero(dprod - closed_plus, "closed form, positive side", m, None):
@@ -526,29 +489,29 @@ def check_recurrences_expderivative(cfg: VerifyConfig = None, ctx: CheckContext 
     """The derivative-of-exponential convolution recurrences for the three
     named families."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("expderivative", {"cutoff": cfg.cutoff})
     for n in range(1, cfg.cutoff + 1):
         acc_c = Element.zero()
         acc_g = Element.zero()
         acc_d = Element.zero()
         for k in range(1, n + 1):
-            body = ctx.x_cn_y(k)
+            body = member("xCny", None, k)
             sign = -1 if k % 2 else 1
-            acc_c = acc_c + body.scale(q_int(2 * k)).shuffle(ctx.named("C", n - k))
-            acc_g = acc_g + body.scale(q_int(k)).scale(sign).shuffle(ctx.named("Gtilde", n - k))
-            acc_d = acc_d + body.scale(q_int(k)).scale(sign).shuffle(ctx.named("D", n - k))
+            acc_c = acc_c + body.scale(q_int(2 * k)).shuffle(member("C", None, n - k))
+            acc_g = acc_g + body.scale(q_int(k)).scale(sign).shuffle(member("Gtilde", None, n - k))
+            acc_d = acc_d + body.scale(q_int(k)).scale(sign).shuffle(member("D", None, n - k))
         inv_n = Fraction(1, n)
         if not run.require_zero(
-            ctx.named("C", n) - acc_c.scale(inv_n), "Catalan family recurrence", None, n
+            member("C", None, n) - acc_c.scale(inv_n), "Catalan family recurrence", None, n
         ):
             return run.report()
         if not run.require_zero(
-            ctx.named("Gtilde", n) + acc_g.scale(inv_n), "alternating family recurrence", None, n
+            member("Gtilde", None, n) + acc_g.scale(inv_n), "alternating family recurrence", None, n
         ):
             return run.report()
         if not run.require_zero(
-            ctx.named("D", n) - acc_d.scale(inv_n), "inverse family recurrence", None, n
+            member("D", None, n) - acc_d.scale(inv_n), "inverse family recurrence", None, n
         ):
             return run.report()
     return run.report()
@@ -558,15 +521,15 @@ def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
     """The reverse-and-swap antiautomorphism: fixes the families, reverses
     both products, turns y^-1 into x^-1, and squares to the identity."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("zeta_suite", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
     for n in range(0, cfg.n_max + 1):
         for m in cfg.m_range():
-            dn = ctx.delta(m, n)
+            dn = member("delta", m, n)
             if not run.require_zero(dn.zeta() - dn, "delta fixed by zeta", m, n):
                 return run.report()
             if n >= 1:
-                nn = ctx.nabla(m, n)
+                nn = member("nabla", m, n)
                 if not run.require_zero(nn.zeta() - nn, "nabla fixed by zeta", m, n):
                     return run.report()
     for n in range(1, cfg.n_max + 1):
@@ -587,10 +550,10 @@ def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
         Y_EL,
         XY_EL,
         Element.from_word("xxy"),
-        ctx.delta(2, 1),
-        ctx.nabla(1, 2),
-        ctx.named("D", 2),
-        ctx.delta(-2, 2),
+        member("delta", 2, 1),
+        member("nabla", 1, 2),
+        member("D", None, 2),
+        member("delta", -2, 2),
     ]
     for i, u in enumerate(samples):
         if not run.require_zero(u.zeta().zeta() - u, "zeta is an involution", None, i):
@@ -678,7 +641,7 @@ def check_structural(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
     closure of the shuffle, the telescoping profile identity, the family
     comparisons, the vanishing criterion, and the special columns."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run(
         "structural",
         {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max},
@@ -774,33 +737,33 @@ def check_structural(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
     for n in range(0, cfg.n_max + 1):
         sign = -1 if n % 2 else 1
         if not run.require_zero(
-            ctx.delta(2, n) - ctx.named("C", n), "m=2 column is the Catalan element", 2, n
+            member("delta", 2, n) - member("C", None, n), "m=2 column is the Catalan element", 2, n
         ):
             return run.report()
         if not run.require_zero(
-            ctx.delta(1, n) - ctx.named("D", n).scale(sign), "m=1 column is the signed inverse family", 1, n
+            member("delta", 1, n) - member("D", None, n).scale(sign), "m=1 column is the signed inverse family", 1, n
         ):
             return run.report()
         if not run.require_zero(
-            ctx.delta(-1, n) - ctx.named("Gtilde", n).scale(sign),
+            member("delta", -1, n) - member("Gtilde", None, n).scale(sign),
             "m=-1 column is the signed alternating word", -1, n,
         ):
             return run.report()
         if n >= 1:
-            if not run.require_zero(ctx.delta(0, n), "m=0 column vanishes", 0, n):
+            if not run.require_zero(member("delta", 0, n), "m=0 column vanishes", 0, n):
                 return run.report()
             if not run.require_zero(
-                ctx.nabla(0, n) - ctx.x_cn_y(n), "m=0 reduced column is the free product", 0, n
+                member("nabla", 0, n) - member("xCny", None, n), "m=0 reduced column is the free product", 0, n
             ):
                 return run.report()
             for m in cfg.m_range():
                 if not run.require_zero(
-                    ctx.delta(m, n) - ctx.nabla(m, n).scale(q_int(m)),
+                    member("delta", m, n) - member("nabla", m, n).scale(q_int(m)),
                     "element-level full vs reduced", m, n,
                 ):
                     return run.report()
             if not run.require_zero(
-                ctx.nabla(cfg.m_min, 1) - XY_EL, "reduced family starts at xy", cfg.m_min, 1
+                member("nabla", cfg.m_min, 1) - XY_EL, "reduced family starts at xy", cfg.m_min, 1
             ):
                 return run.report()
     return run.report()
@@ -811,12 +774,12 @@ def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckRe
     exponential formulas, the two-parameter rescaled product, and mutual
     commutation of the free products."""
     cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
+    member = (ctx or CheckContext(cfg)).member
     run = _Run("genfuns", {"cutoff": cfg.cutoff, "pair_degree_cap": cfg.pair_degree_cap})
     N = cfg.cutoff
-    gt = ctx.gtilde_t(N)
-    dt = ctx.d_t(N)
-    ct = ctx.c_t(N)
+    gt = family_series("Gtilde", None, N, member)
+    dt = family_series("D", None, N, member)
+    ct = family_series("C", None, N, member)
 
     if not run.require_zero(gt.star_mul(dt) - Series.unit(N), "two-sided inverse (left)"):
         return run.report()
@@ -828,18 +791,18 @@ def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckRe
     # mutual commutation of the free products, bounded total degree
     for n in range(1, cfg.pair_degree_cap):
         for k in range(n + 1, cfg.pair_degree_cap - n + 1):
-            ab, ba = shuffle_pair(ctx.x_cn_y(n), ctx.x_cn_y(k))
+            ab, ba = shuffle_pair(member("xCny", None, n), member("xCny", None, k))
             if not run.require_zero(ab - ba, f"free products commute ({n},{k})", None, n + k):
                 return run.report()
 
     if not run.require_zero(
-        ctx.log_argument(2, N, free_form=True).exp() - ct, "exp formula, Catalan family", 2
+        log_argument(2, N, "xCny", member).exp() - ct, "exp formula, Catalan family", 2
     ):
         return run.report()
-    minus_arg = ctx.log_argument(-1, N, free_form=True)
+    minus_arg = log_argument(-1, N, "xCny", member)
     if not run.require_zero(minus_arg.exp() - gt.rescale_t(-1), "exp formula, alternating family", -1):
         return run.report()
-    plus_arg = ctx.log_argument(1, N, free_form=True)
+    plus_arg = log_argument(1, N, "xCny", member)
     if not run.require_zero(plus_arg.exp() - dt.rescale_t(-1), "exp formula, inverse family", 1):
         return run.report()
 
@@ -849,13 +812,13 @@ def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckRe
         return run.report()
 
     for m in range(1, cfg.main_m_max + 1):
-        prod = ctx.delta_t(-m, N).star_mul(ctx.delta_t(m, N))
+        prod = family_series("delta", -m, N, member).star_mul(family_series("delta", m, N, member))
         if not run.require_zero(prod - Series.unit(N), "opposite-parameter inverse", m):
             return run.report()
     for n in range(0, cfg.cutoff + 1):
         sign = -1 if n % 2 else 1
         if not run.require_zero(
-            ctx.delta(1, n) - ctx.named("D", n).scale(sign), "signed coefficients of the inverse", 1, n
+            member("delta", 1, n) - member("D", None, n).scale(sign), "signed coefficients of the inverse", 1, n
         ):
             return run.report()
     return run.report()

@@ -1,4 +1,4 @@
-"""Command-line front end: compute, verify, enumerate, plot, table, bench.
+"""Command-line front end: compute, verify, enumerate, plot, table.
 
 Configuration precedence: command-line flags > QSHUFFLE_* environment
 variables > JSON config file > built-in defaults. Exit codes: 0 on success
@@ -11,26 +11,15 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
 
-from . import algebra, catalan, checks, render, series, words
+from . import catalan, checks, render, series, words
 from .algebra import Element
 from .errors import QShuffleError
 from .series import Series
 
 USAGE_ERROR = 2
-
-DEFAULTS = {
-    "cutoff": 5,
-    "m_min": -3,
-    "m_max": 3,
-    "n_max": 5,
-    "output_format": "human",
-    "output_path": None,
-    "cache_enabled": True,
-}
+FORMATS = ("human", "json", "latex", "csv")
 
 
 @dataclass
@@ -41,9 +30,18 @@ class CliConfig:
     n_max: int = 5
     output_format: str = "human"
     output_path: str | None = None
-    cache_enabled: bool = True
 
     def validate(self):
+        for key in ("cutoff", "m_min", "m_max", "n_max"):
+            val = getattr(self, key)
+            if type(val) is not int:
+                raise ValueError(f"{key} must be an integer, got {val!r}")
+        if self.output_format not in FORMATS:
+            raise ValueError(
+                f"output_format must be one of {', '.join(FORMATS)}, got {self.output_format!r}"
+            )
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string or null, got {self.output_path!r}")
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
         if self.m_min > self.m_max:
@@ -52,32 +50,22 @@ class CliConfig:
             raise ValueError("n-max must be >= 0")
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def resolve_config(args) -> CliConfig:
-    layers = dict(DEFAULTS)
+    layers = {}
     path = args.config or os.environ.get("QSHUFFLE_CONFIG")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        keys = {f.name for f in fields(CliConfig)}
         for k, v in file_cfg.items():
-            if k not in DEFAULTS:
+            if k not in keys:
                 raise ValueError(f"unknown config key {k!r}")
             layers[k] = v
-    env_map = {
-        "QSHUFFLE_CUTOFF": ("cutoff", int),
-        "QSHUFFLE_CACHE": ("cache_enabled", _parse_bool),
-    }
-    for var, (key, conv) in env_map.items():
-        raw = os.environ.get(var)
-        if raw is not None:
-            layers[key] = conv(raw)
+    raw = os.environ.get("QSHUFFLE_CUTOFF")
+    if raw is not None:
+        layers["cutoff"] = int(raw)
     flag_map = {
         "cutoff": args.cutoff,
         "m_min": args.m_min,
@@ -89,8 +77,6 @@ def resolve_config(args) -> CliConfig:
     for key, val in flag_map.items():
         if val is not None:
             layers[key] = val
-    if args.cache is not None:
-        layers["cache_enabled"] = args.cache
     cfg = CliConfig(**layers)
     cfg.validate()
     return cfg
@@ -111,12 +97,7 @@ def _render_element(el: Element, cfg: CliConfig) -> str:
     if fmt == "json":
         return json.dumps(el.to_json(), indent=2) + "\n"
     if fmt == "latex":
-        parts = []
-        for w, c in el.terms():
-            cs = render.laurent_latex(c)
-            wd = w.display() if not w.is_trivial() else "\\mathbb{1}"
-            parts.append(f"({cs}){wd}" if not w.is_trivial() else cs)
-        return ("+".join(parts) if parts else "0") + "\n"
+        return render.element_latex(el) + "\n"
     return render.element_str(el) + "\n"
 
 
@@ -129,46 +110,27 @@ def _render_series(s: Series, cfg: CliConfig) -> str:
 def cmd_compute(args, cfg: CliConfig) -> int:
     kind = args.kind
     try:
-        if kind in ("C", "D", "Gtilde"):
-            if args.n is None:
-                raise ValueError(f"compute {kind} needs --n")
-            out = _render_element(catalan.named_element(kind, args.n), cfg)
-        elif kind in ("delta", "nabla"):
-            if args.m is None or args.n is None:
-                raise ValueError(f"compute {kind} needs --m and --n")
-            el = (
-                catalan.delta_element(args.m, args.n)
-                if kind == "delta"
-                else catalan.nabla_element(args.m, args.n)
-            )
-            out = _render_element(el, cfg)
+        if kind.startswith("series:"):
+            name = kind.split(":", 1)[1]
+            if name not in ("delta", "nabla0", "C", "D", "Gtilde"):
+                raise ValueError(f"unknown series {name!r}")
+            if name == "delta" and args.m is None:
+                raise ValueError("compute series:delta needs --m")
+            family, m = {"delta": ("delta", args.m), "nabla0": ("nabla", 0)}.get(name, (name, None))
+            out = _render_series(series.family_series(family, m, cfg.cutoff), cfg)
+        elif kind in ("C", "D", "Gtilde", "delta", "nabla"):
+            takes_m = catalan.FAMILIES[kind][1]
+            if args.n is None or (takes_m and args.m is None):
+                raise ValueError(f"compute {kind} needs {'--m and --n' if takes_m else '--n'}")
+            out = _render_element(catalan.member(kind, args.m if takes_m else None, args.n), cfg)
         elif kind == "damiani":
             if args.sub is None or args.n is None:
                 raise ValueError("compute damiani needs --kind {E0,E1,Edelta} and --n")
-            el = catalan.embedding_image(f"Damiani_{args.sub}", args.n)
-            out = _render_element(el, cfg)
+            out = _render_element(catalan.embedding_image(f"Damiani_{args.sub}", args.n), cfg)
         elif kind == "beck":
             if args.n is None:
                 raise ValueError("compute beck needs --n")
             out = _render_element(catalan.embedding_image("Beck_Edelta", args.n), cfg)
-        elif kind.startswith("series:"):
-            name = kind.split(":", 1)[1]
-            N = cfg.cutoff
-            builders = {
-                "C": lambda: series.c_series(N),
-                "D": lambda: series.d_series(N),
-                "Gtilde": lambda: series.gtilde_series(N),
-                "nabla0": lambda: series.nabla0_series(N),
-            }
-            if name == "delta":
-                if args.m is None:
-                    raise ValueError("compute series:delta needs --m")
-                s = series.delta_series(args.m, N)
-            elif name in builders:
-                s = builders[name]()
-            else:
-                raise ValueError(f"unknown series {name!r}")
-            out = _render_series(s, cfg)
         else:
             raise ValueError(f"unknown compute kind {kind!r}")
     except (ValueError, QShuffleError) as exc:
@@ -280,39 +242,6 @@ def cmd_table(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_bench(args, cfg: CliConfig) -> int:
-    pairs = chain([(2, 2)], ((n, k) for n in range(3, args.max_n + 1) for k in (n, n + 1)))
-    operands = []
-    try:
-        # price every product before timing any, so an absurd --max-n is refused at once
-        for n, k in pairs:
-            if k <= args.max_n:
-                a, b = catalan.nabla_element(0, n), catalan.nabla_element(0, k)
-                algebra.check_shuffle_cost(a, b)
-                operands.append((n, k, a, b))
-    except QShuffleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    rows = []
-    for n, k, a, b in operands:
-        algebra.clear_caches()
-        t0 = time.perf_counter()
-        a.shuffle(b)
-        cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        a.shuffle(b)
-        warm = time.perf_counter() - t0
-        rows.append((f"nabla0_{n} * nabla0_{k}", cold, warm))
-    t0 = time.perf_counter()
-    series.delta_series(2, cfg.cutoff)
-    rows.append((f"delta series m=2 cutoff={cfg.cutoff}", time.perf_counter() - t0, 0.0))
-    lines = [f"{'operation':34s} {'cold(s)':>9s} {'warm(s)':>9s}"]
-    for name, cold, warm in rows:
-        lines.append(f"{name:34s} {cold:9.3f} {warm:9.3f}")
-    _emit("\n".join(lines) + "\n", cfg)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="JSON config file (or set QSHUFFLE_CONFIG)")
@@ -322,13 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-max", dest="n_max", type=int, help="largest family index n")
     common.add_argument(
         "--format",
-        choices=("human", "json", "latex", "csv"),
+        choices=FORMATS,
         help="output format (default human)",
     )
     common.add_argument("--output", help="write output to this path instead of stdout")
-    cache = common.add_mutually_exclusive_group()
-    cache.add_argument("--cache", dest="cache", action="store_true", default=None)
-    cache.add_argument("--no-cache", dest="cache", action="store_false", default=None)
 
     p = argparse.ArgumentParser(
         prog="qshuffle",
@@ -364,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("m_min", type=int)
     t.add_argument("m_max", type=int)
     t.add_argument("n_max", type=int)
-
-    b = sub.add_parser("bench", parents=[common], help="time representative products")
-    b.add_argument("--max-n", dest="max_n", type=int, default=4)
     return p
 
 
@@ -380,14 +303,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    algebra.set_cache_enabled(cfg.cache_enabled)
     handlers = {
         "compute": cmd_compute,
         "verify": cmd_verify,
         "enumerate": cmd_enumerate,
         "plot": cmd_plot,
         "table": cmd_table,
-        "bench": cmd_bench,
     }
     return handlers[args.command](args, cfg)
 

@@ -105,6 +105,16 @@ def laurent_latex(p: LaurentPoly) -> str:
     return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{body}" if c.denominator != 1 else f"{c.numerator}{body}"
 
 
+def element_latex(el: Element) -> str:
+    """LaTeX for an element: each coefficient in parentheses before its word;
+    the empty word shows its coefficient alone."""
+    parts = []
+    for w, c in el.terms():
+        cs = laurent_latex(c)
+        parts.append(cs if w.is_trivial() else f"({cs}){w.display()}")
+    return "+".join(parts) if parts else "0"
+
+
 def element_str(el: Element, bracket: bool = True) -> str:
     if el.is_zero():
         return "0"

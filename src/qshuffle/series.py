@@ -218,52 +218,62 @@ class Series:
 # -- named generating functions ------------------------------------------------
 
 
+def family_series(family: str, m, cutoff: int, member=catalan.member) -> Series:
+    """Sum of the members of a named family (see catalan.FAMILIES) times t^n,
+    zero below the family's first index. member(family, m, n) supplies each
+    coefficient; the verification suite passes its cached, perturbable one."""
+    if family not in catalan.FAMILIES:
+        raise ValueError(f"unknown element family {family!r}")
+    first = catalan.FAMILIES[family][2]
+    return Series.from_function(
+        lambda n: member(family, m, n) if n >= first else Element.zero(), cutoff
+    )
+
+
+def log_argument(m: int, cutoff: int, body: str = "xCny", member=catalan.member) -> Series:
+    """Sum of ([mn]_q / n) B_n t^n, the exponent of the main formulas, where
+    B_n is the free product x C_(n-1) y (body "xCny") or the reduced family
+    member at m = 0 (body "nabla")."""
+    if body not in ("xCny", "nabla"):
+        raise ValueError(f"unknown log-argument body {body!r}")
+    base = family_series(body, 0 if body == "nabla" else None, cutoff, member)
+    coeffs = [c.scale(q_int(m * n)).scale(Fraction(1, n)) if n else c
+              for n, c in enumerate(base.coeffs)]
+    return Series(coeffs, cutoff)
+
+
 def gtilde_series(cutoff: int) -> Series:
     """Sum of the alternating words (xy)^n t^n."""
-    return Series.from_function(lambda n: catalan.gtilde_element(n), cutoff)
+    return family_series("Gtilde", None, cutoff)
 
 
 def c_series(cutoff: int) -> Series:
-    return Series.from_function(lambda n: catalan.catalan_element(n), cutoff)
+    return family_series("C", None, cutoff)
 
 
 def d_series(cutoff: int) -> Series:
-    return Series.from_function(lambda n: catalan.d_element(n), cutoff)
+    return family_series("D", None, cutoff)
 
 
 def delta_series(m: int, cutoff: int) -> Series:
-    return Series.from_function(lambda n: catalan.delta_element(m, n), cutoff)
+    return family_series("delta", m, cutoff)
 
 
 def nabla0_series(cutoff: int) -> Series:
     """The reduced family at m = 0, starting in degree one."""
-    return Series.from_function(
-        lambda n: catalan.nabla_element(0, n) if n >= 1 else Element.zero(), cutoff
-    )
+    return family_series("nabla", 0, cutoff)
 
 
 def x_cn_y_series(cutoff: int) -> Series:
     """Sum of the free products x C_(n-1) y t^n, starting in degree one."""
-    return Series.from_function(
-        lambda n: catalan.x_cn_y(n) if n >= 1 else Element.zero(), cutoff
-    )
+    return family_series("xCny", None, cutoff)
 
 
 def beck_log_argument(m: int, cutoff: int) -> Series:
     """Sum of ([mn]_q / n) x C_(n-1) y t^n, the exponent of the main formulas."""
-    def coeff(n: int) -> Element:
-        if n == 0:
-            return Element.zero()
-        return catalan.x_cn_y(n).scale(q_int(m * n)).scale(Fraction(1, n))
-
-    return Series.from_function(coeff, cutoff)
+    return log_argument(m, cutoff, "xCny")
 
 
 def nabla0_log_argument(m: int, cutoff: int) -> Series:
     """Same exponent built from the reduced family instead of free products."""
-    def coeff(n: int) -> Element:
-        if n == 0:
-            return Element.zero()
-        return catalan.nabla_element(0, n).scale(q_int(m * n)).scale(Fraction(1, n))
-
-    return Series.from_function(coeff, cutoff)
+    return log_argument(m, cutoff, "nabla")

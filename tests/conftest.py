@@ -15,12 +15,19 @@ from qshuffle.qlaurent import LaurentPoly, q_int
 
 
 @pytest.fixture(autouse=True)
-def _restore_global_knobs():
+def _restore_length_cap():
     cap = words.length_cap()
-    cached = algebra.cache_enabled()
     yield
     words.set_length_cap(cap)
-    algebra.set_cache_enabled(cached)
+
+
+def memo_state(monkeypatch, cached: bool) -> None:
+    """Empty the persistent shuffle memo. With cached=False it also stores
+    nothing more, as once it is full at _MEMO_CAP, so every kernel call is
+    computed cold; with cached=True later products reuse earlier entries."""
+    algebra.clear_caches()
+    if not cached:
+        monkeypatch.setattr(algebra, "_MEMO_CAP", 0)
 
 
 def shuffle_bruteforce(u: str, v: str) -> Element:

@@ -9,7 +9,7 @@ from qshuffle.algebra import (
 )
 from qshuffle.errors import CapExceededError, InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
-from conftest import all_words_upto, shuffle_bruteforce
+from conftest import all_words_upto, memo_state, shuffle_bruteforce
 from test_checks import SMALL, _bump, bump_nabla
 
 
@@ -230,16 +230,18 @@ def test_cap_guard():
     assert (el("xx") @ el("yy")).max_word_len() == 4
 
 
-def test_cache_disabled_gives_identical_results():
+def test_cache_disabled_gives_identical_results(monkeypatch):
+    # cold (empty memo), warm (every pair memoized), and with a full memo
+    # that stores nothing more
     a = el("xyxy") + el("xxyy", q_int(2))
     b = el("xyxxyy")
-    with_cache = a @ b
-    algebra.set_cache_enabled(False)
-    without_cache = a @ b
-    assert with_cache == without_cache
-    algebra.set_cache_enabled(True)
     algebra.clear_caches()
-    assert a @ b == with_cache
+    cold = a @ b
+    assert algebra._memo
+    assert a @ b == cold
+    memo_state(monkeypatch, cached=False)
+    assert a @ b == cold
+    assert not algebra._memo
 
 
 def test_fraction_coefficients_leave_an_integral_product_integral():
@@ -272,8 +274,8 @@ def _shuffle_by_oracle(a, b):
 
 
 @pytest.mark.parametrize("cached", [True, False])
-def test_rational_shuffle_matches_bruteforce(cached):
-    algebra.set_cache_enabled(cached)
+def test_rational_shuffle_matches_bruteforce(monkeypatch, cached):
+    memo_state(monkeypatch, cached)
     rng = random.Random(11)
     for i in range(30):
         a = _random_rational_element(rng, integral=i % 3 == 0)
@@ -293,7 +295,7 @@ def _on_trie(monkeypatch):
 @pytest.mark.parametrize("cached", [True, False])
 def test_trie_walk_matches_bruteforce(monkeypatch, cached):
     # mixed weights, empty words, multi-term int and Fraction coefficients
-    algebra.set_cache_enabled(cached)
+    memo_state(monkeypatch, cached)
     _on_trie(monkeypatch)
     rng = random.Random(31)
     for i in range(150):
@@ -347,7 +349,7 @@ def _on_word_pairs(monkeypatch):
 def test_slot_width_follows_the_coefficient_bound(monkeypatch, path, cached):
     # the unit times a word: its one result coefficient reaches the bound
     # B = |c| L1(c'), so B = 2^63 - 1 fits 64-bit slots and B = 2^63 does not
-    algebra.set_cache_enabled(cached)
+    memo_state(monkeypatch, cached)
     path(monkeypatch)
     for c in ((1 << 63) - 1, 1 << 63, -(1 << 63) + 1, (1 << 62) - 1, 1 << 62):
         # one exponent; two of one parity, with a borrow; two of both parities
@@ -373,7 +375,7 @@ def test_slot_width_follows_the_coefficient_bound(monkeypatch, path, cached):
 def test_packed_products_with_signed_rational_and_cancelling_coefficients(
     monkeypatch, path, cached
 ):
-    algebra.set_cache_enabled(cached)
+    memo_state(monkeypatch, cached)
     path(monkeypatch)
     # every operand has a common suffix "xy", so the trie walk makes a table
     # for it below the root, and (xy - yx) * x cancels at xyx inside it
@@ -504,8 +506,8 @@ def _random_pair_operand(rng, bar_invariant):
 
 @pytest.mark.parametrize("cached", [True, False])
 @pytest.mark.parametrize("bar_invariant", [True, False])
-def test_shuffle_pair_matches_bruteforce(cached, bar_invariant):
-    algebra.set_cache_enabled(cached)
+def test_shuffle_pair_matches_bruteforce(monkeypatch, cached, bar_invariant):
+    memo_state(monkeypatch, cached)
     rng = random.Random(23 + bar_invariant)
     for _ in range(40):
         a = _random_pair_operand(rng, bar_invariant)
@@ -547,7 +549,7 @@ def test_shuffle_pair_matches_direct_products_of_members():
     ids=["mixed-weight", "q-xy", "zero", "fraction"],
 )
 def test_shuffle_pair_fallbacks(monkeypatch, cached, a):
-    algebra.set_cache_enabled(cached)
+    memo_state(monkeypatch, cached)
     b = catalan.nabla_element(2, 2)
     expected = (a.shuffle(b), b.shuffle(a))
     calls = _shuffle_calls(monkeypatch)

@@ -7,6 +7,7 @@ import pytest
 from qshuffle import words as W
 from qshuffle.algebra import Element, UNIT, X_EL, Y_EL
 from qshuffle.catalan import (
+    FAMILIES,
     catalan_element,
     d_element,
     delta_element,
@@ -17,7 +18,7 @@ from qshuffle.catalan import (
     nabla_from_profile,
     nabla_scalar,
     nabla_split,
-    named_element,
+    member,
     vanishing_bound,
     x_cn_y,
 )
@@ -211,13 +212,49 @@ def test_builders_refuse_oversized_families_up_front(monkeypatch):
             build()
 
 
-def test_named_element_dispatch():
-    assert named_element("C", 2) == catalan_element(2)
-    assert named_element("D", 2) == d_element(2)
-    assert named_element("Gtilde", 2) == gtilde_element(2)
-    assert gtilde_element(0) == UNIT
+def test_member_matches_the_direct_builders():
+    direct = {
+        "delta": delta_element,
+        "nabla": nabla_element,
+        "C": catalan_element,
+        "D": d_element,
+        "Gtilde": gtilde_element,
+        "xCny": x_cn_y,
+    }
+    assert set(direct) == set(FAMILIES)
+    for family, build in direct.items():
+        first = FAMILIES[family][2]
+        for n in range(first, 5):
+            if FAMILIES[family][1]:
+                for m in range(-3, 4):
+                    assert member(family, m, n) == build(m, n), (family, m, n)
+            else:
+                assert member(family, None, n) == build(n), (family, n)
+    assert FAMILIES["nabla"][2] == FAMILIES["xCny"][2] == 1
+    assert member("Gtilde", None, 0) == UNIT
+    # below the first index the builder's own error comes through
+    with pytest.raises(TrivialWordError):
+        member("nabla", 0, 0)
     with pytest.raises(ValueError):
-        named_element("Q", 1)
+        member("xCny", None, 0)
+    for bad in (("Q", None, 1), ("named", None, 1), ("delta", None, 1), ("C", 2, 1)):
+        with pytest.raises(ValueError):
+            member(*bad)
+
+
+def test_member_calls_the_builder_bound_at_call_time(monkeypatch):
+    import qshuffle.catalan as catalan_module
+
+    calls = []
+    real = catalan_module.delta_element
+
+    def spy(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(catalan_module, "delta_element", spy)
+    assert member("delta", 2, 3) == real(2, 3)
+    assert calls == [(2, 3)]
 
 
 def test_family_comparison_identities():

@@ -137,17 +137,40 @@ def test_run_all_selection_and_order():
 
 def test_run_all_builds_each_member_once(monkeypatch):
     built = Counter()
-    for name in ("delta_element", "nabla_element", "named_element", "x_cn_y"):
-        real = getattr(catalan, name)
+    real = catalan.member
 
-        def counted(*args, _real=real, _name=name):
-            built[(_name,) + args] += 1
-            return _real(*args)
+    def counted(family, m, n):
+        built[(family, m, n)] += 1
+        return real(family, m, n)
 
-        monkeypatch.setattr(catalan, name, counted)
+    monkeypatch.setattr(catalan, "member", counted)
     reports = run_all(SMALL)
     assert all(r.passed for r in reports)
     assert built and max(built.values()) == 1
+    assert {family for family, _, _ in built} == set(catalan.FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "family, check, where",
+    [
+        ("C", "genfuns", "exp formula, Catalan family (t^2)"),
+        ("D", "main_theorems", "inverse-factor product vs exp (t^2)"),
+        ("Gtilde", "main_theorems", "alternating-factor product vs exp (t^2)"),
+        ("xCny", "main_theorems", "alternating-factor product vs exp (t^2)"),
+    ],
+)
+def test_perturbed_named_family_fails_through_its_series(family, check, where):
+    # each named family reaches these checks only through series built by
+    # series.family_series / series.log_argument on the context's members
+    def bump(fam, m, n, el):
+        if (fam, m, n) == (family, None, 2):
+            return el + Element.from_word("xyxy")
+        return el
+
+    report = CHECKS[check](VerifyConfig(**{**SMALL.__dict__, "perturb": bump}))
+    assert not report.passed
+    assert report.witness.description == where
+    assert not report.witness.diff.is_zero()
 
 
 def test_pass_set_monotone_in_cutoff():

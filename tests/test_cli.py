@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from qshuffle import algebra
 from qshuffle.algebra import Element
 from qshuffle.catalan import delta_element, nabla_element
 from qshuffle.cli import main
@@ -36,6 +39,22 @@ def test_compute_series_json_round_trip(capsys):
     )
     assert code == 0
     assert Series.from_json(json.loads(out)) == delta_series(2, 3)
+
+
+def test_compute_element_latex_golden(capsys):
+    cases = {
+        ("C", "3"): "([2]_q^2[3]_q^2[4]_q)xxxyyy+([2]_q^3[3]_q^2)xxyxyy"
+        "+([2]_q^3[3]_q)xxyyxy+([2]_q^3[3]_q)xyxxyy+([2]_q^3)xyxyxy",
+        ("beck", "--n", "2"): "(-1/2q^{-11}+1/2q^{-9}+1/2q^{-7}-1/2q^{-5}"
+        "+1/2q^{-3}-1/2q^{-1}-1/2q+1/2q^{3})xxyy",
+        ("delta", "--m", "0", "--n", "2"): "0",
+        ("Gtilde", "0"): "1",
+        ("delta", "--m", "-1", "--n", "2"): "(1)xyxy",
+    }
+    for args, want in cases.items():
+        code, out, _ = run_cli(capsys, "compute", *args, "--format", "latex")
+        assert code == 0
+        assert out == want + "\n", args
 
 
 def test_compute_bad_kind(capsys):
@@ -207,9 +226,11 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_determinism_and_cache_independence(capsys):
+    # cold (empty shuffle memo), then warm
+    algebra.clear_caches()
     outs = []
-    for flag in ("--cache", "--no-cache"):
-        code, out, _ = run_cli(capsys, "compute", "C", "3", flag)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "compute", "C", "3")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -238,6 +259,58 @@ def test_bad_config_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def _config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, "compute", "C", "1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    assert "JSON object" in _config_error(tmp_path, capsys, "[1, 2]")
+
+
+def test_config_integer_given_as_string(tmp_path, capsys):
+    assert "cutoff must be an integer" in _config_error(tmp_path, capsys, '{"cutoff": "5"}')
+
+
+def test_config_integer_given_as_float_or_bool(tmp_path, capsys):
+    assert "n_max must be an integer" in _config_error(tmp_path, capsys, '{"n_max": 2.5}')
+    assert "m_min must be an integer" in _config_error(tmp_path, capsys, '{"m_min": true}')
+
+
+def test_config_unknown_output_format(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, '{"output_format": "yaml"}')
+    assert "output_format must be one of human, json, latex, csv" in err
+
+
+def test_config_output_path_not_a_string(tmp_path, capsys):
+    assert "output_path must be a string or null" in _config_error(
+        tmp_path, capsys, '{"output_path": 3}'
+    )
+
+
+def test_config_cache_key_is_unknown(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, '{"cache_enabled": false}')
+    assert "unknown config key 'cache_enabled'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "C", "1", "--no-cache"])
+    assert exc.value.code == 2
+
+
+def test_config_file_values_pass_through(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out_path = tmp_path / "out.json"
+    cfg.write_text(json.dumps({"output_format": "json", "output_path": str(out_path),
+                               "cutoff": 2, "m_min": -1, "m_max": 1, "n_max": 2}))
+    code, out, _ = run_cli(capsys, "compute", "series:C", "--config", str(cfg))
+    assert code == 0 and out == ""
+    assert Series.from_json(json.loads(out_path.read_text())).cutoff == 2
+
+
 def test_invalid_ranges(capsys):
     code, _, err = run_cli(capsys, "compute", "C", "1", "--m-min", "3", "--m-max", "-3")
     assert code == 2
@@ -255,12 +328,14 @@ def test_verify_all_small_grid(capsys):
 
 
 def test_verify_json_independent_of_cache(capsys):
+    # cold (empty shuffle memo), then warm
+    algebra.clear_caches()
     outs = []
-    for extra in ([], ["--no-cache"]):
+    for _ in range(2):
         code, out, _ = run_cli(
             capsys, "verify", "qserre", "structural", "zeta_suite",
             "--m-min", "-1", "--m-max", "1", "--n-max", "2", "--cutoff", "2",
-            "--format", "json", *extra,
+            "--format", "json",
         )
         assert code == 0
         outs.append(out)
@@ -275,20 +350,6 @@ def test_table_positionals_do_not_clash_with_global_flags(capsys):
     assert out.splitlines()[0] == "w,m=-1,m=0,m=1"
 
 
-def test_bench_runs(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--max-n", "2")
-    assert code == 0
-    assert "cold(s)" in out
-
-
-def test_bench_refuses_products_over_the_cost_budget(capsys):
-    # from --max-n 7 on, nabla0_6 * nabla0_7 prices at about 5.4e10 interleavings
-    code, out, err = run_cli(capsys, "bench", "--max-n", "7")
-    assert code == 2
-    assert out == ""
-    assert "interleavings" in err
-
-
 def test_oversized_family_is_refused_at_once(capsys):
     # within the 32-letter cap, but 35,357,670 Catalan words
     for argv in (("compute", "delta", "--m", "2", "--n", "16"), ("enumerate", "16")):
@@ -299,8 +360,6 @@ def test_oversized_family_is_refused_at_once(capsys):
 
 
 def test_verify_refused_product_exits_2(capsys, monkeypatch):
-    from qshuffle import algebra
-
     monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 10)
     code, out, err = run_cli(capsys, "verify", "commutation", "--n-max", "2")
     assert code == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qshuffle import algebra
@@ -6,6 +8,8 @@ from qshuffle.catalan import (
     catalan_element,
     d_element,
     delta_element,
+    gtilde_element,
+    nabla_element,
     x_cn_y,
 )
 from qshuffle.errors import CutoffMismatchError, InexactDivisionError
@@ -16,7 +20,9 @@ from qshuffle.series import (
     c_series,
     d_series,
     delta_series,
+    family_series,
     gtilde_series,
+    log_argument,
     nabla0_log_argument,
     nabla0_series,
     x_cn_y_series,
@@ -213,3 +219,52 @@ def test_truncate():
 def test_free_form_series_agree_with_reduced():
     assert x_cn_y_series(4) == nabla0_series(4)
     assert beck_log_argument(3, 4) == nabla0_log_argument(3, 4)
+
+
+def test_family_series_and_log_argument_match_the_direct_builders():
+    zero = Element.zero()
+    for m in (-2, 0, 3):
+        want = Series([delta_element(m, n) for n in range(N + 1)], N)
+        assert family_series("delta", m, N) == want == delta_series(m, N)
+        want = Series([zero] + [nabla_element(m, n) for n in range(1, N + 1)], N)
+        assert family_series("nabla", m, N) == want
+        for body, build, public in (
+            ("xCny", x_cn_y, beck_log_argument),
+            ("nabla", lambda n: nabla_element(0, n), nabla0_log_argument),
+        ):
+            want = Series(
+                [zero] + [build(n).scale(q_int(m * n) * Fraction(1, n)) for n in range(1, N + 1)],
+                N,
+            )
+            assert log_argument(m, N, body) == want == public(m, N), (m, body)
+    assert family_series("nabla", 0, N) == nabla0_series(N)
+    for family, build, public in (
+        ("C", catalan_element, c_series),
+        ("D", d_element, d_series),
+        ("Gtilde", gtilde_element, gtilde_series),
+    ):
+        want = Series([build(n) for n in range(N + 1)], N)
+        assert family_series(family, None, N) == want == public(N), family
+    want = Series([zero] + [x_cn_y(n) for n in range(1, N + 1)], N)
+    assert family_series("xCny", None, N) == want == x_cn_y_series(N)
+    assert log_argument(2, N) == beck_log_argument(2, N)
+    with pytest.raises(ValueError):
+        log_argument(2, N, "delta")
+    with pytest.raises(ValueError):
+        family_series("Q", None, N)
+
+
+def test_series_builders_take_their_members_from_the_given_getter():
+    calls = []
+
+    def member(family, m, n):
+        calls.append((family, m, n))
+        return Element.from_word("xy" * n)
+
+    s = family_series("nabla", 0, 3, member)
+    assert calls == [("nabla", 0, 1), ("nabla", 0, 2), ("nabla", 0, 3)]
+    assert s == Series([Element.zero()] + [Element.from_word("xy" * n) for n in (1, 2, 3)], 3)
+    calls.clear()
+    arg = log_argument(2, 2, "xCny", member)
+    assert calls == [("xCny", None, 1), ("xCny", None, 2)]
+    assert arg[2] == Element.from_word("xyxy", q_int(4) * Fraction(1, 2))
