@@ -7,24 +7,20 @@ integer-only: Element.shuffle clears each operand's Fraction denominators
 once on the way in and divides them back out once on the way out, where
 results are wrapped back into Element/LaurentPoly.
 
-Inside the kernel a Laurent coefficient P(q) = Σ c_e q^e is one packed entry
-(o, N) (Kronecker substitution): N·2^o = P(2^unit), where o = unit·e0 and e0
-is the entry's own lowest exponent. The coefficients c_e are the balanced
-(signed) digits of N, one per slot of w bits: w = unit, or w = 2·unit when
-each operand's exponents all have one parity, since then so do those of
-every result coefficient and the odd slots would stay empty. Evaluation at
-2^unit is a ring map, so sums and products of entries are exact big-int
-operations: adding two entries shifts the one with the larger offset left
-by the difference, and multiplying by a coefficient is one multiply. Only
-the final result is decoded, once per word, and the decoding is exact when
-every result coefficient lies below 2^(w-1) in absolute value. The
-pre-flight bounds them by
+Inside the kernel a Laurent coefficient is one packed entry (o, N), one big
+int by Kronecker substitution (see kronecker.py), so that adding two
+entries is a shift and an add and multiplying by a coefficient is one
+multiply. The slots are w bits wide: w = unit, or w = 2·unit when each
+operand's exponents all have one parity, since then so do those of every
+result coefficient and the odd slots would stay empty. Only the final
+result is decoded, once per word, and the decoding is exact when every
+result coefficient lies below 2^(w-1) in absolute value. The pre-flight
+bounds them by
 
     ‖(a ⋆ b)_w‖∞ ≤ Σ_{u,v} ‖c_u‖₁ ‖c_v‖₁ C(|u| + |v|, |u|) = B,
 
 since u ⋆ v has C(|u| + |v|, |u|) interleavings, each with coefficient 1,
-and takes w as the smallest power of two from 64 up with B < 2^(w-1).
-Intermediate entries need no bound.
+and takes w = kronecker.slot_width(B).
 
 A product takes one of two paths, chosen by its operands' longest words:
 
@@ -45,10 +41,10 @@ refused with CapExceededError instead of running for hours.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import comb, lcm
 
+from . import kronecker as K
 from . import words as W
 from .errors import CapExceededError
 from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
@@ -78,13 +74,6 @@ def _rev_key(key: int) -> int:
 def _key_weight(key: int) -> int:
     """#x - #y of a packed word, reversed or not: the set bits past the sentinel are the y's."""
     return key.bit_length() + 1 - 2 * bin(key).count("1")
-
-
-def _pack(p: dict, unit: int) -> tuple:
-    """The packed entry (o, N) of an {exp: int} coefficient: N·2^o is the
-    coefficient at q = 2^unit, and o is unit times its lowest exponent."""
-    e0 = min(p)
-    return e0 * unit, sum(c << unit * (e - e0) for e, c in p.items())
 
 
 def _shuffle_keys(u: int, v: int, unit: int) -> dict:
@@ -257,35 +246,14 @@ def _word_pair_shuffle(left: dict, right: dict, unit: int) -> dict:
 
 
 def _decode(out: dict, unit: int, step: int, den: int) -> dict:
-    """{Word: LaurentPoly} from a kernel result {revkey: (o, N)}, every
-    coefficient divided by den.
-
-    The exponents of one result coefficient step by ``step`` (1, or 2 when
-    they all have one parity), so its coefficients are the balanced digits
-    of N in slots of w = step·unit bits. Adding 2^(w-1) to every slot makes
-    every digit non-negative, and flipping the top bit of every slot back
-    leaves each slot the two's complement of its digit.
-    """
-    w = step * unit
-    size = w // 8
-    cast = w == 64 and sys.byteorder == "little"
-    biases: dict = {}  # slot count -> 2^(w-1) in every slot
+    """{Word: LaurentPoly} from a kernel result {revkey: (o, N)} whose
+    exponents step by ``step``, every coefficient divided by den."""
+    unpack = K.unpacker(unit, step)
     terms = {}
     for k, (o, n) in out.items():
         if not n:
             continue
-        slots = abs(n).bit_length() // w + 1
-        bias = biases.get(slots)
-        if bias is None:
-            bias = biases[slots] = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
-        raw = ((n + bias) ^ bias).to_bytes(slots * size, "little")
-        if cast:
-            digits = memoryview(raw).cast("q")
-        else:
-            digits = [int.from_bytes(raw[i:i + size], "little", signed=True)
-                      for i in range(0, len(raw), size)]
-        e0 = o // unit
-        p = {e0 + step * i: c for i, c in enumerate(digits) if c}
+        p = unpack(o, n)
         if den != 1:
             p = {e: _norm(Fraction(c, den)) for e, c in p.items()}
         terms[W.Word(_rev_key(k))] = LaurentPoly(p, _raw=True)
@@ -308,8 +276,7 @@ def _preflight(left: dict, right: dict) -> tuple:
     Every result coefficient is bounded by B = Σ C(i + j, i) L1_i L1_j, over
     the summed L1 norms L1_i of the coefficients of the words of length i.
     Its exponents step by 2 when each operand's exponents have one parity,
-    by 1 otherwise. The slot width step·unit is the smallest power of two
-    from 64 up with B < 2^(step·unit - 1).
+    by 1 otherwise. The slot width step·unit is kronecker.slot_width(B).
     """
     la, lb = _length_norms(left), _length_norms(right)
     if not la or not lb:
@@ -328,9 +295,7 @@ def _preflight(left: dict, right: dict) -> tuple:
             f"shuffle would walk {cost:.2e} interleavings, over the budget of"
             f" {_SHUFFLE_BUDGET:.0e}"
         )
-    w = 64
-    while bound >= 1 << (w - 1):
-        w *= 2
+    w = K.slot_width(bound)
     step = 2 if all(len({e & 1 for c in t.values() for e in c._c}) == 1
                     for t in (left, right)) else 1
     return longest, w // step, step
@@ -510,8 +475,8 @@ class Element:
         longest, unit, step = _preflight(left, right)
         product = _word_pair_shuffle if longest <= _SMALL_LIMIT else _trie_shuffle
         out = product(
-            {_rev_key(u.key): _pack(c._c, unit) for u, c in left.items()},
-            {_rev_key(v.key): _pack(c._c, unit) for v, c in right.items()},
+            {_rev_key(u.key): K.pack(c._c, unit) for u, c in left.items()},
+            {_rev_key(v.key): K.pack(c._c, unit) for v, c in right.items()},
             unit,
         )
         return Element(_decode(out, unit, step, d1 * d2), _raw=True)

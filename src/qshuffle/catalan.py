@@ -12,12 +12,18 @@ Summing these against the Catalan words of length 2n gives the elements
 delta_element(m, n) and nabla_element(m, n). The m = 2 column of the full
 family is the Catalan element C_n, m = 1 gives the inverse family D_n up to
 sign, and m = -1 picks out the single alternating word (xy)^n.
+
+The builders walk the Catalan prefixes once (_walk). Each prefix carries its
+product as one packed int (kronecker.py, the codec the shuffle kernel uses),
+the slot width comes from an exact bound on every coefficient computed
+before the walk (_path_bound), and each word is decoded once, at its leaf.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import kronecker as K
 from . import words as W
 from .algebra import Element, X_EL, Y_EL
 from .errors import DegenerateProfileError, NonCatalanWordError, TrivialWordError
@@ -113,54 +119,85 @@ def vanishing_bound(m: int, w: W.Word) -> bool:
     return max(W.elevation_sequence(w)) <= -m
 
 
-def _walk(n: int, x_factor, y_factor, reduced: bool = False) -> Element:
-    """Sum of the Catalan words of length 2n, each weighted by the product of
-    its position factors: x_factor(e) at an x and y_factor(e) at a y, e the
-    elevation before the letter; reduced drops the first position.
+def _path_bound(n: int, m: int, reduced: bool) -> int:
+    """The largest product of the factors' L1 norms along a Catalan word of
+    length 2n: [e + m]_q at an x and [e]_q at a y, e the elevation before
+    the letter, without the first factor when reduced. ‖[k]_q‖₁ = |k|, and
+    ‖PQ‖₁ ≤ ‖P‖₁‖Q‖₁, so the product of the norms bounds every coefficient
+    of the word's product.
 
-    One depth-first walk over Catalan prefixes: each prefix's product is
-    computed once and shared by all its extensions, and a prefix whose
-    product is zero is dropped with all of them. Words come out in the
-    lexicographic order of enumerate_catalan.
+    A DP over (letters, elevation) states: best[e] is the largest product
+    over the prefixes of the current length that end at elevation e.
+    """
+    best = {0: 1}
+    for i in range(2 * n):
+        nxt: dict = {}
+        for e, b in best.items():
+            up = b if reduced and i == 0 else b * abs(e + m)
+            nxt[e + 1] = max(nxt.get(e + 1, 0), up)
+            if e > 0:
+                nxt[e - 1] = max(nxt.get(e - 1, 0), b * e)
+        best = nxt
+    return best[0]
+
+
+def _walk(n: int, m: int, reduced: bool = False) -> Element:
+    """Sum of the Catalan words of length 2n, each weighted by the product of
+    its position factors: [e + m]_q at an x and [e]_q at a y, e the elevation
+    before the letter; reduced drops the first position.
+
+    One depth-first walk over Catalan prefixes. Each prefix carries its
+    product as one packed entry (o, N) (kronecker.py), so each letter is one
+    big-int multiply; a prefix whose product is zero is dropped with all its
+    extensions, and each word is decoded once, at its leaf. Every factor's
+    exponents have one parity, so the slots hold q^2 steps; their width
+    comes from _path_bound. Words come out in the lexicographic order of
+    enumerate_catalan.
     """
     W.check_catalan_cost(n)
     if n == 0:
         return Element.unit()
-    xf = [x_factor(e) for e in range(n)]
-    yf = [y_factor(e) for e in range(n + 1)]
+    unit = K.slot_width(_path_bound(n, m, reduced)) // 2
+    unpack = K.unpacker(unit, 2)
+
+    def packed(k: int):
+        q = q_int(k)
+        return None if q.is_zero() else K.pack(dict(q.terms()), unit)
+
+    xf = [packed(e + m) for e in range(n)]
+    yf = [packed(e) for e in range(n + 1)]
     end = 2 * n
     terms = {}
 
-    def rec(key: int, pos: int, xs: int, e: int, c: LaurentPoly) -> None:
+    def rec(key: int, pos: int, xs: int, e: int, o: int, c: int) -> None:
         if pos == end:
-            terms[W.Word(key | (1 << pos))] = c
+            terms[W.Word(key | (1 << pos))] = LaurentPoly(unpack(o, c), _raw=True)
             return
         if xs < n:
-            cx = c * xf[e]
-            if not cx.is_zero():
-                rec(key, pos + 1, xs + 1, e + 1, cx)
+            f = xf[e]
+            if f is not None:
+                rec(key, pos + 1, xs + 1, e + 1, o + f[0], c * f[1])
         if e > 0:
-            cy = c * yf[e]
-            if not cy.is_zero():
-                rec(key | (1 << pos), pos + 1, xs, e - 1, cy)
+            f = yf[e]
+            rec(key | (1 << pos), pos + 1, xs, e - 1, o + f[0], c * f[1])
 
     # every nontrivial Catalan word starts with x at elevation 0
-    first = LaurentPoly.one() if reduced else xf[0]
-    if not first.is_zero():
-        rec(0, 1, 1, 1, first)
+    first = (0, 1) if reduced else xf[0]
+    if first is not None:
+        rec(0, 1, 1, 1, *first)
     return Element(terms, _raw=True)
 
 
 def delta_element(m: int, n: int) -> Element:
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, lambda e: q_int(e + m), q_int)
+    return _walk(n, m)
 
 
 def nabla_element(m: int, n: int) -> Element:
     if n < 1:
         raise TrivialWordError("the reduced family starts at n = 1")
-    return _walk(n, lambda e: q_int(e + m), q_int, reduced=True)
+    return _walk(n, m, reduced=True)
 
 
 def catalan_element(n: int) -> Element:
@@ -168,14 +205,14 @@ def catalan_element(n: int) -> Element:
     e_i the elevation after each step (e + 1 after an x, e - 1 after a y)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, lambda e: q_int(e + 2), q_int)
+    return _walk(n, 2)
 
 
 def d_element(n: int) -> Element:
     """D_n: the closed form (-1)^n sum of [e_{i-1} + 1]_q / [e_{i-1}]_q products."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, lambda e: q_int(e + 1), q_int).scale((-1) ** n)
+    return _walk(n, 1).scale((-1) ** n)
 
 
 def gtilde_element(n: int) -> Element:

@@ -582,14 +582,15 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
     g = cfg.qint_grid
     run = _Run("qint_identities", {"grid": g})
     rng = range(-g, g + 1)
-    pair: dict = {}
+    products: dict = {}
 
-    def p2(a, b):
-        key = (a, b) if a <= b else (b, a)
-        out = pair.get(key)
+    def prod(*ns):
+        # each q-integer product once per run, keyed by its sorted factors
+        key = tuple(sorted(ns))
+        out = products.get(key)
         if out is None:
-            out = q_int(key[0]) * q_int(key[1])
-            pair[key] = out
+            out = q_int(key[0]) if len(key) == 1 else prod(*key[:-1]) * q_int(key[-1])
+            products[key] = out
         return out
 
     def wit(desc, diff):
@@ -598,15 +599,11 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
     for a in rng:
         for b in rng:
             for c in rng:
-                d1 = p2(a + c, b + c) - p2(a, b) - q_int(c) * q_int(a + b + c)
+                d1 = prod(a + c, b + c) - prod(a, b) - prod(c, a + b + c)
                 if not run.tally(d1.is_zero()):
                     wit(f"identity (i) at {(a, b, c)}", d1)
                     return run.report()
-                d2 = (
-                    q_int(a) * q_int(b - c)
-                    + q_int(b) * q_int(c - a)
-                    + q_int(c) * q_int(a - b)
-                )
+                d2 = prod(a, b - c) + prod(b, c - a) + prod(c, a - b)
                 if not run.tally(d2.is_zero()):
                     wit(f"identity (ii) at {(a, b, c)}", d2)
                     return run.report()
@@ -615,20 +612,20 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
             for c in rng:
                 for d in rng:
                     d3 = (
-                        p2(a, b) * q_int(c - d)
-                        + p2(b, c) * q_int(d - a)
-                        + p2(c, d) * q_int(a - b)
-                        + p2(d, a) * q_int(b - c)
+                        prod(a, b, c - d)
+                        + prod(b, c, d - a)
+                        + prod(c, d, a - b)
+                        + prod(d, a, b - c)
                     )
                     if not run.tally(d3.is_zero()):
                         wit(f"identity (iii) at {(a, b, c, d)}", d3)
                         return run.report()
                     d4 = (
-                        p2(a, b) * q_int(a - b)
-                        + p2(b, c) * q_int(b - c)
-                        + p2(c, d) * q_int(c - d)
-                        + p2(d, a) * q_int(d - a)
-                        - p2(a - c, b - d) * q_int(a + c - b - d)
+                        prod(a, b, a - b)
+                        + prod(b, c, b - c)
+                        + prod(c, d, c - d)
+                        + prod(d, a, d - a)
+                        - prod(a - c, b - d, a + c - b - d)
                     )
                     if not run.tally(d4.is_zero()):
                         wit(f"identity (iv) at {(a, b, c, d)}", d4)

@@ -65,7 +65,10 @@ def resolve_config(args) -> CliConfig:
             layers[k] = v
     raw = os.environ.get("QSHUFFLE_CUTOFF")
     if raw is not None:
-        layers["cutoff"] = int(raw)
+        try:
+            layers["cutoff"] = int(raw)
+        except ValueError:
+            raise ValueError(f"QSHUFFLE_CUTOFF must be an integer, got {raw!r}") from None
     flag_map = {
         "cutoff": args.cutoff,
         "m_min": args.m_min,
@@ -80,6 +83,16 @@ def resolve_config(args) -> CliConfig:
     cfg = CliConfig(**layers)
     cfg.validate()
     return cfg
+
+
+def _rendered_formats(args) -> tuple:
+    """The output formats a request renders: table renders all four, plot
+    writes SVG whatever the format, compute renders elements in LaTeX too."""
+    if args.command == "compute":
+        return ("human", "json") if args.kind.startswith("series:") else ("human", "json", "latex")
+    if args.command in ("verify", "enumerate"):
+        return ("human", "json")
+    return FORMATS
 
 
 def _emit(text: str, cfg: CliConfig) -> None:
@@ -302,6 +315,15 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    formats = _rendered_formats(args)
+    if cfg.output_format not in formats:
+        what = f"{args.command} {args.kind}" if args.command == "compute" else args.command
+        print(
+            f"error: {what} does not render --format {cfg.output_format};"
+            f" it renders {', '.join(formats)}",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     handlers = {
         "compute": cmd_compute,

@@ -167,31 +167,29 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        # shift both to ordinary polynomials and long-divide
+        # shift both to ordinary polynomials and long-divide in one pass over
+        # a dense remainder, from the top exponent down
         smin, omin = self.min_exp(), other.min_exp()
-        num = {e - smin: c for e, c in self._c.items()}
-        den = {e - omin: c for e, c in other._c.items()}
-        dn = max(den)
-        dlead = den[dn]
-        rem = dict(num)
+        rem = [0] * (self.max_exp() - smin + 1)
+        for e, c in self._c.items():
+            rem[e - smin] = c
+        den = [(e - omin, c) for e, c in other._c.items()]
+        dn = other.max_exp() - omin
+        dlead = other._c[dn + omin]
         quot: dict = {}
-        while rem:
-            rn = max(rem)
-            if rn < dn:
-                raise InexactDivisionError(f"{self!r} is not divisible by {other!r}")
-            qe = rn - dn
-            r = rem[rn]
+        for qe in range(len(rem) - 1 - dn, -1, -1):
+            r = rem[qe + dn]
+            if not r:
+                continue
             if type(r) is int and type(dlead) is int and not r % dlead:
                 qc = r // dlead  # always so for a monic divisor such as q_int(n) or Q_COMM
             else:
                 qc = _norm(Fraction(r, dlead))
             quot[qe] = qc
-            for e, c in den.items():
-                s = rem.get(e + qe, 0) - qc * c
-                if s:
-                    rem[e + qe] = s
-                else:
-                    rem.pop(e + qe, None)
+            for e, c in den:
+                rem[e + qe] -= qc * c
+        if any(rem[:dn]):
+            raise InexactDivisionError(f"{self!r} is not divisible by {other!r}")
         shift = smin - omin
         return LaurentPoly({e + shift: _norm(c) for e, c in quot.items()}, _raw=True)
 

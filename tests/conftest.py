@@ -5,12 +5,14 @@ independent of the recursive production implementation.
 """
 
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from qshuffle import algebra, words
 from qshuffle.algebra import Element
+from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int
 
 
@@ -57,6 +59,40 @@ def shuffle_bruteforce(u: str, v: str) -> Element:
     return Element(
         {words.word(w): LaurentPoly(c) for w, c in total.items()}
     )
+
+
+def div_exact_longhand(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """num / den by long division on sparse dicts, one quotient term at a
+    time from the top remaining exponent, raising InexactDivisionError when
+    that exponent falls below the divisor's degree with a remainder left.
+    A quotient coefficient is an int when both it and the divisor's leading
+    coefficient are ints and the division is even, a Fraction otherwise."""
+    if num.is_zero():
+        return LaurentPoly.zero()
+    smin, omin = num.min_exp(), den.min_exp()
+    rem = {e - smin: c for e, c in num.terms()}
+    dterms = {e - omin: c for e, c in den.terms()}
+    dn = max(dterms)
+    dlead = dterms[dn]
+    quot = {}
+    while rem:
+        rn = max(rem)
+        if rn < dn:
+            raise InexactDivisionError(f"{num!r} is not divisible by {den!r}")
+        r = rem[rn]
+        if type(r) is int and type(dlead) is int and not r % dlead:
+            qc = r // dlead
+        else:
+            qc = Fraction(r, dlead)
+            qc = qc.numerator if qc.denominator == 1 else qc
+        quot[rn - dn] = qc
+        for e, c in dterms.items():
+            s = rem.get(e + rn - dn, 0) - qc * c
+            if s:
+                rem[e + rn - dn] = s
+            else:
+                rem.pop(e + rn - dn, None)
+    return LaurentPoly({e + smin - omin: c for e, c in quot.items()})
 
 
 _BRACKET = re.compile(r"\[(\d+)\](?:\^(\d+))?")

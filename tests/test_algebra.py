@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import algebra, catalan, checks, words as W
+from qshuffle import algebra, catalan, checks, kronecker, words as W
 from qshuffle.algebra import (
     Element, UNIT, X_EL, XY_EL, Y_EL, commutator_x, shuffle_fold, shuffle_pair,
 )
@@ -335,8 +335,13 @@ def test_packed_coefficients_round_trip(unit, step):
         digits = [rng.choice((top, -top, 1, -1, 0, rng.randint(-top, top))) for _ in range(8)]
         digits[0] = digits[0] or -1
         p = {e0 + step * i: c for i, c in enumerate(digits) if c}
-        out = {algebra._rev_key(key): algebra._pack(p, unit)}
+        out = {algebra._rev_key(key): kronecker.pack(p, unit)}
         assert algebra._decode(out, unit, step, 1) == {W.word("xy"): LaurentPoly(p)}
+
+
+def test_slot_width_is_the_smallest_power_of_two_that_decodes_the_bound():
+    bounds = (0, 1, (1 << 63) - 1, 1 << 63, (1 << 127) - 1, 1 << 127)
+    assert [kronecker.slot_width(b) for b in bounds] == [64, 64, 64, 128, 128, 256]
 
 
 def _on_word_pairs(monkeypatch):

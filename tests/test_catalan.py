@@ -1,13 +1,15 @@
 """The scalar families against the frozen reference tables, entry for entry."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from qshuffle import words as W
+from qshuffle import kronecker, words as W
 from qshuffle.algebra import Element, UNIT, X_EL, Y_EL
 from qshuffle.catalan import (
     FAMILIES,
+    _path_bound,
     catalan_element,
     d_element,
     delta_element,
@@ -172,7 +174,7 @@ def test_d_elements_match_reference_expansions():
     )
 
 
-def test_prefix_walk_matches_word_by_word_products():
+def test_prefix_walk_matches_word_by_word_products(monkeypatch):
     # the builders walk Catalan prefixes; the scalar functions multiply each
     # word's factors from scratch, as the builders once did
     for n in range(0, 8):
@@ -192,6 +194,39 @@ def test_prefix_walk_matches_word_by_word_products():
         assert d_element(n) == Element(
             {w: delta_scalar(1, w).scale((-1) ** n) for w in cat}
         )
+        # terms come out in enumerate_catalan order, vanishing words left out
+        for el in (delta_element(-1, n), delta_element(2, n), catalan_element(n), d_element(n)):
+            assert list(el._terms) == [w for w in cat if w in el._terms]
+    # a bound above 2^63 takes 128-bit slots; every word is kept, in order
+    widths = []
+    unpacker = kronecker.unpacker
+    monkeypatch.setattr(
+        kronecker, "unpacker", lambda unit, step: widths.append(unit * step) or unpacker(unit, step)
+    )
+    cat = W.enumerate_catalan(9)
+    assert _path_bound(9, 30, False) >= 1 << 63
+    big = delta_element(30, 9)
+    assert widths == [128]
+    assert list(big._terms) == list(cat)
+    for w in cat[::37] + cat[-1:]:
+        assert big.coeff(w) == delta_scalar(30, w), w
+
+
+def test_path_bound_is_the_largest_product_of_factor_norms():
+    # the L1 norm of [k]_q is |k|; reduced drops the first factor
+    for n in range(1, 7):
+        for m in range(-3, 4):
+            for reduced in (False, True):
+                want = 0
+                for w in W.enumerate_catalan(n):
+                    es = W.elevation_sequence(w)
+                    norms = [
+                        abs(e + m) if b == 0 else abs(e)
+                        for i, (e, b) in enumerate(zip(es, w.letter_bits()))
+                        if i or not reduced
+                    ]
+                    want = max(want, prod(norms))
+                assert _path_bound(n, m, reduced) == want, (n, m, reduced)
 
 
 def test_builders_keep_the_length_cap():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from qshuffle import catalan
+from qshuffle import catalan, checks
 from qshuffle.algebra import Element
 from qshuffle.checks import (
     CHECKS,
@@ -13,6 +13,7 @@ from qshuffle.checks import (
     check_exp_theorem,
     check_nabla_recursion,
     check_ode,
+    check_qint_identities,
     check_qserre,
     check_structural,
     check_yinv_calculus,
@@ -41,6 +42,22 @@ def test_qserre_negative_control():
     assert bad.witness is not None
     assert not bad.witness.diff.is_zero()
     assert all(len(w) == 4 for w in bad.witness.diff.support())
+
+
+def test_qint_identities_evaluates_the_default_grid():
+    report = check_qint_identities(VerifyConfig())
+    assert report.passed
+    assert report.evaluated == 61516  # 2 * 13^3 + 2 * 13^4 on the grid -6..6
+
+
+def test_shifted_q_int_fails_qint_identities(monkeypatch):
+    # the check consumes no family member, so the perturb hook cannot reach
+    # it; shift the q-integers it multiplies instead
+    monkeypatch.setattr(checks, "q_int", lambda n: q_int(n + 1) if n else q_int(0))
+    report = check_qint_identities(VerifyConfig())
+    assert not report.passed
+    assert report.witness.description == "identity (i) at (-6, -6, -6)"
+    assert not report.witness.diff.is_zero()
 
 
 def _bump(family, m, n, el):

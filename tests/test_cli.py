@@ -63,6 +63,27 @@ def test_compute_bad_kind(capsys):
     assert "unknown compute kind" in err
 
 
+@pytest.mark.parametrize("argv, what, formats", [
+    (("compute", "C", "2", "--format", "csv"), "compute C", "human, json, latex"),
+    (("compute", "series:C", "--format", "latex"), "compute series:C", "human, json"),
+    (("enumerate", "2", "--format", "latex"), "enumerate", "human, json"),
+    (("verify", "qserre", "--format", "csv"), "verify", "human, json"),
+])
+def test_unrendered_format_is_refused(capsys, argv, what, formats):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} does not render --format {argv[-1]}; it renders {formats}\n"
+
+
+def test_bad_cutoff_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("QSHUFFLE_CUTOFF", "abc")
+    code, out, err = run_cli(capsys, "compute", "series:C")
+    assert code == 2
+    assert out == ""
+    assert err == "error: QSHUFFLE_CUTOFF must be an integer, got 'abc'\n"
+
+
 def test_compute_missing_params(capsys):
     code, _, err = run_cli(capsys, "compute", "delta", "--n", "1")
     assert code == 2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, Q_COMM, q_falling, q_int, q_pow
 
-from conftest import P
+from conftest import P, div_exact_longhand
 
 
 def test_q_int_small_values():
@@ -102,6 +103,51 @@ def test_exact_division_by_a_non_monic_divisor():
 def test_division_with_rational_coefficients():
     p = P("[2][5]").scale(Fraction(3, 7))
     assert p.div_exact(q_int(5)) == q_int(2).scale(Fraction(3, 7))
+
+
+def _exactly(p):
+    # (exponent, type, value) triples: equal values with different int/Fraction
+    # types count as different
+    return [(e, type(c), c) for e, c in p.terms()]
+
+
+_DIVISORS = [q_int(1), q_int(2), q_int(5), q_int(-3), Q_COMM, LaurentPoly({-1: 3, 0: -2, 2: 5})]
+
+
+@pytest.mark.parametrize("den", _DIVISORS, ids=str)
+def test_division_matches_long_division(den):
+    rng = random.Random(str(den))
+    for i in range(60):
+        lo = rng.randint(-6, 6)
+        quot = LaurentPoly({
+            e: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+            if i % 2 else rng.randint(-9, 9)
+            for e in range(lo, lo + rng.randint(0, 7))
+        })
+        num = den * quot
+        want = div_exact_longhand(num, den)
+        assert want == quot
+        assert _exactly(num.div_exact(den)) == _exactly(want), (num, den)
+        # a remainder of lower degree than the divisor makes either division fail
+        if den.max_exp() > den.min_exp():
+            bad = num + q_pow(num.min_exp() if not num.is_zero() else 0).scale(rng.randint(1, 5))
+            for divide in (lambda: bad.div_exact(den), lambda: div_exact_longhand(bad, den)):
+                with pytest.raises(InexactDivisionError):
+                    divide()
+
+
+def test_division_refuses_a_numerator_below_the_divisor_degree():
+    for num in (LaurentPoly.one(), q_pow(7), q_int(2), q_int(4).scale(Fraction(1, 3))):
+        with pytest.raises(InexactDivisionError):
+            num.div_exact(q_int(5))
+
+
+def test_division_refuses_a_remainder_in_the_lowest_exponents_only():
+    # the top quotient terms all divide; what is left sits below the divisor's degree
+    num = q_int(4) * q_int(3)
+    for rest in ({-5: 1}, {-5: -2, -3: 1}, {-5: Fraction(1, 2)}):
+        with pytest.raises(InexactDivisionError):
+            (num + LaurentPoly(rest)).div_exact(q_int(3))
 
 
 def test_qint_identity_i_small_grid():
