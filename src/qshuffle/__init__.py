@@ -35,7 +35,7 @@ from .words import (
 )
 from .algebra import (
     Element,
-    commutator_x,
+    commutator,
     shuffle_fold,
     shuffle_pair,
     zeta,

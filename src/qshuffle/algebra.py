@@ -608,15 +608,19 @@ def shuffle_pair(a: Element, b: Element):
     return ab, Element(ba, _raw=True)
 
 
-def commutator_x(m: int, u: Element) -> Element:
-    """(q^m x * u - q^-m u * x) / (q - q^-1), with * the shuffle product.
+def commutator(m: int, a: Element, b: Element) -> Element:
+    """(q^m a * b - q^-m b * a) / (q - q^-1), with * the shuffle product.
 
-    For a Catalan word this is the weighted sum over all single-x
-    insertions; the division is always exact on valid inputs and raises
-    InexactDivisionError otherwise.
+    With a = x and b a Catalan word this is the weighted sum over all
+    single-x insertions. The division is always exact on valid inputs and
+    raises InexactDivisionError otherwise.
     """
-    xu, ux = shuffle_pair(X_EL, u)
-    return (xu.scale(q_pow(m)) - ux.scale(q_pow(-m))).div_exact(Q_COMM)
+    ab, ba = shuffle_pair(a, b)
+    if m:
+        # at m = 0 no scaled copies are made, so the largest commutators
+        # hold only their two products at once
+        ab, ba = ab.scale(q_pow(m)), ba.scale(q_pow(-m))
+    return (ab - ba).div_exact(Q_COMM)
 
 
 def shuffle_fold(elements) -> Element:

@@ -189,7 +189,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
 def cmd_enumerate(args, cfg: CliConfig) -> int:
     try:
         cat = words.enumerate_catalan(args.n)
-    except QShuffleError as exc:
+    except (ValueError, QShuffleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.count_only:

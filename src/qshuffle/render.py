@@ -57,17 +57,20 @@ def _rational_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def laurent_str(p: LaurentPoly, bracket: bool = True) -> str:
+def _bracket_body(factors) -> str:
+    """The q-integer product [n]_q^e ... of ascending (n, e) pairs."""
+    return "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
+
+
+def laurent_str(p: LaurentPoly) -> str:
     """Render a coefficient; bracket notation when it factors, else expanded."""
-    if not bracket:
-        return str(p)
     fact = _factorization(p)
     if fact is None:
         return f"({p})"
     c, factors = fact
     if not factors:
         return _rational_str(c)
-    body = "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
+    body = _bracket_body(factors)
     if c == 1:
         return body
     if c == -1:
@@ -95,9 +98,9 @@ def laurent_latex(p: LaurentPoly) -> str:
             out += t if t.startswith("-") else "+" + t
         return out
     c, factors = fact
-    body = "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
     if not factors:
         return _rational_str(c)
+    body = _bracket_body(factors)
     if c == 1:
         return body
     if c == -1:
@@ -115,12 +118,12 @@ def element_latex(el: Element) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def element_str(el: Element, bracket: bool = True) -> str:
+def element_str(el: Element) -> str:
     if el.is_zero():
         return "0"
     parts = []
     for w, c in el.terms():
-        cs = laurent_str(c, bracket=bracket)
+        cs = laurent_str(c)
         wd = w.display()
         if cs == "1":
             term = wd
@@ -137,13 +140,13 @@ def element_str(el: Element, bracket: bool = True) -> str:
     return out
 
 
-def series_str(s, bracket: bool = True) -> str:
+def series_str(s) -> str:
     parts = []
     for n, a in enumerate(s.coeffs):
         if a.is_zero():
             continue
         tpow = "" if n == 0 else (" t" if n == 1 else f" t^{n}")
-        parts.append(f"({element_str(a, bracket=bracket)}){tpow}")
+        parts.append(f"({element_str(a)}){tpow}")
     return " + ".join(parts) if parts else "0"
 
 

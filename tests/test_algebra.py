@@ -5,7 +5,7 @@ import pytest
 
 from qshuffle import algebra, catalan, checks, kronecker, words as W
 from qshuffle.algebra import (
-    Element, UNIT, X_EL, XY_EL, Y_EL, commutator_x, shuffle_fold, shuffle_pair,
+    Element, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair,
 )
 from qshuffle.errors import CapExceededError, InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
@@ -193,16 +193,19 @@ def insertion_formula(m: int, w) -> Element:
 
 
 def test_commutator_x_examples():
-    assert commutator_x(0, el("xy")) == el("xxy", q_int(2))
-    assert commutator_x(1, UNIT) == X_EL
-    assert commutator_x(-2, UNIT) == X_EL.scale(q_int(-2))
+    assert commutator(0, X_EL, el("xy")) == el("xxy", q_int(2))
+    assert commutator(1, X_EL, UNIT) == X_EL
+    assert commutator(-2, X_EL, UNIT) == X_EL.scale(q_int(-2))
+    assert commutator(1, UNIT, Y_EL) == Y_EL
+    # swapping the operands and negating m negates the commutator
+    assert commutator(1, XY_EL, Y_EL) == -commutator(-1, Y_EL, XY_EL)
 
 
 def test_commutator_x_matches_insertion_formula():
     for n in (1, 2, 3):
         for w in W.enumerate_catalan(n):
             for m in range(-2, 3):
-                assert commutator_x(m, Element.from_word(w)) == insertion_formula(m, w)
+                assert commutator(m, X_EL, Element.from_word(w)) == insertion_formula(m, w)
 
 
 def test_commutator_x_inexact_division_raises():

@@ -1,7 +1,9 @@
 """The verification suite itself: green on small grids, and the negative
 controls really turn checks red with a nonzero witness."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -44,10 +46,36 @@ def test_qserre_negative_control():
     assert all(len(w) == 4 for w in bad.witness.diff.support())
 
 
-def test_qint_identities_evaluates_the_default_grid():
-    report = check_qint_identities(VerifyConfig())
-    assert report.passed
-    assert report.evaluated == 61516  # 2 * 13^3 + 2 * 13^4 on the grid -6..6
+DEFAULT_EVALUATED = {
+    "qserre": 2,
+    "qint_identities": 61516,  # 2 * 13^3 + 2 * 13^4 on the grid -6..6
+    "structural": 3058,
+    "nabla_recursion": 186,
+    "commutation": 1536,
+    "yinv_calculus": 348,
+    "ode": 83,
+    "exp_theorem": 84,
+    "genfuns": 72,
+    "main_theorems": 80,
+    "expderivative": 15,
+    "zeta_suite": 733,
+}
+
+
+def test_default_grid_evaluates_every_instance():
+    reports = run_all(VerifyConfig())
+    assert all(r.passed for r in reports)
+    assert {r.name: r.evaluated for r in reports} == DEFAULT_EVALUATED
+
+
+def test_cutoff_zero_skips_only_the_derivative_identity():
+    reports = run_all(VerifyConfig(cutoff=0))
+    assert len(reports) == 12
+    status = {r.name: r.status for r in reports}
+    assert status.pop("expderivative") == "empty"  # no recurrence below t^1
+    assert set(status.values()) == {"pass"}
+    # from cutoff 1 on, each m compares one derivative coefficient per degree
+    assert check_ode(VerifyConfig(cutoff=1)).evaluated == 2 + 7 * (2 + 1)
 
 
 def test_shifted_q_int_fails_qint_identities(monkeypatch):
@@ -217,3 +245,51 @@ def test_failed_report_json_contains_witness():
     obj = r.to_json()
     assert obj["status"] == "fail"
     assert obj["witness"]["diff"]
+
+
+# one member of each family, perturbed; each family's bump is seen by some check
+NEGATIVE_BUMPS = {
+    "delta": (("delta", 2, 2), Element.from_word("xxyy")),
+    "nabla": (("nabla", 0, 2), Element.from_word("xyxy", q_int(2))),
+    "C": (("C", None, 2), Element.from_word("xyxy")),
+    "D": (("D", None, 2), Element.from_word("xyxy")),
+    "Gtilde": (("Gtilde", None, 2), Element.from_word("xyxy")),
+    "xCny": (("xCny", None, 2), Element.from_word("xyxy")),
+}
+
+NEGATIVE_GOLDEN = Path(__file__).parent / "golden" / "negative_controls.json"
+
+
+def _untimed(report):
+    out = report.to_json(timings=True)
+    del out["elapsed"]
+    return out
+
+
+def negative_controls(monkeypatch):
+    """The reports of every negative control on the SMALL grid: run_all with
+    one member of each family perturbed, the qserre control, and the
+    shifted-q_int control. NEGATIVE_GOLDEN holds its output, written with
+    json.dumps(..., indent=1, sort_keys=True)."""
+    out = {}
+    for family, (key, extra) in NEGATIVE_BUMPS.items():
+        def bump(fam, m, n, el, key=key, extra=extra):
+            return el + extra if (fam, m, n) == key else el
+
+        reports = run_all(VerifyConfig(**{**SMALL.__dict__, "perturb": bump}))
+        out[family] = [_untimed(r) for r in reports]
+    out["qserre"] = _untimed(check_qserre(SMALL, third_coeff=LaurentPoly.one()))
+    monkeypatch.setattr(checks, "q_int", lambda n: q_int(n + 1) if n else q_int(0))
+    out["qint_shifted"] = _untimed(check_qint_identities(SMALL))
+    return out
+
+
+def test_negative_controls_match_the_golden_reports(monkeypatch):
+    golden = json.loads(NEGATIVE_GOLDEN.read_text())
+    got = negative_controls(monkeypatch)
+    assert got.keys() == golden.keys()
+    for name in golden:
+        assert got[name] == golden[name], name
+    # every family's perturbation turns at least one check red
+    for family in NEGATIVE_BUMPS:
+        assert any(r["status"] == "fail" for r in got[family]), family

@@ -126,6 +126,16 @@ def test_verify_empty_grid_fails(capsys):
     assert out.strip().split("\n")[-1] == "2/3 checks passed"
 
 
+def test_verify_at_cutoff_zero_reports_every_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--cutoff", "0",
+                             "--m-min", "-1", "--m-max", "1", "--n-max", "2")
+    assert code == 1  # expderivative compares nothing at cutoff 0
+    lines = out.splitlines()
+    assert len(lines) == 13 and lines[-1] == "11/12 checks passed"
+    assert [line.split()[1] for line in lines[:-1] if not line.startswith("PASS")] == ["expderivative"]
+    assert err == ""
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "qserre", "zeta_suite",
                              "--n-max", "2", "--format", "json")
@@ -288,6 +298,13 @@ def _config_error(tmp_path, capsys, content):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     return err
+
+
+def test_negative_enumerate_index_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be non-negative\n" and "Traceback" not in err
 
 
 def test_config_file_must_hold_an_object(tmp_path, capsys):
