@@ -533,12 +533,9 @@ class Element:
     # -- display / serialization ----------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            parts.append(f"({c}) {w.display()}")
-        return " + ".join(parts)
+        from . import render  # render imports this module
+
+        return render.element_expanded(self)
 
     def __repr__(self):
         return f"Element<{len(self._terms)} words>"

@@ -14,9 +14,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import catalan, checks, render, series, words
-from .algebra import Element
 from .errors import QShuffleError
-from .series import Series
 
 USAGE_ERROR = 2
 FORMATS = ("human", "json", "latex", "csv")
@@ -85,39 +83,75 @@ def resolve_config(args) -> CliConfig:
     return cfg
 
 
-def _rendered_formats(args) -> tuple:
-    """The output formats a request renders: table renders all four, plot
-    writes SVG whatever the format, compute renders elements in LaTeX too."""
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _verify_human(reports, timings) -> str:
+    ok = sum(r.passed for r in reports)
+    return "\n".join([r.line() for r in reports] + [f"{ok}/{len(reports)} checks passed"]) + "\n"
+
+
+def _enumerate_human(rows) -> str:
+    return "\n".join(
+        "  ".join([row["word"]] + [f"{k}=" + ",".join(map(str, v)) for k, v in row.items() if k != "word"])
+        for row in rows
+    ) + "\n"
+
+
+# The formats each kind of output renders, in the order refusals list them,
+# and the writer of each. Writers look render's functions up at call time.
+WRITERS = {
+    "element": {
+        "human": lambda el: render.element_str(el) + "\n",
+        "json": lambda el: _json(el.to_json()),
+        "latex": lambda el: render.element_latex(el) + "\n",
+    },
+    "series": {
+        "human": lambda s: render.series_str(s) + "\n",
+        "json": lambda s: _json(s.to_json()),
+    },
+    "verify": {
+        "human": _verify_human,
+        "json": lambda reports, timings: _json([r.to_json(timings=timings) for r in reports]),
+    },
+    "enumerate": {"human": _enumerate_human, "json": _json},
+    "table": {
+        "human": lambda *a: render.table_human(*a),
+        "json": lambda *a: _json(render.table_json(*a)),
+        "latex": lambda *a: render.table_latex(*a),
+        "csv": lambda *a: render.table_csv(*a),
+    },
+}
+
+
+def _output(args) -> str:
+    """The WRITERS key of a request's output: its command, or what compute builds."""
     if args.command == "compute":
-        return ("human", "json") if args.kind.startswith("series:") else ("human", "json", "latex")
-    if args.command in ("verify", "enumerate"):
-        return ("human", "json")
-    return FORMATS
+        return "series" if args.kind.startswith("series:") else "element"
+    return args.command
 
 
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _render(output: str, cfg: CliConfig, *values) -> str:
+    return WRITERS[output][cfg.output_format](*values)
+
+
+def _write(path: str, text: str) -> int:
+    """Write text to a file; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
 
 
-def _render_element(el: Element, cfg: CliConfig) -> str:
-    fmt = cfg.output_format
-    if fmt == "json":
-        return json.dumps(el.to_json(), indent=2) + "\n"
-    if fmt == "latex":
-        return render.element_latex(el) + "\n"
-    return render.element_str(el) + "\n"
-
-
-def _render_series(s: Series, cfg: CliConfig) -> str:
-    if cfg.output_format == "json":
-        return json.dumps(s.to_json(), indent=2) + "\n"
-    return render.series_str(s) + "\n"
+def _emit(text: str, cfg: CliConfig) -> int:
+    if cfg.output_path:
+        return _write(cfg.output_path, text)
+    sys.stdout.write(text)
+    return 0
 
 
 def cmd_compute(args, cfg: CliConfig) -> int:
@@ -130,27 +164,26 @@ def cmd_compute(args, cfg: CliConfig) -> int:
             if name == "delta" and args.m is None:
                 raise ValueError("compute series:delta needs --m")
             family, m = {"delta": ("delta", args.m), "nabla0": ("nabla", 0)}.get(name, (name, None))
-            out = _render_series(series.family_series(family, m, cfg.cutoff), cfg)
+            out = _render("series", cfg, series.family_series(family, m, cfg.cutoff))
         elif kind in ("C", "D", "Gtilde", "delta", "nabla"):
             takes_m = catalan.FAMILIES[kind][1]
             if args.n is None or (takes_m and args.m is None):
                 raise ValueError(f"compute {kind} needs {'--m and --n' if takes_m else '--n'}")
-            out = _render_element(catalan.member(kind, args.m if takes_m else None, args.n), cfg)
+            out = _render("element", cfg, catalan.member(kind, args.m if takes_m else None, args.n))
         elif kind == "damiani":
             if args.sub is None or args.n is None:
                 raise ValueError("compute damiani needs --kind {E0,E1,Edelta} and --n")
-            out = _render_element(catalan.embedding_image(f"Damiani_{args.sub}", args.n), cfg)
+            out = _render("element", cfg, catalan.embedding_image(f"Damiani_{args.sub}", args.n))
         elif kind == "beck":
             if args.n is None:
                 raise ValueError("compute beck needs --n")
-            out = _render_element(catalan.embedding_image("Beck_Edelta", args.n), cfg)
+            out = _render("element", cfg, catalan.embedding_image("Beck_Edelta", args.n))
         else:
             raise ValueError(f"unknown compute kind {kind!r}")
     except (ValueError, QShuffleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(out, cfg)
-    return 0
+    return _emit(out, cfg)
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
@@ -175,15 +208,8 @@ def cmd_verify(args, cfg: CliConfig) -> int:
     except QShuffleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if cfg.output_format == "json":
-        payload = [r.to_json(timings=args.timings) for r in reports]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-    else:
-        lines = [r.line() for r in reports]
-        ok = sum(r.passed for r in reports)
-        lines.append(f"{ok}/{len(reports)} checks passed")
-        _emit("\n".join(lines) + "\n", cfg)
-    return 0 if all(r.passed for r in reports) else 1
+    code = _emit(_render("verify", cfg, reports, args.timings), cfg)
+    return code or (0 if all(r.passed for r in reports) else 1)
 
 
 def cmd_enumerate(args, cfg: CliConfig) -> int:
@@ -193,29 +219,16 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.count_only:
-        _emit(f"{len(cat)}\n", cfg)
-        return 0
-    if cfg.output_format == "json":
-        rows = []
-        for w in cat:
-            row = {"word": w.display()}
-            if args.profiles:
-                row["profile"] = list(words.profile(w).entries)
-            if args.elevations:
-                row["elevation"] = list(words.elevation_sequence(w))
-            rows.append(row)
-        _emit(json.dumps(rows, indent=2) + "\n", cfg)
-        return 0
-    lines = []
+        return _emit(f"{len(cat)}\n", cfg)
+    rows = []
     for w in cat:
-        line = w.display()
+        row = {"word": w.display()}
         if args.profiles:
-            line += "  profile=" + ",".join(str(e) for e in words.profile(w).entries)
+            row["profile"] = list(words.profile(w).entries)
         if args.elevations:
-            line += "  elevation=" + ",".join(str(e) for e in words.elevation_sequence(w))
-        lines.append(line)
-    _emit("\n".join(lines) + "\n", cfg)
-    return 0
+            row["elevation"] = list(words.elevation_sequence(w))
+        rows.append(row)
+    return _emit(_render("enumerate", cfg, rows), cfg)
 
 
 def cmd_plot(args, cfg: CliConfig) -> int:
@@ -224,35 +237,16 @@ def cmd_plot(args, cfg: CliConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    svg = render.dyck_svg(w)
-    try:
-        with open(args.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(args.svg_path, render.dyck_svg(w))
 
 
 def cmd_table(args, cfg: CliConfig) -> int:
     try:
-        fmt = cfg.output_format
-        if fmt == "csv":
-            out = render.table_csv(args.family, args.m_min, args.m_max, args.n_max)
-        elif fmt == "latex":
-            out = render.table_latex(args.family, args.m_min, args.m_max, args.n_max)
-        elif fmt == "json":
-            out = json.dumps(
-                render.table_json(args.family, args.m_min, args.m_max, args.n_max),
-                indent=2,
-            ) + "\n"
-        else:
-            out = render.table_human(args.family, args.m_min, args.m_max, args.n_max)
+        out = _render("table", cfg, args.family, args.m_min, args.m_max, args.n_max)
     except (ValueError, QShuffleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(out, cfg)
-    return 0
+    return _emit(out, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +310,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    formats = _rendered_formats(args)
+    formats = WRITERS.get(_output(args), FORMATS)  # plot writes SVG whatever the format
     if cfg.output_format not in formats:
         what = f"{args.command} {args.kind}" if args.command == "compute" else args.command
         print(

@@ -214,25 +214,9 @@ class LaurentPoly:
     # -- display / serialization ---------------------------------------------
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                body = str(c)
-            else:
-                qpow = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    body = qpow
-                elif c == -1:
-                    body = "-" + qpow
-                else:
-                    body = f"{c}*{qpow}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        from . import render  # render imports this module
+
+        return render.laurent_expanded(self)
 
     def __repr__(self):
         return f"LaurentPoly({self._c!r})"

@@ -1,8 +1,9 @@
-"""Human-readable and machine-readable rendering: bracket notation, tables, SVG.
+"""Every text form of a scalar, element and series, plus tables and SVG.
 
 Coefficients that factor exactly as a rational times a product of q-integers
 are shown in bracket notation ([2]_q^2[3]_q), like the tables this package
-reproduces; anything else falls back to the expanded Laurent form.
+reproduces; anything else falls back to the expanded Laurent form. The
+expanded forms are also what str() of a LaurentPoly, Element or Series returns.
 """
 
 from __future__ import annotations
@@ -62,11 +63,33 @@ def _bracket_body(factors) -> str:
     return "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
 
 
-def laurent_str(p: LaurentPoly) -> str:
-    """Render a coefficient; bracket notation when it factors, else expanded."""
+def _join(parts, plus=" + ", minus=" - ") -> str:
+    """Join signed terms, writing a later term's leading minus as its separator."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(minus + t[1:] if t.startswith("-") else plus + t for t in parts[1:])
+
+
+def laurent_expanded(p: LaurentPoly, latex: bool = False) -> str:
+    """p as a sum of monomials in ascending degree: q^-1 + 3*q^2, what str()
+    returns, or q^{-1}+3q^{2} in LaTeX."""
+    power, times = ("q^{{{}}}", "") if latex else ("q^{}", "*")
+    parts = []
+    for e, c in p.terms():
+        if e == 0:
+            parts.append(str(c))
+            continue
+        mono = "q" if e == 1 else power.format(e)
+        parts.append(mono if c == 1 else "-" + mono if c == -1 else f"{c}{times}{mono}")
+    return _join(parts, *(("+", "-") if latex else (" + ", " - ")))
+
+
+def laurent_str(p: LaurentPoly, latex: bool = False) -> str:
+    """Render a coefficient; bracket notation when it factors, else expanded
+    (in parentheses outside LaTeX)."""
     fact = _factorization(p)
     if fact is None:
-        return f"({p})"
+        return laurent_expanded(p, True) if latex else f"({laurent_expanded(p)})"
     c, factors = fact
     if not factors:
         return _rational_str(c)
@@ -75,37 +98,15 @@ def laurent_str(p: LaurentPoly) -> str:
         return body
     if c == -1:
         return "-" + body
-    return f"({_rational_str(c)}){body}"
+    if not latex:
+        return f"({_rational_str(c)}){body}"
+    if c.denominator == 1:
+        return f"{c.numerator}{body}"
+    return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{body}"
 
 
 def laurent_latex(p: LaurentPoly) -> str:
-    fact = _factorization(p)
-    if fact is None:
-        parts = []
-        for e, c in p.terms():
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "q" if e == 1 else f"q^{{{e}}}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append("-" + mono)
-                else:
-                    parts.append(f"{c}{mono}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
-    c, factors = fact
-    if not factors:
-        return _rational_str(c)
-    body = _bracket_body(factors)
-    if c == 1:
-        return body
-    if c == -1:
-        return "-" + body
-    return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{body}" if c.denominator != 1 else f"{c.numerator}{body}"
+    return laurent_str(p, latex=True)
 
 
 def element_latex(el: Element) -> str:
@@ -115,39 +116,37 @@ def element_latex(el: Element) -> str:
     for w, c in el.terms():
         cs = laurent_latex(c)
         parts.append(cs if w.is_trivial() else f"({cs}){w.display()}")
-    return "+".join(parts) if parts else "0"
+    return _join(parts, "+", "-")
 
 
 def element_str(el: Element) -> str:
-    if el.is_zero():
-        return "0"
     parts = []
     for w, c in el.terms():
         cs = laurent_str(c)
         wd = w.display()
         if cs == "1":
-            term = wd
+            parts.append(wd)
         elif cs == "-1":
-            term = "-" + wd
-        elif w.is_trivial():
-            term = cs
+            parts.append("-" + wd)
         else:
-            term = f"{cs} {wd}"
-        parts.append(term)
-    out = parts[0]
-    for t in parts[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+            parts.append(cs if w.is_trivial() else f"{cs} {wd}")
+    return _join(parts)
+
+
+def element_expanded(el: Element) -> str:
+    """What str() returns: each coefficient expanded, in parentheses, before its word."""
+    return _join([f"({laurent_expanded(c)}) {w.display()}" for w, c in el.terms()])
 
 
 def series_str(s) -> str:
-    parts = []
-    for n, a in enumerate(s.coeffs):
-        if a.is_zero():
-            continue
-        tpow = "" if n == 0 else (" t" if n == 1 else f" t^{n}")
-        parts.append(f"({element_str(a)}){tpow}")
-    return " + ".join(parts) if parts else "0"
+    return _join([f"({element_str(a)})" + ("" if n == 0 else " t" if n == 1 else f" t^{n}")
+                  for n, a in enumerate(s.coeffs) if not a.is_zero()])
+
+
+def series_expanded(s) -> str:
+    """What str() returns: t^n [coefficient], each coefficient in expanded form."""
+    return _join([("" if n == 0 else "t " if n == 1 else f"t^{n} ") + f"[{element_expanded(a)}]"
+                  for n, a in enumerate(s.coeffs) if not a.is_zero()])
 
 
 # -- scalar tables ---------------------------------------------------------------

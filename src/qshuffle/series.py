@@ -199,13 +199,9 @@ class Series:
     # -- display / serialization ---------------------------------------------
 
     def __str__(self):
-        parts = []
-        for n, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            head = "" if n == 0 else ("t " if n == 1 else f"t^{n} ")
-            parts.append(f"{head}[{a}]")
-        return " + ".join(parts) if parts else "0"
+        from . import render  # imported on first use, off the import path of series
+
+        return render.series_expanded(self)
 
     def to_json(self) -> dict:
         return {"cutoff": self.cutoff, "coeffs": [a.to_json() for a in self.coeffs]}

@@ -218,6 +218,22 @@ def test_perturbed_named_family_fails_through_its_series(family, check, where):
     assert not report.witness.diff.is_zero()
 
 
+@pytest.mark.parametrize(
+    "check, where",
+    [("commutation", "xy commutation (delta)"), ("zeta_suite", "delta fixed by zeta")],
+)
+def test_non_zeta_fixed_catalan_word_fails(check, where):
+    # xyxxyy is a Catalan word that zeta does not fix (its image is xxyyxy),
+    # so the bumped delta member is no longer fixed by zeta
+    def bump(fam, m, n, el):
+        return el + Element.from_word("xyxxyy") if (fam, m, n) == ("delta", 1, 3) else el
+
+    report = CHECKS[check](VerifyConfig(**{**SMALL.__dict__, "perturb": bump}))
+    assert not report.passed
+    assert report.witness.description == where
+    assert not report.witness.diff.is_zero()
+
+
 def test_pass_set_monotone_in_cutoff():
     # passing at a cutoff implies passing at every smaller cutoff
     for cutoff in (1, 2, 3):

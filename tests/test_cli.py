@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,18 @@ def test_compute_element_latex_golden(capsys):
         code, out, _ = run_cli(capsys, "compute", *args, "--format", "latex")
         assert code == 0
         assert out == want + "\n", args
+
+
+RENDER_GOLDEN = Path(__file__).parent / "golden" / "cli_render.json"
+
+
+def test_cli_output_matches_the_render_corpus(capsys):
+    """Byte-for-byte stdout, stderr and exit code of 165 requests: every
+    compute kind in human and LaTeX, the series at cutoffs 0 and 3, tables
+    in every format, enumerate, and refused formats."""
+    for case in json.loads(RENDER_GOLDEN.read_text(encoding="utf-8")):
+        got = run_cli(capsys, *case["argv"])
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
 
 
 def test_compute_bad_kind(capsys):
@@ -202,6 +215,18 @@ def test_plot_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "plot", "xz", str(tmp_path / "bad.svg"))
     assert code == 2
     assert "invalid letter" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "C", "1", "--output"),
+    ("verify", "qserre", "--n-max", "2", "--output"),
+    ("plot", "xy"),
+])
+def test_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_table_csv(capsys):
