@@ -38,6 +38,7 @@ from .algebra import (
     commutator,
     shuffle_fold,
     shuffle_pair,
+    shuffle_sum,
     zeta,
 )
 from .catalan import (

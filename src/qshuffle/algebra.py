@@ -1,28 +1,33 @@
 """Noncommutative polynomials in x, y over the Laurent ring, with both products.
 
 An Element is a finite map from words to nonzero Laurent coefficients. It
-carries the free (concatenation) product and the q-shuffle product. The
-shuffle kernel works on packed word keys and packed coefficients and is
-integer-only: Element.shuffle clears each operand's Fraction denominators
-once on the way in and divides them back out once on the way out, where
-results are wrapped back into Element/LaurentPoly.
+carries the free (concatenation) product and the q-shuffle product. Every
+q-shuffle product enters the kernel through one function, shuffle_sum,
+which computes a sum Σ c·(a ⋆ b) of products with rational weights c in one
+accumulation; Element.shuffle is its one-term case, and the series layer
+makes one call per output coefficient. The kernel works on packed word
+keys and packed coefficients and is integer-only: shuffle_sum clears each
+operand's Fraction denominators once on the way in and divides their
+common multiple back out once on the way out, where results are wrapped
+back into Element/LaurentPoly.
 
 Inside the kernel a Laurent coefficient is one packed entry (o, N), one big
 int by Kronecker substitution (see kronecker.py), so that adding two
 entries is a shift and an add and multiplying by a coefficient is one
-multiply. The slots are w bits wide: w = unit, or w = 2·unit when each
-operand's exponents all have one parity, since then so do those of every
-result coefficient and the odd slots would stay empty. Only the final
-result is decoded, once per word, and the decoding is exact when every
-result coefficient lies below 2^(w-1) in absolute value. The pre-flight
-bounds them by
+multiply. The slots are w bits wide: w = unit, or w = 2·unit when every
+product's operands have exponents of one parity and all the results have
+the same parity, since then the odd slots would stay empty. Only the final
+sum is decoded, once per word, and the decoding is exact when every result
+coefficient lies below 2^(w-1) in absolute value. The pre-flight bounds the
+coefficients of one product by
 
     ‖(a ⋆ b)_w‖∞ ≤ Σ_{u,v} ‖c_u‖₁ ‖c_v‖₁ C(|u| + |v|, |u|) = B,
 
-since u ⋆ v has C(|u| + |v|, |u|) interleavings, each with coefficient 1,
-and takes w = kronecker.slot_width(B).
+since u ⋆ v has C(|u| + |v|, |u|) interleavings, each with coefficient 1;
+a sum takes w = kronecker.slot_width(Σ |weight|·B).
 
-A product takes one of two paths, chosen by its operands' longest words:
+shuffle_sum feeds each product to one of two kernel paths, chosen by its
+operands' longest words:
 
 * at most _SMALL_LIMIT letters together (every series product at cutoff 6):
   one kernel call per word pair, memoized in a persistent table that later
@@ -34,9 +39,10 @@ A product takes one of two paths, chosen by its operands' longest words:
 Results are identical on both paths and whatever the memo holds; only
 speed changes.
 
-Before any kernel call a product is priced: the interleavings it would walk
-are summed over its word pairs, and a product above _SHUFFLE_BUDGET is
-refused with CapExceededError instead of running for hours.
+Before any kernel call each product is priced on its own: the
+interleavings it would walk are summed over its word pairs, and a product
+above _SHUFFLE_BUDGET is refused with CapExceededError instead of running
+for hours.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from math import comb, lcm
 from . import kronecker as K
 from . import words as W
 from .errors import CapExceededError
-from .qlaurent import LaurentPoly, Q_COMM, _norm, q_pow
+from .qlaurent import LaurentPoly, Q_COMM, q_pow
 
 _ONE = (0, 1)  # the packed coefficient 1
 
@@ -83,7 +89,7 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
     u*v = (u*(v minus last))·v_s + ((u minus last)*v)·u_r q^<u_r, v>.
     Working back-to-front lets truncated words (y^-1 images) share memo
     state with their parents. Every pair is memoized, keyed with the unit
-    its entries are packed in: Element.shuffle sends only pairs of at most
+    its entries are packed in: shuffle_sum sends only pairs of at most
     _SMALL_LIMIT letters here.
     """
     if u == 1:
@@ -109,7 +115,7 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
 def _accumulate(out: dict, sub: dict, cw: tuple) -> None:
     """out[k] += cw · sub[k] for every k; packed entries (o, N).
 
-    Element.shuffle clears denominators before packing, so every N here is
+    shuffle_sum clears denominators before packing, so every N here is
     an int and the loop never touches Fraction.
     """
     c0, cn = cw
@@ -235,16 +241,6 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     return out
 
 
-def _word_pair_shuffle(left: dict, right: dict, unit: int) -> dict:
-    """The q-shuffle of two packed operands {revkey: (o, N)}: one memoized
-    kernel call per word pair."""
-    out: dict = {}
-    for u, (o1, n1) in left.items():
-        for v, (o2, n2) in right.items():
-            _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
-    return out
-
-
 def _decode(out: dict, unit: int, step: int, den: int) -> dict:
     """{Word: LaurentPoly} from a kernel result {revkey: (o, N)} whose
     exponents step by ``step``, every coefficient divided by den."""
@@ -255,7 +251,7 @@ def _decode(out: dict, unit: int, step: int, den: int) -> dict:
             continue
         p = unpack(o, n)
         if den != 1:
-            p = {e: _norm(Fraction(c, den)) for e, c in p.items()}
+            p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
         terms[W.Word(_rev_key(k))] = LaurentPoly(p, _raw=True)
     return terms
 
@@ -269,18 +265,24 @@ def _length_norms(terms: dict) -> dict:
     return out
 
 
+def _parity(terms: dict):
+    """The parity shared by every exponent of the coefficients, or None."""
+    parities = {e & 1 for c in terms.values() for e in c._c}
+    return parities.pop() if len(parities) == 1 else None
+
+
 def _preflight(left: dict, right: dict) -> tuple:
-    """(longest word, unit, step) for the product of two term dicts with
+    """(longest word, bound B, parity) for the product of two term dicts with
     int coefficients, refused as check_shuffle_cost says.
 
     Every result coefficient is bounded by B = Σ C(i + j, i) L1_i L1_j, over
     the summed L1 norms L1_i of the coefficients of the words of length i.
-    Its exponents step by 2 when each operand's exponents have one parity,
-    by 1 otherwise. The slot width step·unit is kronecker.slot_width(B).
+    When each operand's exponents have one parity, so do the result's, and
+    that parity is returned; None otherwise.
     """
     la, lb = _length_norms(left), _length_norms(right)
     if not la or not lb:
-        return 0, 64, 1
+        return 0, 0, None
     longest = max(la) + max(lb)
     if longest > W.length_cap():
         raise CapExceededError(f"shuffle would create a word of length {longest}")
@@ -295,10 +297,8 @@ def _preflight(left: dict, right: dict) -> tuple:
             f"shuffle would walk {cost:.2e} interleavings, over the budget of"
             f" {_SHUFFLE_BUDGET:.0e}"
         )
-    w = K.slot_width(bound)
-    step = 2 if all(len({e & 1 for c in t.values() for e in c._c}) == 1
-                    for t in (left, right)) else 1
-    return longest, w // step, step
+    pa, pb = _parity(left), _parity(right)
+    return longest, bound, None if pa is None or pb is None else pa ^ pb
 
 
 def check_shuffle_cost(a, b) -> int:
@@ -463,23 +463,8 @@ class Element:
         return d, {w: c.scale(d) for w, c in self._terms.items()}
 
     def shuffle(self, other: "Element") -> "Element":
-        """The q-shuffle product.
-
-        Fraction coefficients never reach the kernel: each operand is scaled
-        by the lcm of its denominators and packed, the product is accumulated
-        in ints, and each result coefficient is unpacked and divided by both
-        scales once at the end.
-        """
-        d1, left = self._cleared()
-        d2, right = other._cleared()
-        longest, unit, step = _preflight(left, right)
-        product = _word_pair_shuffle if longest <= _SMALL_LIMIT else _trie_shuffle
-        out = product(
-            {_rev_key(u.key): K.pack(c._c, unit) for u, c in left.items()},
-            {_rev_key(v.key): K.pack(c._c, unit) for v, c in right.items()},
-            unit,
-        )
-        return Element(_decode(out, unit, step, d1 * d2), _raw=True)
+        """The q-shuffle product: a one-term shuffle_sum."""
+        return shuffle_sum(((1, self, other),))
 
     def __matmul__(self, other):
         if not isinstance(other, Element):
@@ -553,6 +538,48 @@ class Element:
             w = W.word(entry["word"])
             terms[w] = LaurentPoly.from_json(entry["coeff"])
         return Element(terms)
+
+
+def _packed(terms: dict, unit: int) -> dict:
+    return {_rev_key(w.key): K.pack(c._c, unit) for w, c in terms.items()}
+
+
+def shuffle_sum(triples) -> Element:
+    """Σ c·(a ⋆ b) over the triples (c, a, b), c an int or a Fraction.
+
+    Fraction coefficients never reach the kernel. Each operand is cleared of
+    its denominators d_a, d_b, and each product gets the integer weight
+    r·D, where r = c/(d_a·d_b) and D is the lcm of the denominators of
+    every r. All products are accumulated in one packed table, whose
+    coefficients are bounded by Σ |r·D|·B over the products' bounds B, and
+    each result coefficient is decoded and divided by D once. Each product
+    is priced and refused on its own.
+    """
+    prods = []
+    for c, a, b in triples:
+        if not c or a.is_zero() or b.is_zero():
+            continue
+        da, left = a._cleared()
+        db, right = b._cleared()
+        prods.append((Fraction(c, da * db), left, right, *_preflight(left, right)))
+    den = lcm(*(r.denominator for r, *_ in prods))
+    prods = [(r.numerator * (den // r.denominator), *rest) for r, *rest in prods]
+    bound = sum(abs(weight) * b for weight, _, _, _, b, _ in prods)
+    parities = {parity for *_, parity in prods}
+    step = 1 if None in parities or len(parities) > 1 else 2
+    unit = K.slot_width(bound) // step
+    out: dict = {}
+    for weight, left, right, longest, _, _ in prods:
+        left, right = _packed(left, unit), _packed(right, unit)
+        if longest > _SMALL_LIMIT:
+            _accumulate(out, _trie_shuffle(left, right, unit), (0, weight))
+            continue
+        # one memoized kernel call per word pair
+        for u, (o1, n1) in left.items():
+            n1 *= weight
+            for v, (o2, n2) in right.items():
+                _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
+    return Element(_decode(out, unit, step, den), _raw=True)
 
 
 X_EL = Element.from_word("x")

@@ -44,11 +44,13 @@ def unpacker(unit: int, step: int):
 
     Adding 2^(w-1) to every slot makes every digit non-negative, and flipping
     the top bit of every slot back leaves each slot the two's complement of
-    its digit.
+    its digit. Slots of 64, 128 and 256 bits are read from one cast of the
+    bytes to 64-bit words: a slot is its top word (signed) over the words
+    below it (unsigned). Wider slots are read one at a time.
     """
     w = step * unit
     size = w // 8
-    cast = w == 64 and sys.byteorder == "little"
+    words = w // 64 if w in (64, 128, 256) and sys.byteorder == "little" else 0
     biases: dict = {}  # slot count -> 2^(w-1) in every slot
 
     def unpack(o: int, n: int) -> dict:
@@ -57,8 +59,15 @@ def unpacker(unit: int, step: int):
         if bias is None:
             bias = biases[slots] = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
         raw = ((n + bias) ^ bias).to_bytes(slots * size, "little")
-        if cast:
-            digits = memoryview(raw).cast("q")
+        if words:
+            u, s = memoryview(raw).cast("Q"), memoryview(raw).cast("q")
+        if words == 1:
+            digits = s
+        elif words == 2:
+            digits = [h << 64 | a for a, h in zip(u[::2], s[1::2])]
+        elif words == 4:
+            digits = [((h << 64 | c) << 64 | b) << 64 | a
+                      for a, b, c, h in zip(u[::4], u[1::4], u[2::4], s[3::4])]
         else:
             digits = [int.from_bytes(raw[i:i + size], "little", signed=True)
                       for i in range(0, len(raw), size)]

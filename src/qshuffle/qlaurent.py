@@ -64,9 +64,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
     def is_integral(self) -> bool:
         """True when every coefficient has denominator 1."""
         return Fraction not in map(type, self._c.values())

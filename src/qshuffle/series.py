@@ -9,9 +9,10 @@ never assume coefficients commute.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 
 from . import catalan
-from .algebra import Element, UNIT
+from .algebra import Element, UNIT, shuffle_sum
 from .errors import CutoffMismatchError, InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
 
@@ -96,19 +97,15 @@ class Series:
     # -- multiplicative calculus -------------------------------------------------
 
     def star_mul(self, other: "Series") -> "Series":
-        """Cauchy product with the q-shuffle on coefficients."""
+        """Cauchy product with the q-shuffle on coefficients: one shuffle_sum
+        per coefficient."""
         self._check_match(other)
-        n = self.cutoff
-        out = []
-        for k in range(n + 1):
-            acc = Element.zero()
-            for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a.shuffle(b)
-            out.append(acc)
-        return Series(out, n)
+        a, b = self.coeffs, other.coeffs
+        return Series(
+            [shuffle_sum((1, a[i], b[k - i]) for i in range(k + 1))
+             for k in range(self.cutoff + 1)],
+            self.cutoff,
+        )
 
     def __matmul__(self, other):
         if not isinstance(other, Series):
@@ -143,45 +140,61 @@ class Series:
             return Series.zero(0)
         return Series(list(self.coeffs[1:]), self.cutoff - 1)
 
-    def exp(self) -> "Series":
-        """Shuffle exponential; the argument must have zero constant term.
+    def _power_sum(self, c) -> "Series":
+        """Σ_k c[k] A^k for this series A, whose constant term is zero.
 
-        Powers are computed literally, so nothing about commutation of the
+        By Horner's rule: with L the lcm of the denominators of the c[k],
+        H_k = L c[k] + A ⋆ H_(k+1) is kept below degree cutoff - k + 1 (A^k
+        lifts the rest past the cutoff), and the sum is c[0] + (A ⋆ H_1) / L.
+        Every level is one shuffle_sum per coefficient. The powers stay
+        literal products A ⋆ (A ⋆ ...), which by associativity and central
+        scalars sum to exactly Σ c[k] A^k; nothing about commutation of the
+        coefficients is assumed.
+        """
+        n, a = self.cutoff, self.coeffs
+        den = lcm(*(Fraction(ck).denominator for ck in c))
+        h: list = []  # H_(n+1) = 0
+        for k in range(n, 0, -1):
+            h = [UNIT.scale(den * c[k])] + [
+                shuffle_sum((1, a[i], h[d - i]) for i in range(1, d + 1))
+                for d in range(1, n - k + 1)
+            ]
+        return Series(
+            [UNIT.scale(c[0])] + [
+                shuffle_sum((Fraction(1, den), a[i], h[d - i]) for i in range(1, d + 1))
+                for d in range(1, n + 1)
+            ],
+            n,
+        )
+
+    def exp(self) -> "Series":
+        """Shuffle exponential Σ A^k / k!; the argument must have zero
+        constant term. Computed by Horner's rule (see _power_sum) from
+        literal shuffle products, so nothing about commutation of the
         coefficients is assumed.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("exp needs a zero constant term")
-        out = Series.unit(self.cutoff)
-        power = Series.unit(self.cutoff)
-        for k in range(1, self.cutoff + 1):
-            power = power.star_mul(self).scale(Fraction(1, k))
-            out = out + power
-        return out
+        return self._power_sum([Fraction(1, factorial(k)) for k in range(self.cutoff + 1)])
 
     def log(self) -> "Series":
-        """Shuffle logarithm; the constant term must be the unit element."""
+        """Shuffle logarithm Σ (-1)^(k+1) Z^k / k of Z = self - 1; the
+        constant term must be the unit element."""
         if self.coeffs[0] != UNIT:
             raise ValueError("log needs unit constant term")
-        z = self - Series.unit(self.cutoff)
-        out = Series.zero(self.cutoff)
-        power = Series.unit(self.cutoff)
-        for k in range(1, self.cutoff + 1):
-            power = power.star_mul(z)
-            out = out + power.scale(Fraction(1 if k % 2 else -1, k))
-        return out
+        z = Series((Element.zero(),) + self.coeffs[1:], self.cutoff)
+        return z._power_sum(
+            [0] + [Fraction(1 if k % 2 else -1, k) for k in range(1, self.cutoff + 1)]
+        )
 
     def inverse(self) -> "Series":
         """Two-sided multiplicative inverse; constant term must be the unit."""
         if self.coeffs[0] != UNIT:
             raise ValueError("inverse needs unit constant term")
+        s = self.coeffs
         inv = [UNIT]
         for n in range(1, self.cutoff + 1):
-            acc = Element.zero()
-            for k in range(1, n + 1):
-                if self.coeffs[k].is_zero():
-                    continue
-                acc = acc + self.coeffs[k].shuffle(inv[n - k])
-            inv.append(-acc)
+            inv.append(shuffle_sum((-1, s[k], inv[n - k]) for k in range(1, n + 1)))
         return Series(inv, self.cutoff)
 
     def apply_y_inverse(self) -> "Series":

@@ -342,6 +342,33 @@ def test_packed_coefficients_round_trip(unit, step):
         assert algebra._decode(out, unit, step, 1) == {W.word("xy"): LaurentPoly(p)}
 
 
+def _unpack_per_slot(unit, step, o, n):
+    """The decoder of kronecker.unpacker, one int.from_bytes per slot."""
+    w = step * unit
+    slots = abs(n).bit_length() // w + 1
+    bias = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
+    raw = ((n + bias) ^ bias).to_bytes(slots * w // 8, "little")
+    digits = [int.from_bytes(raw[i:i + w // 8], "little", signed=True)
+              for i in range(0, len(raw), w // 8)]
+    return {o // unit + step * i: c for i, c in enumerate(digits) if c}
+
+
+@pytest.mark.parametrize("unit, step", [(128, 1), (64, 2), (256, 1), (128, 2)])
+def test_wide_slots_decode_like_the_per_slot_decoder(unit, step):
+    # random balanced digits, negative ones and the extremes of the slot included
+    rng = random.Random(7 * unit + step)
+    top = (1 << (step * unit - 1)) - 1
+    unpack = kronecker.unpacker(unit, step)
+    for _ in range(300):
+        e0 = rng.randint(-9, 9)
+        digits = [rng.choice((top, -top, -1, 0, rng.randint(-top, top), rng.randint(-9, 9)))
+                  for _ in range(rng.randint(1, 9))]
+        digits[0] = digits[0] or 1
+        p = {e0 + step * i: c for i, c in enumerate(digits) if c}
+        o, n = kronecker.pack(p, unit)
+        assert unpack(o, n) == _unpack_per_slot(unit, step, o, n) == p
+
+
 def test_slot_width_is_the_smallest_power_of_two_that_decodes_the_bound():
     bounds = (0, 1, (1 << 63) - 1, 1 << 63, (1 << 127) - 1, 1 << 127)
     assert [kronecker.slot_width(b) for b in bounds] == [64, 64, 64, 128, 128, 256]
@@ -352,6 +379,19 @@ def _on_word_pairs(monkeypatch):
     word-pair path."""
 
 
+def _decoded_widths(monkeypatch):
+    """Record (slot width, step) of every decoder made from here on."""
+    widths = []
+    real = kronecker.unpacker
+
+    def spy(unit, step):
+        widths.append((unit * step, step))
+        return real(unit, step)
+
+    monkeypatch.setattr(kronecker, "unpacker", spy)
+    return widths
+
+
 @pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
 @pytest.mark.parametrize("cached", [True, False])
 def test_slot_width_follows_the_coefficient_bound(monkeypatch, path, cached):
@@ -359,23 +399,23 @@ def test_slot_width_follows_the_coefficient_bound(monkeypatch, path, cached):
     # B = |c| L1(c'), so B = 2^63 - 1 fits 64-bit slots and B = 2^63 does not
     memo_state(monkeypatch, cached)
     path(monkeypatch)
+    widths = _decoded_widths(monkeypatch)
     for c in ((1 << 63) - 1, 1 << 63, -(1 << 63) + 1, (1 << 62) - 1, 1 << 62):
         # one exponent; two of one parity, with a borrow; two of both parities
         for exps, step in (({0: 1}, 2), ({0: 1, 2: -1}, 2), ({0: -1, 1: 1}, 1)):
             a, b = UNIT.scale(c), el("xy", LaurentPoly(exps))
             bound = abs(c) * len(exps)
-            _, unit, got_step = algebra._preflight(a._terms, b._terms)
-            assert got_step == step
-            assert unit * step == (64 if bound < 1 << 63 else 128), (c, exps)
             want = el("xy", LaurentPoly({e: c * v for e, v in exps.items()}))
+            widths.clear()
             assert a @ b == want and b @ a == want
+            assert widths == [(64 if bound < 1 << 63 else 128, step)] * 2, (c, exps)
     # a bound either side of 2^63 over a real shuffle: x * x has two
     # interleavings, (1 + q^2) xx, so B = 2 L1(c) = 4|c|
     for c in ((1 << 61) - 1, 1 << 61, -(1 << 61)):
         a, b = el("x", LaurentPoly({0: c, 2: -c})), el("x", LaurentPoly({-2: 1}))
-        _, unit, step = algebra._preflight(a._terms, b._terms)
-        assert unit * step == (64 if 4 * abs(c) < 1 << 63 else 128)
+        widths.clear()
         assert a @ b == _shuffle_by_oracle(a, b)
+        assert widths == [(64 if 4 * abs(c) < 1 << 63 else 128, 2)]
 
 
 @pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
@@ -413,6 +453,147 @@ def test_packed_products_with_signed_rational_and_cancelling_coefficients(
     assert W.word("xyx") not in prod.support()
     if path is _on_trie:
         assert zeros["table"] and zeros["root"]
+
+
+# -- sums of products: one accumulation, decoded once ---------------------------------
+
+
+def _sum_by_oracle(triples):
+    out = Element.zero()
+    for c, a, b in triples:
+        out = out + _shuffle_by_oracle(a, b).scale(c)
+    return out
+
+
+WEIGHTS = (1, -1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4))
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+@pytest.mark.parametrize("cached", [True, False])
+def test_shuffle_sum_matches_bruteforce(monkeypatch, path, cached):
+    # Fraction weights times operands with Fraction coefficients
+    memo_state(monkeypatch, cached)
+    path(monkeypatch)
+    rng = random.Random(41)
+    for i in range(40):
+        triples = [
+            (rng.choice(WEIGHTS), _random_rational_element(rng, integral=i % 3 == 0),
+             _random_rational_element(rng, integral=i % 3 == 1))
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+def test_shuffle_sum_cancels_exactly(monkeypatch, path):
+    path(monkeypatch)
+    a = el("xyx", Fraction(1, 3)) + el("yy", LaurentPoly({-1: 2, 1: Fraction(-1, 5)}))
+    b = el("xy", q_int(2)) - el("y", Fraction(3, 7))
+    shift = q_pow(1)
+    # the same product twice, with weights and scales that cancel
+    for triples in (
+        [(Fraction(2, 3), a, b), (-1, a.scale(Fraction(2, 3)), b)],
+        [(1, a, b.scale(shift)), (-1, a.scale(shift), b)],
+        [(Fraction(-1, 2), a, b), (1, a, b.scale(Fraction(1, 2)))],
+    ):
+        got = algebra.shuffle_sum(triples)
+        assert got.is_zero() and got == Element.zero()
+    # a cancelling pair beside a product that stays
+    triples = [(3, a, b), (Fraction(1, 2), b, a), (-3, a, b)]
+    assert algebra.shuffle_sum(triples) == (b @ a).scale(Fraction(1, 2))
+    assert algebra.shuffle_sum([]) == Element.zero()
+    assert algebra.shuffle_sum([(0, a, b), (2, Element.zero(), b)]) == Element.zero()
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+def test_shuffle_sum_steps_by_two_only_when_every_result_has_one_parity(monkeypatch, path):
+    path(monkeypatch)
+    widths = _decoded_widths(monkeypatch)
+    even, odd = el("x") + el("y", q_pow(2)), el("xy", q_pow(1)) - el("y", q_pow(-1))
+    mixed = el("x", LaurentPoly({0: 1, 1: -1}))
+    for triples, step in (
+        ([(1, even, even), (Fraction(1, 2), odd, odd)], 2),    # even results
+        ([(1, even, odd), (-2, odd, even)], 2),                 # odd results
+        ([(1, even, even), (1, even, odd)], 1),                 # one even, one odd
+        ([(1, even, even), (1, mixed, even)], 1),               # an operand of both parities
+    ):
+        widths.clear()
+        assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
+        assert widths == [(64, step)], triples
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_shuffle_sum_mixes_the_trie_walk_and_word_pairs(monkeypatch, cached):
+    memo_state(monkeypatch, cached)
+    walks, pairs = [], []
+    trie, keys = algebra._trie_shuffle, algebra._shuffle_keys
+
+    def trie_spy(left, right, unit):
+        walks.append(unit)
+        return trie(left, right, unit)
+
+    def keys_spy(u, v, unit):
+        pairs.append(unit)
+        return keys(u, v, unit)
+
+    monkeypatch.setattr(algebra, "_trie_shuffle", trie_spy)
+    monkeypatch.setattr(algebra, "_shuffle_keys", keys_spy)
+    long_a = el("xyxxyyx", Fraction(1, 2)) + el("yxyxxyx")
+    long_b = el("yxyxxy", q_pow(1))
+    assert long_a.max_word_len() + long_b.max_word_len() > algebra._SMALL_LIMIT
+    triples = [
+        (Fraction(-1, 3), long_a, long_b),
+        (2, el("xy", Fraction(3, 4)), el("yx") + el("x", q_pow(2))),
+        (Fraction(1, 3), long_a.scale(q_pow(1)), long_b.scale(q_pow(-1))),
+    ]
+    assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
+    assert len(walks) == 2 and pairs
+    assert set(pairs) == set(walks)  # one unit for the whole sum
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+@pytest.mark.parametrize("cached", [True, False])
+def test_shuffle_sum_widens_the_slots_for_the_summed_bound(monkeypatch, path, cached):
+    # each product's bound fits 64-bit slots, their sum needs 128
+    memo_state(monkeypatch, cached)
+    path(monkeypatch)
+    widths = _decoded_widths(monkeypatch)
+    c = 1 << 62
+    big, xy = UNIT.scale(c), el("xy")
+    assert big @ xy == el("xy", c)
+    assert widths == [(64, 2)]
+    for triples, coeff in (
+        ([(1, big, xy), (1, xy, big)], 2 * c),
+        # halved weights: the packed sum reaches 2c before the one division
+        ([(Fraction(1, 2), big, xy), (Fraction(1, 2), xy, big)], c),
+        ([(-1, big, xy), (1, xy, big.scale(-1))], -2 * c),
+    ):
+        widths.clear()
+        want = el("xy", coeff)
+        assert algebra.shuffle_sum(triples) == want == _sum_by_oracle(triples)
+        assert widths == [(128, 2)], triples
+    # x * x has two interleavings, (1 + q^2) xx: two such products bound
+    # the sum by 8|c|, either side of 2^63
+    for c in ((1 << 60) - 1, 1 << 60):
+        a, b = el("x", LaurentPoly({0: c, 2: -c})), el("x", LaurentPoly({-2: 1}))
+        widths.clear()
+        triples = [(1, a, b), (1, b, a)]
+        assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
+        assert widths == [(64 if 8 * c < 1 << 63 else 128, 2)]
+
+
+def test_shuffle_sum_prices_each_product_on_its_own(monkeypatch):
+    # xy * xy walks C(4, 2) = 6 interleavings: a budget of 6 admits any
+    # number of them, and refuses one product of 3 + 2 letters (10)
+    monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 6)
+    xy, yx = el("xy"), el("yx")
+    triples = [(1, xy, xy), (2, xy, yx), (Fraction(1, 2), yx, xy)]
+    assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
+    with pytest.raises(CapExceededError, match="interleavings"):
+        algebra.shuffle_sum(triples + [(1, el("xyx"), xy)])
+    W.set_length_cap(4)
+    with pytest.raises(CapExceededError, match="length 5"):
+        algebra.shuffle_sum([(1, xy, xy), (1, el("x"), el("xyyx"))])
 
 
 def test_products_route_by_combined_word_length(monkeypatch):

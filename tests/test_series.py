@@ -187,6 +187,69 @@ def test_shuffle_kernel_sees_only_ints(monkeypatch):
     assert seen
 
 
+# -- the literal definitions, kept as the slow reference -----------------------------
+
+
+def _star_mul_literal(a, b):
+    """One Element.shuffle per pair of coefficients, added up as Elements."""
+    return Series(
+        [sum((a[i].shuffle(b[k - i]) for i in range(k + 1)), Element.zero())
+         for k in range(a.cutoff + 1)],
+        a.cutoff,
+    )
+
+
+def _exp_literal(a):
+    """1 + Σ A^k / k!, each power one more literal Cauchy product."""
+    out = power = Series.unit(a.cutoff)
+    for k in range(1, a.cutoff + 1):
+        power = _star_mul_literal(power, a).scale(Fraction(1, k))
+        out = out + power
+    return out
+
+
+def _log_literal(a):
+    """Σ (-1)^(k+1) Z^k / k for Z = A - 1."""
+    z = a - Series.unit(a.cutoff)
+    out, power = Series.zero(a.cutoff), Series.unit(a.cutoff)
+    for k in range(1, a.cutoff + 1):
+        power = _star_mul_literal(power, z)
+        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
+    return out
+
+
+def _inverse_literal(a):
+    inv = [UNIT]
+    for n in range(1, a.cutoff + 1):
+        inv.append(-sum((a[k].shuffle(inv[n - k]) for k in range(1, n + 1)), Element.zero()))
+    return Series(inv, a.cutoff)
+
+
+def _noncommuting(cutoff):
+    """x t + (y/3) t^2 + ([2]_q/2) xy t^3, truncated at the cutoff."""
+    return Series(
+        [Element.zero(), Element.from_word("x"), Element.from_word("y", Fraction(1, 3)),
+         Element.from_word("xy", q_int(2).scale(Fraction(1, 2)))],
+        cutoff,
+    )
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5])
+def test_series_calculus_matches_the_literal_definitions(cutoff):
+    a = _noncommuting(cutoff)
+    b = Series.unit(cutoff) + a.zeta()  # 1 + y t + (x/3) t^2 + ...
+    c = Series.unit(cutoff) + a.rescale_t(q_pow(1))
+    if cutoff > 1:
+        assert a.star_mul(b) != b.star_mul(a)  # the coefficients do not commute
+    for left, right in ((a, b), (b, a), (b, c), (a, a)):
+        assert left.star_mul(right) == _star_mul_literal(left, right)
+    for arg in (a, a.zeta(), a.rescale_t(-1)):
+        assert arg.exp() == _exp_literal(arg)
+    for arg in (b, c, delta_series(2, cutoff)):
+        assert arg.log() == _log_literal(arg)
+        assert arg.inverse() == _inverse_literal(arg)
+
+
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
 def test_beck_exp_at_cutoff_6(m):
     assert beck_log_argument(m, 6).exp() == delta_series(m, 6)
