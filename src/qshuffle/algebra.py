@@ -3,31 +3,36 @@
 An Element is a finite map from words to nonzero Laurent coefficients. It
 carries the free (concatenation) product and the q-shuffle product. Every
 q-shuffle product enters the kernel through one function, shuffle_sum,
-which computes a sum Σ c·(a ⋆ b) of products with rational weights c in one
-accumulation; Element.shuffle is its one-term case, and the series layer
-makes one call per output coefficient. The kernel works on packed word
-keys and packed coefficients and is integer-only: shuffle_sum clears each
-operand's Fraction denominators once on the way in and divides their
-common multiple back out once on the way out, where results are wrapped
-back into Element/LaurentPoly.
+which computes a sum Σ c·(a ⋆ b) of products in one accumulation, with
+weights c that are ints, Fractions or LaurentPolys. Element.shuffle is its
+one-term case, the series layer makes one call per output coefficient,
+and the commutation and y^-1 checks make one per identity. The kernel
+works on packed word keys and packed coefficients and is integer-only:
+shuffle_sum clears the Fraction denominators of each operand and weight
+once on the way in and divides their common multiple back out once on the
+way out, where results are wrapped back into Element/LaurentPoly. A sum
+that vanishes decodes to the zero element without building a coefficient.
 
 Inside the kernel a Laurent coefficient is one packed entry (o, N), one big
 int by Kronecker substitution (see kronecker.py), so that adding two
 entries is a shift and an add and multiplying by a coefficient is one
 multiply. The slots are w bits wide: w = unit, or w = 2·unit when every
-product's operands have exponents of one parity and all the results have
-the same parity, since then the odd slots would stay empty. Only the final
-sum is decoded, once per word, and the decoding is exact when every result
-coefficient lies below 2^(w-1) in absolute value. The pre-flight bounds the
-coefficients of one product by
+product's operands and weight have exponents of one parity and all the
+results have the same parity, since then the odd slots would stay empty.
+Only the final sum is decoded, once per word, and the decoding is exact
+when every result coefficient lies below 2^(w-1) in absolute value. The
+pre-flight bounds the coefficients of one product by
 
     ‖(a ⋆ b)_w‖∞ ≤ Σ_{u,v} ‖c_u‖₁ ‖c_v‖₁ C(|u| + |v|, |u|) = B,
 
 since u ⋆ v has C(|u| + |v|, |u|) interleavings, each with coefficient 1;
-a sum takes w = kronecker.slot_width(Σ |weight|·B).
+a sum takes w = kronecker.slot_width(Σ |r|·‖P‖₁·B), where a weight is
+r·P with r an integer and P an integer polynomial (P = 1 for a scalar
+weight).
 
-shuffle_sum feeds each product to one of two kernel paths, chosen by its
-operands' longest words:
+shuffle_sum adds a product by a constant (an operand holding only the
+empty word) as a scaled copy of the other operand, and feeds every other
+product to one of two kernel paths, chosen by its operands' longest words:
 
 * at most _SMALL_LIMIT letters together (every series product at cutoff 6):
   one kernel call per word pair, memoized in a persistent table that later
@@ -265,9 +270,9 @@ def _length_norms(terms: dict) -> dict:
     return out
 
 
-def _parity(terms: dict):
+def _parity(coeffs):
     """The parity shared by every exponent of the coefficients, or None."""
-    parities = {e & 1 for c in terms.values() for e in c._c}
+    parities = {e & 1 for c in coeffs for e in c._c}
     return parities.pop() if len(parities) == 1 else None
 
 
@@ -297,7 +302,7 @@ def _preflight(left: dict, right: dict) -> tuple:
             f"shuffle would walk {cost:.2e} interleavings, over the budget of"
             f" {_SHUFFLE_BUDGET:.0e}"
         )
-    pa, pb = _parity(left), _parity(right)
+    pa, pb = _parity(left.values()), _parity(right.values())
     return longest, bound, None if pa is None or pb is None else pa ^ pb
 
 
@@ -545,40 +550,76 @@ def _packed(terms: dict, unit: int) -> dict:
 
 
 def shuffle_sum(triples) -> Element:
-    """Σ c·(a ⋆ b) over the triples (c, a, b), c an int or a Fraction.
+    """Σ c·(a ⋆ b) over the triples (c, a, b), c an int, a Fraction or a
+    LaurentPoly.
 
-    Fraction coefficients never reach the kernel. Each operand is cleared of
-    its denominators d_a, d_b, and each product gets the integer weight
-    r·D, where r = c/(d_a·d_b) and D is the lcm of the denominators of
-    every r. All products are accumulated in one packed table, whose
-    coefficients are bounded by Σ |r·D|·B over the products' bounds B, and
-    each result coefficient is decoded and divided by D once. Each product
-    is priced and refused on its own.
+    Fraction coefficients never reach the kernel. A weight is written
+    c = s·P, s rational and P an integer polynomial: P = 1 for an int or a
+    Fraction, and s = 1/d_c for a LaurentPoly with denominators d_c. Each
+    operand is cleared of its denominators d_a, d_b, and each product gets
+    the integer weight r·D, where r = s/(d_a·d_b) and D is the lcm of the
+    denominators of every r. P is packed at the chosen unit and folded into
+    the entry the product is accumulated with. All products are
+    accumulated in one packed table, whose coefficients are bounded by
+    Σ |r·D|·‖P‖₁·B over the products' bounds B, and whose exponents step
+    by two only when every product, P included, has results of one parity.
+    Each result coefficient is decoded and divided by D once.
+
+    Each product is priced and refused on its own. Zero weights and zero
+    operands are skipped, and a product by a constant (an operand holding
+    only the empty word) adds a scaled copy of the other operand.
     """
     prods = []
     for c, a, b in triples:
-        if not c or a.is_zero() or b.is_zero():
+        if a.is_zero() or b.is_zero():
             continue
+        if isinstance(c, LaurentPoly):
+            if c.is_zero():
+                continue
+            d = lcm(*(v.denominator for v in c._c.values() if type(v) is Fraction))
+            poly, c = c.scale(d), Fraction(1, d)
+        elif not c:
+            continue
+        else:
+            poly = None
         da, left = a._cleared()
         db, right = b._cleared()
-        prods.append((Fraction(c, da * db), left, right, *_preflight(left, right)))
+        longest, bound, parity = _preflight(left, right)
+        if poly is not None:
+            bound *= sum(map(abs, poly._c.values()))
+            pp = _parity((poly,))
+            parity = None if parity is None or pp is None else parity ^ pp
+        prods.append((Fraction(c, da * db), poly, left, right, longest, bound, parity))
     den = lcm(*(r.denominator for r, *_ in prods))
     prods = [(r.numerator * (den // r.denominator), *rest) for r, *rest in prods]
-    bound = sum(abs(weight) * b for weight, _, _, _, b, _ in prods)
+    bound = sum(abs(weight) * b for weight, *_, b, _ in prods)
     parities = {parity for *_, parity in prods}
     step = 1 if None in parities or len(parities) > 1 else 2
     unit = K.slot_width(bound) // step
     out: dict = {}
-    for weight, left, right, longest, _, _ in prods:
+    for weight, poly, left, right, longest, _, _ in prods:
+        if poly is None:
+            c0, cn = 0, weight
+        else:
+            c0, cn = K.pack(poly._c, unit)
+            cn *= weight
         left, right = _packed(left, unit), _packed(right, unit)
-        if longest > _SMALL_LIMIT:
-            _accumulate(out, _trie_shuffle(left, right, unit), (0, weight))
-            continue
-        # one memoized kernel call per word pair
-        for u, (o1, n1) in left.items():
-            n1 *= weight
-            for v, (o2, n2) in right.items():
-                _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
+        # the packed empty word is 1: a constant operand scales the other one
+        if len(left) == 1 and 1 in left:
+            o, n = left[1]
+            _accumulate(out, right, (c0 + o, cn * n))
+        elif len(right) == 1 and 1 in right:
+            o, n = right[1]
+            _accumulate(out, left, (c0 + o, cn * n))
+        elif longest > _SMALL_LIMIT:
+            _accumulate(out, _trie_shuffle(left, right, unit), (c0, cn))
+        else:
+            # one memoized kernel call per word pair
+            for u, (o1, n1) in left.items():
+                o1 += c0
+                n1 *= cn
+                for v, (o2, n2) in right.items():
+                    _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
     return Element(_decode(out, unit, step, den), _raw=True)
 
 

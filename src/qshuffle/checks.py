@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import catalan, words as W
-from .algebra import Element, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair
+from . import catalan, kronecker as K, words as W
+from .algebra import (
+    Element, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair, shuffle_sum,
+)
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from .series import Series, family_series, log_argument
 
@@ -175,6 +177,20 @@ def _check(fn):
     return run_check
 
 
+def _commutes(a: Element, b: Element) -> Element:
+    """a ⋆ b − b ⋆ a, as one packed sum."""
+    return shuffle_sum(((1, a, b), (-1, b, a)))
+
+
+def _commutator_gap(lhs: Element, a: Element, b: Element) -> Element:
+    """lhs − commutator(0, a, b), from the packed sum of its (q − q⁻¹)
+    multiple: divided by q − q⁻¹ only when it does not vanish, where the
+    division raises InexactDivisionError exactly when commutator(0, a, b)
+    would."""
+    diff = shuffle_sum(((Q_COMM, lhs, UNIT), (-1, a, b), (1, b, a)))
+    return diff if diff.is_zero() else diff.div_exact(Q_COMM)
+
+
 # the families that take the parameter m, with their first index n
 _M_FAMILIES = tuple(
     (family, first) for family, (_, takes_m, first) in catalan.FAMILIES.items() if takes_m
@@ -262,12 +278,12 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
         for m in cfg.m_range():
             for fam, first in _M_FAMILIES:
                 if n >= first:
-                    xyu, uxy = shuffle_pair(XY_EL, member(fam, m, n))
-                    run.require_zero(xyu - uxy, f"xy commutation ({fam})", m, n)
+                    diff = _commutes(XY_EL, member(fam, m, n))
+                    run.require_zero(diff, f"xy commutation ({fam})", m, n)
     for k in range(2, cfg.n_max + 1):
         for n in range(1, k):
-            ab, ba = shuffle_pair(member("nabla", 0, n), member("nabla", 0, k))
-            run.require_zero(ab - ba, f"m=0 family pair ({n},{k})", 0, n + k)
+            diff = _commutes(member("nabla", 0, n), member("nabla", 0, k))
+            run.require_zero(diff, f"m=0 family pair ({n},{k})", 0, n + k)
     # cross-family grid, bounded in total degree, scanned degree-ascending
     members = []
     for m in cfg.m_range():
@@ -282,10 +298,8 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     ]
     pairs.sort(key=lambda p: (p[0][2] + p[1][2], p))
     for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
-        a = member(fam_a, ma, na)
-        b = member(fam_b, mb, nb)
-        ab, ba = shuffle_pair(a, b)
-        run.require_zero(ab - ba, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
+        diff = _commutes(member(fam_a, ma, na), member(fam_b, mb, nb))
+        run.require_zero(diff, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
     return run.report()
 
 
@@ -308,46 +322,46 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
                     continue
                 u = member(fam, m, n)
                 uy = u.y_inverse()
-                xu, ux = shuffle_pair(X_EL, u)
-                uyxy, xyuy = shuffle_pair(uy, XY_EL)
-                lhs = xu - ux
-                rhs = uyxy - xyuy
-                run.require_zero(lhs - rhs, f"commutator via y^-1 ({fam})", m, n)
+                # (x ⋆ u − u ⋆ x) − (u' ⋆ xy − xy ⋆ u'), u' = y^-1 u
+                diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
+                run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
 
     for n in range(1, cfg.n_max):
         nn = member("nabla", 0, n)
         target = member("nabla", 0, n + 1).y_inverse()
-        one = commutator(0, X_EL, nn)
-        run.require_zero(target - one, "one-step truncated recursion (i)", 0, n + 1)
-        two = commutator(0, nn.y_inverse(), XY_EL)
-        run.require_zero(target - two, "one-step truncated recursion (ii)", 0, n + 1)
+        diff = _commutator_gap(target, X_EL, nn)
+        run.require_zero(diff, "one-step truncated recursion (i)", 0, n + 1)
+        diff = _commutator_gap(target, nn.y_inverse(), XY_EL)
+        run.require_zero(diff, "one-step truncated recursion (ii)", 0, n + 1)
 
     for total in range(2, 2 * cfg.n_max + 1):
         for n in range(1, cfg.n_max + 1):
             k = total - n
             if not 1 <= k <= cfg.n_max:
                 continue
-            rhs = commutator(0, member("nabla", 0, n).y_inverse(), member("nabla", 0, k))
-            # the (5, 5) pair sets the peak memory of verify --all: its two
-            # products are freed inside commutator before the left side is
-            # built, and both sides are dropped before the next pair
-            lhs = member("nabla", 0, n + k).y_inverse()
-            run.require_zero(lhs - rhs, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
-            del lhs, rhs
+            # the (n_max, n_max) pair sets the peak memory of verify --all:
+            # its two products meet in one packed table, never decoded
+            # when the identity holds
+            diff = _commutator_gap(
+                member("nabla", 0, n + k).y_inverse(),
+                member("nabla", 0, n).y_inverse(),
+                member("nabla", 0, k),
+            )
+            run.require_zero(diff, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
 
     for n in range(0, cfg.n_max):
         for m in cfg.m_range():
+            # target − [m]_q Σ_k q^(∓mk) (the two orders of nky ⋆ dk)
             target = member("delta", m, n + 1).y_inverse()
-            s1 = Element.zero()
-            s2 = Element.zero()
+            sum1 = [(1, target, UNIT)]
+            sum2 = [(1, target, UNIT)]
             for k in range(0, n + 1):
                 nky = member("nabla", 0, k + 1).y_inverse()
                 dk = member("delta", m, n - k)
-                nkyd, dnky = shuffle_pair(nky, dk)
-                s1 = s1 + nkyd.scale(q_pow(-m * k))
-                s2 = s2 + dnky.scale(q_pow(m * k))
-            run.require_zero(target - s1.scale(q_int(m)), "weighted convolution (i)", m, n + 1)
-            run.require_zero(target - s2.scale(q_int(m)), "weighted convolution (ii)", m, n + 1)
+                sum1.append((-q_pow(-m * k) * q_int(m), nky, dk))
+                sum2.append((-q_pow(m * k) * q_int(m), dk, nky))
+            run.require_zero(shuffle_sum(sum1), "weighted convolution (i)", m, n + 1)
+            run.require_zero(shuffle_sum(sum2), "weighted convolution (ii)", m, n + 1)
 
     N = cfg.cutoff
     nab_t = family_series("nabla", 0, N, member)
@@ -537,29 +551,57 @@ def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
 
 @_check
 def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
-    """The four q-integer identities on the configured integer grid."""
+    """The four q-integer identities on the configured integer grid.
+
+    Each identity is one int. A product P of q-integers is q^(3s) P
+    evaluated at q = 2^w, where s bounds the exponents of every factor, so
+    that the evaluation is a polynomial's: a ring map, and injective on
+    polynomials whose coefficients lie below 2^(w-1) in absolute value.
+    An identity sums at most five products of at most three factors, so
+    its coefficients are bounded by 5·L³, L the largest L1 norm of a
+    factor, and w = kronecker.slot_width(5·L³). The identity holds when its
+    int is 0; only a failing one is decoded, into its witness.
+    """
     cfg = cfg or VerifyConfig()
     g = cfg.qint_grid
     run = _Run("qint_identities", {"grid": g})
     rng = range(-g, g + 1)
+    # every factor is [n]_q with |n| <= 4g
+    qints = {n: q_int(n) for n in range(-4 * g, 4 * g + 1)}
+    s = max((abs(e) for p in qints.values() for e in p._c), default=0)
+    norm = max(max(sum(map(abs, p._c.values())) for p in qints.values()), 1)
+    w = K.slot_width(5 * norm**3)
+    # q^s [n]_q at q = 2^w: its packed entry (o, N) shifted to offset 0
+    at = {}
+    for n, p in qints.items():
+        o, N = K.pack(p._c, w) if p._c else (0, 0)
+        at[n] = N << o + w * s
+    unpack = K.unpacker(w, 1)
     products: dict = {}
 
     def prod(*ns):
-        # each q-integer product once per run, keyed by its sorted factors
+        # each q-integer product once per run, keyed by its sorted factors,
+        # scaled to q^(3s) P whatever its number of factors
         key = tuple(sorted(ns))
         out = products.get(key)
         if out is None:
-            out = q_int(key[0]) if len(key) == 1 else prod(*key[:-1]) * q_int(key[-1])
+            out = 1 << w * s * (3 - len(key))
+            for n in key:
+                out *= at[n]
             products[key] = out
         return out
+
+    def require_zero(total, description):
+        coeff = LaurentPoly(unpack(-3 * w * s, total), _raw=True) if total else None
+        run.require(not total, description, coeff=coeff)
 
     for a in rng:
         for b in rng:
             for c in rng:
                 d1 = prod(a + c, b + c) - prod(a, b) - prod(c, a + b + c)
-                run.require_zero(d1, f"identity (i) at {(a, b, c)}")
+                require_zero(d1, f"identity (i) at {(a, b, c)}")
                 d2 = prod(a, b - c) + prod(b, c - a) + prod(c, a - b)
-                run.require_zero(d2, f"identity (ii) at {(a, b, c)}")
+                require_zero(d2, f"identity (ii) at {(a, b, c)}")
     for a in rng:
         for b in rng:
             for c in rng:
@@ -570,7 +612,7 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
                         + prod(c, d, a - b)
                         + prod(d, a, b - c)
                     )
-                    run.require_zero(d3, f"identity (iii) at {(a, b, c, d)}")
+                    require_zero(d3, f"identity (iii) at {(a, b, c, d)}")
                     d4 = (
                         prod(a, b, a - b)
                         + prod(b, c, b - c)
@@ -578,7 +620,7 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
                         + prod(d, a, d - a)
                         - prod(a - c, b - d, a + c - b - d)
                     )
-                    run.require_zero(d4, f"identity (iv) at {(a, b, c, d)}")
+                    require_zero(d4, f"identity (iv) at {(a, b, c, d)}")
     return run.report()
 
 

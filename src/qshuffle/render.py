@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import words as W
 from .algebra import Element
@@ -31,7 +32,14 @@ def qint_factorization(p: LaurentPoly):
 @lru_cache(maxsize=4096)
 def _factorization(p: LaurentPoly):
     """qint_factorization with the factors as ascending (n, multiplicity)
-    pairs; memoized, since a family element repeats few distinct coefficients."""
+    pairs; memoized, since a family element repeats few distinct coefficients.
+
+    A q-integer [n]_q is tried only when (4^n - 1)/3 divides A(2), where
+    A = d·q^(-e0)·cur is the remaining cofactor made an integer polynomial
+    (d the lcm of its denominators, e0 its lowest exponent): (4^n - 1)/3 is
+    N(2) for the monic N = q^(n-1)·[n]_q, and N | A in Q[q] leaves an
+    integer quotient. div_exact still confirms every factor it accepts.
+    """
     if p.is_zero():
         return Fraction(0), ()
     factors: dict = {}
@@ -39,13 +47,18 @@ def _factorization(p: LaurentPoly):
     while not cur.is_zero() and (cur.max_exp() != 0 or cur.min_exp() != 0):
         span = cur.max_exp() - cur.min_exp()
         n = span // 2 + 1
+        d = lcm(*(c.denominator for c in cur._c.values() if type(c) is Fraction))
+        e0 = cur.min_exp()
+        at2 = sum(int(c * d) << e - e0 for e, c in cur._c.items())
         while n >= 2:
-            try:
-                cur = cur.div_exact(q_int(n))
-                factors[n] = factors.get(n, 0) + 1
-                break
-            except InexactDivisionError:
-                n -= 1
+            if not at2 % ((4**n - 1) // 3):
+                try:
+                    cur = cur.div_exact(q_int(n))
+                    factors[n] = factors.get(n, 0) + 1
+                    break
+                except InexactDivisionError:
+                    pass
+            n -= 1
         else:
             return None
     c = cur.coeff(0)
@@ -56,6 +69,11 @@ def _factorization(p: LaurentPoly):
 
 def _rational_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _latex_rational(c: Fraction) -> str:
+    """A non-integer rational as -\\tfrac{p}{q}, its sign outside the fraction."""
+    return ("-" if c < 0 else "") + f"\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
 def _bracket_body(factors) -> str:
@@ -76,6 +94,8 @@ def laurent_expanded(p: LaurentPoly, latex: bool = False) -> str:
     power, times = ("q^{{{}}}", "") if latex else ("q^{}", "*")
     parts = []
     for e, c in p.terms():
+        if latex and type(c) is Fraction:
+            c = _latex_rational(c)
         if e == 0:
             parts.append(str(c))
             continue

@@ -465,13 +465,16 @@ def _sum_by_oracle(triples):
     return out
 
 
-WEIGHTS = (1, -1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4))
+WEIGHTS = (
+    1, -1, 3, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4),
+    q_pow(-3), q_int(3).scale(Fraction(-1, 2)), LaurentPoly({-2: 2, 1: Fraction(1, 3), 4: -1}),
+)
 
 
 @pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
 @pytest.mark.parametrize("cached", [True, False])
 def test_shuffle_sum_matches_bruteforce(monkeypatch, path, cached):
-    # Fraction weights times operands with Fraction coefficients
+    # Fraction and LaurentPoly weights times operands with Fraction coefficients
     memo_state(monkeypatch, cached)
     path(monkeypatch)
     rng = random.Random(41)
@@ -516,6 +519,11 @@ def test_shuffle_sum_steps_by_two_only_when_every_result_has_one_parity(monkeypa
         ([(1, even, odd), (-2, odd, even)], 2),                 # odd results
         ([(1, even, even), (1, even, odd)], 1),                 # one even, one odd
         ([(1, even, even), (1, mixed, even)], 1),               # an operand of both parities
+        # a LaurentPoly weight adds its parity to its product's
+        ([(q_pow(1), even, even), (1, even, odd)], 2),          # odd results
+        ([(q_int(3).scale(Fraction(1, 2)), even, even)], 2),    # even results
+        ([(q_pow(1), even, even), (1, even, even)], 1),         # one odd, one even
+        ([(LaurentPoly({0: 1, 1: Fraction(-1, 2)}), even, even)], 1),  # a weight of both
     ):
         widths.clear()
         assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
@@ -573,13 +581,16 @@ def test_shuffle_sum_widens_the_slots_for_the_summed_bound(monkeypatch, path, ca
         assert algebra.shuffle_sum(triples) == want == _sum_by_oracle(triples)
         assert widths == [(128, 2)], triples
     # x * x has two interleavings, (1 + q^2) xx: two such products bound
-    # the sum by 8|c|, either side of 2^63
+    # the sum by 8|c|, either side of 2^63. So does x * y = xy + q^-2 yx
+    # (bound 2) under the weight 2c (1 + q^2) / 3, which clears to an
+    # integer polynomial of L1 norm 4c
     for c in ((1 << 60) - 1, 1 << 60):
         a, b = el("x", LaurentPoly({0: c, 2: -c})), el("x", LaurentPoly({-2: 1}))
-        widths.clear()
-        triples = [(1, a, b), (1, b, a)]
-        assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
-        assert widths == [(64 if 8 * c < 1 << 63 else 128, 2)]
+        weight = LaurentPoly({0: Fraction(2 * c, 3), 2: Fraction(2 * c, 3)})
+        for triples in ([(1, a, b), (1, b, a)], [(weight, X_EL, Y_EL)]):
+            widths.clear()
+            assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
+            assert widths == [(64 if 8 * c < 1 << 63 else 128, 2)]
 
 
 def test_shuffle_sum_prices_each_product_on_its_own(monkeypatch):
@@ -594,6 +605,31 @@ def test_shuffle_sum_prices_each_product_on_its_own(monkeypatch):
     W.set_length_cap(4)
     with pytest.raises(CapExceededError, match="length 5"):
         algebra.shuffle_sum([(1, xy, xy), (1, el("x"), el("xyyx"))])
+
+
+def test_shuffle_sum_skips_a_zero_laurent_weight(monkeypatch):
+    # a zero LaurentPoly is truthy; skipped, it is not even priced
+    a, b = el("xyx", q_int(2)), el("yy", Fraction(1, 3))
+    assert algebra.check_shuffle_cost(a, b) == 5  # 10 interleavings
+    monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 1)
+    for zero in (LaurentPoly.zero(), q_int(0), q_int(2) - q_int(2)):
+        assert algebra.shuffle_sum([(zero, a, b)]) == Element.zero()
+        assert algebra.shuffle_sum([(zero, a, b), (q_int(2), a, UNIT)]) == a.scale(q_int(2))
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+def test_shuffle_sum_scales_by_a_constant_operand_without_the_kernel(monkeypatch, path):
+    path(monkeypatch)
+    monkeypatch.setattr(algebra, "_shuffle_keys", None)   # any kernel call fails
+    monkeypatch.setattr(algebra, "_trie_shuffle", None)
+    rng = random.Random(61)
+    for i in range(20):
+        a = _random_rational_element(rng, integral=i % 2 == 0)
+        const = UNIT.scale(rng.choice(WEIGHTS))
+        weight = rng.choice(WEIGHTS)
+        for triples in ([(weight, a, const)], [(weight, const, a)],
+                        [(1, a, const), (Q_COMM, const, a), (-1, UNIT, UNIT)]):
+            assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
 
 
 def test_products_route_by_combined_word_length(monkeypatch):

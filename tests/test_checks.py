@@ -3,12 +3,13 @@ controls really turn checks red with a nonzero witness."""
 
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qshuffle import catalan, checks
-from qshuffle.algebra import Element
+from qshuffle import catalan, checks, words as W
+from qshuffle.algebra import XY_EL, X_EL, Element, commutator, shuffle_pair
 from qshuffle.checks import (
     CHECKS,
     VerifyConfig,
@@ -21,7 +22,8 @@ from qshuffle.checks import (
     check_yinv_calculus,
     run_all,
 )
-from qshuffle.qlaurent import LaurentPoly, q_int
+from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
+from qshuffle.series import family_series
 
 SMALL = VerifyConfig(
     m_min=-2, m_max=2, n_max=3, cutoff=3, pair_degree_cap=4,
@@ -309,3 +311,199 @@ def test_negative_controls_match_the_golden_reports(monkeypatch):
     # every family's perturbation turns at least one check red
     for family in NEGATIVE_BUMPS:
         assert any(r["status"] == "fail" for r in got[family]), family
+
+
+# -- the packed identities against their unpacked formulations ------------------
+#
+# check_commutation, check_yinv_calculus and check_qint_identities test each
+# identity as one packed sum, decoded only when it fails. The functions below
+# are the formulations they replaced: both orders of a product from
+# shuffle_pair, commutator's exact division, and differences taken in
+# Element and LaurentPoly arithmetic.
+
+
+def _unpacked_commutation(cfg, ctx=None):
+    member = (ctx or checks.CheckContext(cfg)).member
+    run = checks._Run("commutation", {})
+    for n in range(0, cfg.n_max + 1):
+        for m in cfg.m_range():
+            for fam, first in checks._M_FAMILIES:
+                if n >= first:
+                    xyu, uxy = shuffle_pair(XY_EL, member(fam, m, n))
+                    run.require_zero(xyu - uxy, f"xy commutation ({fam})", m, n)
+    for k in range(2, cfg.n_max + 1):
+        for n in range(1, k):
+            ab, ba = shuffle_pair(member("nabla", 0, n), member("nabla", 0, k))
+            run.require_zero(ab - ba, f"m=0 family pair ({n},{k})", 0, n + k)
+    members = []
+    for m in cfg.m_range():
+        for n in range(1, cfg.n_max + 1):
+            members.append(("delta", m, n))
+            members.append(("nabla", m, n))
+    pairs = [
+        (a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+        if a[2] + b[2] <= cfg.pair_degree_cap
+    ]
+    pairs.sort(key=lambda p: (p[0][2] + p[1][2], p))
+    for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
+        ab, ba = shuffle_pair(member(fam_a, ma, na), member(fam_b, mb, nb))
+        run.require_zero(ab - ba, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
+
+
+def _unpacked_yinv_calculus(cfg, ctx=None):
+    member = (ctx or checks.CheckContext(cfg)).member
+    run = checks._Run("yinv_calculus", {})
+    for n in range(0, cfg.n_max + 1):
+        for m in cfg.m_range():
+            for fam, first in checks._M_FAMILIES:
+                if n < first:
+                    continue
+                u = member(fam, m, n)
+                uy = u.y_inverse()
+                xu, ux = shuffle_pair(X_EL, u)
+                uyxy, xyuy = shuffle_pair(uy, XY_EL)
+                run.require_zero((xu - ux) - (uyxy - xyuy), f"commutator via y^-1 ({fam})", m, n)
+    for n in range(1, cfg.n_max):
+        nn = member("nabla", 0, n)
+        target = member("nabla", 0, n + 1).y_inverse()
+        one = commutator(0, X_EL, nn)
+        run.require_zero(target - one, "one-step truncated recursion (i)", 0, n + 1)
+        two = commutator(0, nn.y_inverse(), XY_EL)
+        run.require_zero(target - two, "one-step truncated recursion (ii)", 0, n + 1)
+    for total in range(2, 2 * cfg.n_max + 1):
+        for n in range(1, cfg.n_max + 1):
+            k = total - n
+            if not 1 <= k <= cfg.n_max:
+                continue
+            rhs = commutator(0, member("nabla", 0, n).y_inverse(), member("nabla", 0, k))
+            lhs = member("nabla", 0, n + k).y_inverse()
+            run.require_zero(lhs - rhs, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
+    for n in range(0, cfg.n_max):
+        for m in cfg.m_range():
+            target = member("delta", m, n + 1).y_inverse()
+            s1 = Element.zero()
+            s2 = Element.zero()
+            for k in range(0, n + 1):
+                nky = member("nabla", 0, k + 1).y_inverse()
+                dk = member("delta", m, n - k)
+                nkyd, dnky = shuffle_pair(nky, dk)
+                s1 = s1 + nkyd.scale(q_pow(-m * k))
+                s2 = s2 + dnky.scale(q_pow(m * k))
+            run.require_zero(target - s1.scale(q_int(m)), "weighted convolution (i)", m, n + 1)
+            run.require_zero(target - s2.scale(q_int(m)), "weighted convolution (ii)", m, n + 1)
+    N = cfg.cutoff
+    nab_t = family_series("nabla", 0, N, member)
+    for m in cfg.m_range():
+        dt = family_series("delta", m, N, member)
+        dty = dt.apply_y_inverse()
+        pref = q_pow(m) * q_int(m)
+        rhs1 = nab_t.rescale_t(q_pow(-m)).apply_y_inverse().star_mul(dt).scale(pref)
+        run.require_zero(dty - rhs1, "series y^-1 form (i)", m, None)
+        pref2 = q_pow(-m) * q_int(m)
+        rhs2 = dt.star_mul(nab_t.rescale_t(q_pow(m)).apply_y_inverse()).scale(pref2)
+        run.require_zero(dty - rhs2, "series y^-1 form (ii)", m, None)
+        dtx = dt.apply_x_inverse()
+        rhs3 = dt.star_mul(nab_t.rescale_t(q_pow(-m)).apply_x_inverse()).scale(pref)
+        run.require_zero(dtx - rhs3, "series x^-1 form (iii)", m, None)
+        rhs4 = nab_t.rescale_t(q_pow(m)).apply_x_inverse().star_mul(dt).scale(pref2)
+        run.require_zero(dtx - rhs4, "series x^-1 form (iv)", m, None)
+
+
+def _unpacked_qint_identities(cfg, ctx=None):
+    run = checks._Run("qint_identities", {})
+    rng = range(-cfg.qint_grid, cfg.qint_grid + 1)
+
+    def prod(*ns):
+        out = LaurentPoly.one()
+        for n in ns:
+            out = out * checks.q_int(n)  # through the module, which a test may patch
+        return out
+
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                d1 = prod(a + c, b + c) - prod(a, b) - prod(c, a + b + c)
+                run.require_zero(d1, f"identity (i) at {(a, b, c)}")
+                d2 = prod(a, b - c) + prod(b, c - a) + prod(c, a - b)
+                run.require_zero(d2, f"identity (ii) at {(a, b, c)}")
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    d3 = (prod(a, b, c - d) + prod(b, c, d - a)
+                          + prod(c, d, a - b) + prod(d, a, b - c))
+                    run.require_zero(d3, f"identity (iii) at {(a, b, c, d)}")
+                    d4 = (prod(a, b, a - b) + prod(b, c, b - c) + prod(c, d, c - d)
+                          + prod(d, a, d - a) - prod(a - c, b - d, a + c - b - d))
+                    run.require_zero(d4, f"identity (iv) at {(a, b, c, d)}")
+
+
+def _instances(monkeypatch, check, cfg):
+    """Every instance check compares on cfg, failing or not, as
+    (description, m, n, holds, witness); the witness is built as
+    _Run.require builds it, and None for an instance that holds."""
+    seen = []
+
+    def record(run, holds, description, m=None, n=None, el=W.EMPTY_WORD, coeff=None):
+        if not holds and not isinstance(el, Element):
+            el = Element.from_word(el, coeff)
+        seen.append((description, m, n, bool(holds), None if holds else el))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks._Run, "require", record)
+        check(cfg)
+    return seen
+
+
+def _bumped(key, extra):
+    def bump(fam, m, n, el):
+        return el + extra if (fam, m, n) == key else el
+    return bump
+
+
+MEMBER_BUMPS = [
+    None,
+    _bump,
+    bump_nabla,
+    _bumped(("nabla", 0, 1), Element.from_word("xx", q_pow(1))),
+    _bumped(("nabla", 0, SMALL.n_max + 1), Element.from_word("xxyy")),
+    _bumped(("delta", 1, 3), Element.from_word("xyxxyy")),
+    _bumped(("delta", -1, 2), Element.from_word("xyxy", LaurentPoly({-1: Fraction(1, 3)}))),
+    _bumped(("nabla", 2, 3), Element.from_word("xxyxyy", q_int(2).scale(Fraction(-1, 2)))),
+]
+
+
+@pytest.mark.parametrize(
+    "packed, unpacked",
+    [(checks.check_commutation, _unpacked_commutation),
+     (check_yinv_calculus, _unpacked_yinv_calculus)],
+    ids=["commutation", "yinv_calculus"],
+)
+def test_packed_identities_match_their_unpacked_formulations(monkeypatch, packed, unpacked):
+    # each instance vanishes exactly when its unpacked difference does, and
+    # a failing one has the same witness, with and without a perturbed member
+    failed = 0
+    for bump in MEMBER_BUMPS:
+        cfg = VerifyConfig(**{**SMALL.__dict__, "perturb": bump})
+        got, want = _instances(monkeypatch, packed, cfg), _instances(monkeypatch, unpacked, cfg)
+        assert got == want, bump
+        failed += sum(not holds for _, _, _, holds, _ in got)
+    assert failed
+
+
+def test_packed_qint_identities_match_their_unpacked_formulation(monkeypatch):
+    for shifted in (
+        None,
+        lambda n: q_int(n + 1) if n else q_int(0),
+        lambda n: q_int(n) * q_pow(1) if n == 3 else q_int(n),
+        lambda n: q_int(n).scale(2) if n == -2 else q_int(n),
+    ):
+        with monkeypatch.context() as patch:
+            if shifted is not None:
+                patch.setattr(checks, "q_int", shifted)
+            got = _instances(monkeypatch, check_qint_identities, SMALL)
+            want = _instances(monkeypatch, _unpacked_qint_identities, SMALL)
+        assert got == want
+        assert all(holds for *_, holds, _ in got) == (shifted is None)

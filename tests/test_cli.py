@@ -46,8 +46,9 @@ def test_compute_element_latex_golden(capsys):
     cases = {
         ("C", "3"): "([2]_q^2[3]_q^2[4]_q)xxxyyy+([2]_q^3[3]_q^2)xxyxyy"
         "+([2]_q^3[3]_q)xxyyxy+([2]_q^3[3]_q)xyxxyy+([2]_q^3)xyxyxy",
-        ("beck", "--n", "2"): "(-1/2q^{-11}+1/2q^{-9}+1/2q^{-7}-1/2q^{-5}"
-        "+1/2q^{-3}-1/2q^{-1}-1/2q+1/2q^{3})xxyy",
+        ("beck", "--n", "2"): r"(-\tfrac{1}{2}q^{-11}+\tfrac{1}{2}q^{-9}+\tfrac{1}{2}q^{-7}"
+        r"-\tfrac{1}{2}q^{-5}+\tfrac{1}{2}q^{-3}-\tfrac{1}{2}q^{-1}-\tfrac{1}{2}q"
+        r"+\tfrac{1}{2}q^{3})xxyy",
         ("delta", "--m", "0", "--n", "2"): "0",
         ("Gtilde", "0"): "1",
         ("delta", "--m", "-1", "--n", "2"): "(1)xyxy",

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from qshuffle import catalan
 from qshuffle.algebra import Element, UNIT
 from qshuffle.catalan import delta_element
+from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.render import (
     dyck_svg,
@@ -47,6 +49,47 @@ def test_qint_factorization_rejects_non_products():
     assert qint_factorization(q_pow(2) - q_pow(-2)) is None  # [2](q - q^-1)
 
 
+def _greedy_factorization(p):
+    """The greedy q-integer factorization with no divisibility filter: try
+    every [n]_q from the largest plausible n down, by exact division."""
+    if p.is_zero():
+        return Fraction(0), ()
+    factors: dict = {}
+    cur = p
+    while not cur.is_zero() and (cur.max_exp() != 0 or cur.min_exp() != 0):
+        for n in range((cur.max_exp() - cur.min_exp()) // 2 + 1, 1, -1):
+            try:
+                cur = cur.div_exact(q_int(n))
+            except InexactDivisionError:
+                continue
+            factors[n] = factors.get(n, 0) + 1
+            break
+        else:
+            return None
+    return Fraction(cur.coeff(0)), tuple(sorted(factors.items()))
+
+
+def test_factorization_filter_matches_the_unfiltered_greedy():
+    # every coefficient of every family member up to n = 6 (m in -3..3 for
+    # the families that take m), their sums with 1 and halves, and the PBW
+    # images, which do not factor
+    coeffs = set()
+    for family, (_, takes_m, first) in catalan.FAMILIES.items():
+        for n in range(first, 7):
+            for m in range(-3, 4) if takes_m else (None,):
+                coeffs.update(c for _, c in catalan.member(family, m, n).terms())
+    coeffs |= {c + LaurentPoly.one() for c in coeffs} | {c.scale(Fraction(1, 2)) for c in coeffs}
+    for kind in ("Damiani_E0", "Damiani_Edelta", "Beck_Edelta"):
+        for n in (1, 2, 3):
+            coeffs.update(c for _, c in catalan.embedding_image(kind, n).terms())
+    factored = 0
+    for c in coeffs:
+        want = _greedy_factorization(c)
+        assert qint_factorization(c) == (None if want is None else (want[0], dict(want[1]))), c
+        factored += want is not None
+    assert 0 < factored < len(coeffs)
+
+
 def test_laurent_str():
     assert laurent_str(P("[2]^2[3]")) == "[2]_q^2[3]_q"
     assert laurent_str(P("-[3]")) == "-[3]_q"
@@ -62,6 +105,9 @@ def test_laurent_latex():
     assert laurent_latex(P("[2]^2[3]")) == "[2]_q^2[3]_q"
     assert laurent_latex(P("-[2]")) == "-[2]_q"
     assert laurent_latex(q_pow(-2) + LaurentPoly.one() * 0 + q_pow(2)) == "q^{-2}+q^{2}"
+    # a rational coefficient of the expanded form is a fraction, its sign outside
+    half = LaurentPoly({-1: Fraction(-1, 2), 0: Fraction(3, 4), 2: 1})
+    assert laurent_latex(half) == r"-\tfrac{1}{2}q^{-1}+\tfrac{3}{4}+q^{2}"
 
 
 def test_element_str():
