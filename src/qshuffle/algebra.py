@@ -44,6 +44,18 @@ product to one of two kernel paths, chosen by its operands' longest words:
 Results are identical on both paths and whatever the memo holds; only
 speed changes.
 
+An operand may also come already packed, as a Packed: its entries
+{revkey: (o, N)} at a unit and step, the per-length (word count, L1 norm)
+the pre-flight needs, and the parity of its exponents, so shuffle_sum
+neither decodes it nor recounts it. It is packed again, through the exact
+decoder, only when the sum's unit differs from its own. catalan's walk
+hands a family member over this way, with its L1 norms exact: a word's
+norm is the product of |k| over its factors [k]_q, since every [k]_q has
+coefficients of one sign and ‖PQ‖₁ = ‖P‖₁‖Q‖₁ for such P and Q. Its y^-1
+image keeps the entries of the words that end in y (bit 0 of a reversed
+key) under their keys shifted right by one, so the (n, k) recursion takes
+∇⁽⁰⁾ₙ₊ₖ to the kernel without a LaurentPoly per word.
+
 Before any kernel call each product is priced on its own: the
 interleavings it would walk are summed over its word pairs, and a product
 above _SHUFFLE_BUDGET is refused with CapExceededError instead of running
@@ -246,18 +258,25 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     return out
 
 
-def _decode(out: dict, unit: int, step: int, den: int) -> dict:
+def _decode(out: dict, unit: int, step: int, den: int, keys=None) -> dict:
     """{Word: LaurentPoly} from a kernel result {revkey: (o, N)} whose
-    exponents step by ``step``, every coefficient divided by den."""
+    exponents step by ``step``, every coefficient divided by den. keys, when
+    given, are the forward keys of out's words in out's order, so that no
+    key is reversed. Entries with N = 0 are left out.
+
+    Decoding empties out: each entry is dropped as its word is decoded, so
+    that no word is held packed and decoded at once.
+    """
     unpack = K.unpacker(unit, step)
     terms = {}
-    for k, (o, n) in out.items():
-        if not n:
-            continue
-        p = unpack(o, n)
-        if den != 1:
-            p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
-        terms[W.Word(_rev_key(k))] = LaurentPoly(p, _raw=True)
+    for k, (rk, (o, n)) in zip(map(_rev_key, out) if keys is None else keys, out.items()):
+        out[rk] = None
+        if n:
+            p = unpack(o, n)
+            if den != 1:
+                p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
+            terms[W.Word(k)] = LaurentPoly(p, _raw=True)
+    out.clear()
     return terms
 
 
@@ -276,18 +295,15 @@ def _parity(coeffs):
     return parities.pop() if len(parities) == 1 else None
 
 
-def _preflight(left: dict, right: dict) -> tuple:
-    """(longest word, bound B, parity) for the product of two term dicts with
-    int coefficients, refused as check_shuffle_cost says.
+def _preflight(la: dict, lb: dict) -> tuple:
+    """(longest word, bound B) for the product of two operands given by
+    their length norms, refused as check_shuffle_cost says.
 
     Every result coefficient is bounded by B = Σ C(i + j, i) L1_i L1_j, over
     the summed L1 norms L1_i of the coefficients of the words of length i.
-    When each operand's exponents have one parity, so do the result's, and
-    that parity is returned; None otherwise.
     """
-    la, lb = _length_norms(left), _length_norms(right)
     if not la or not lb:
-        return 0, 0, None
+        return 0, 0
     longest = max(la) + max(lb)
     if longest > W.length_cap():
         raise CapExceededError(f"shuffle would create a word of length {longest}")
@@ -302,8 +318,7 @@ def _preflight(left: dict, right: dict) -> tuple:
             f"shuffle would walk {cost:.2e} interleavings, over the budget of"
             f" {_SHUFFLE_BUDGET:.0e}"
         )
-    pa, pb = _parity(left.values()), _parity(right.values())
-    return longest, bound, None if pa is None or pb is None else pa ^ pb
+    return longest, bound
 
 
 def check_shuffle_cost(a, b) -> int:
@@ -311,7 +326,7 @@ def check_shuffle_cost(a, b) -> int:
     it would walk more than _SHUFFLE_BUDGET interleavings: C(i + j, i) for
     every pair of a word of length i in a and a word of length j in b.
     Returns the length of the longest word of a ⋆ b (0 when it is zero)."""
-    return _preflight(a._terms, b._terms)[0]
+    return _preflight(_length_norms(a._terms), _length_norms(b._terms))[0]
 
 
 class Element:
@@ -545,13 +560,98 @@ class Element:
         return Element(terms)
 
 
-def _packed(terms: dict, unit: int) -> dict:
+class Packed:
+    """A shuffle_sum operand held in the kernel's packed form.
+
+    ``terms`` maps the reversed key of each word to its coefficient packed
+    at ``unit`` as (o, N), with N ≠ 0 and exponents that step by ``step``,
+    and with the operand's Fraction denominators cleared into ``den``.
+    ``norms`` is what the pre-flight reads, {word length: (word count,
+    summed L1 norm)}, and ``parity`` the parity shared by every exponent
+    (None when there are two). catalan's walk makes one without decoding a
+    word, and Packed.of packs a built Element.
+    """
+
+    __slots__ = ("terms", "unit", "step", "norms", "parity", "den")
+
+    def __init__(self, terms: dict, unit: int, step: int, norms: dict, parity, den: int = 1):
+        self.terms = terms
+        self.unit = unit
+        self.step = step
+        self.norms = norms
+        self.parity = parity
+        self.den = den
+
+    @staticmethod
+    def of(el: Element) -> "Packed":
+        """el packed at the unit its largest coefficient needs."""
+        den, terms = el._cleared()
+        parity = _parity(terms.values())
+        step = 1 if parity is None else 2
+        top = max((abs(v) for c in terms.values() for v in c._c.values()), default=0)
+        unit = K.slot_width(top) // step
+        return Packed(_packed(terms, unit), unit, step, _length_norms(terms), parity, den)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
+
+    def at(self, unit: int) -> dict:
+        """The terms packed at unit: as they are at the operand's own unit,
+        otherwise each decoded exactly and packed again."""
+        if unit == self.unit:
+            return self.terms
+        unpack = K.unpacker(self.unit, self.step)
+        return {k: K.pack(unpack(o, n), unit) for k, (o, n) in self.terms.items()}
+
+    def y_inverse(self) -> "Packed":
+        """Strip a trailing y from each word, as Element.y_inverse does.
+
+        Bit 0 of a reversed key is the word's last letter, so a word ending
+        in y keeps its entry under its key shifted right by one; stripping
+        is injective, so nothing merges. The words that go (those ending in
+        x, and 1) are decoded to take their norms off their length; every
+        word of a Catalan member ends in y, so its image decodes nothing.
+        """
+        terms = {k >> 1: p for k, p in self.terms.items() if k & 1 and k != 1}
+        norms = dict(self.norms)
+        if len(terms) < len(self.terms):
+            unpack = K.unpacker(self.unit, self.step)
+            for k, p in self.terms.items():
+                if not k & 1 or k == 1:
+                    i = k.bit_length() - 1
+                    count, norm = norms[i]
+                    norms[i] = (count - 1, norm - sum(map(abs, unpack(*p).values())))
+        norms = {i - 1: v for i, v in norms.items() if v[0]}
+        return Packed(terms, self.unit, self.step, norms, self.parity, self.den)
+
+    def decoded(self, keys=None) -> Element:
+        """The Element, emptying this operand as _decode does; keys, when
+        given, are the forward keys of the terms in their order."""
+        return Element(_decode(self.terms, self.unit, self.step, self.den, keys), _raw=True)
+
+
+def _operand(x) -> tuple:
+    """(den, terms, length norms, parity) of a shuffle_sum operand, an
+    Element or a Packed, its terms cleared of denominators."""
+    if isinstance(x, Packed):
+        return x.den, x, x.norms, x.parity
+    den, terms = x._cleared()
+    return den, terms, _length_norms(terms), _parity(terms.values())
+
+
+def _packed(terms, unit: int) -> dict:
+    """An operand's cleared terms as {revkey: (o, N)} at unit."""
+    if isinstance(terms, Packed):
+        return terms.at(unit)
     return {_rev_key(w.key): K.pack(c._c, unit) for w, c in terms.items()}
 
 
 def shuffle_sum(triples) -> Element:
     """Σ c·(a ⋆ b) over the triples (c, a, b), c an int, a Fraction or a
-    LaurentPoly.
+    LaurentPoly, and a, b Elements or Packed operands.
 
     Fraction coefficients never reach the kernel. A weight is written
     c = s·P, s rational and P an integer polynomial: P = 1 for an int or a
@@ -563,7 +663,9 @@ def shuffle_sum(triples) -> Element:
     accumulated in one packed table, whose coefficients are bounded by
     Σ |r·D|·‖P‖₁·B over the products' bounds B, and whose exponents step
     by two only when every product, P included, has results of one parity.
-    Each result coefficient is decoded and divided by D once.
+    Each result coefficient is decoded and divided by D once. A Packed
+    operand brings its own denominator, norms and parity, and its entries
+    are packed again only when its unit differs from the sum's.
 
     Each product is priced and refused on its own. Zero weights and zero
     operands are skipped, and a product by a constant (an operand holding
@@ -582,9 +684,10 @@ def shuffle_sum(triples) -> Element:
             continue
         else:
             poly = None
-        da, left = a._cleared()
-        db, right = b._cleared()
-        longest, bound, parity = _preflight(left, right)
+        da, left, la, pa = _operand(a)
+        db, right, lb, pb = _operand(b)
+        longest, bound = _preflight(la, lb)
+        parity = None if pa is None or pb is None else pa ^ pb
         if poly is not None:
             bound *= sum(map(abs, poly._c.values()))
             pp = _parity((poly,))

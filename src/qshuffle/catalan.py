@@ -14,9 +14,17 @@ family is the Catalan element C_n, m = 1 gives the inverse family D_n up to
 sign, and m = -1 picks out the single alternating word (xy)^n.
 
 The builders walk the Catalan prefixes once (_walk). Each prefix carries its
-product as one packed int (kronecker.py, the codec the shuffle kernel uses),
-the slot width comes from an exact bound on every coefficient computed
-before the walk (_path_bound), and each word is decoded once, at its leaf.
+product as one packed int (kronecker.py, the codec the shuffle kernel uses)
+and its word key, forward and reversed, and the slot width comes from an
+exact bound on every coefficient computed before the walk (_path_bound).
+The walk returns its leaves packed, as an algebra.Packed operand, never
+decoded: packed_member hands them to shuffle_sum as they are, and the
+builders decode each word once. Each leaf also carries its L1 norm, the
+product of |k| over its factors [k]_q. That is exact, not only a bound:
+every [k]_q has coefficients of one sign, and for polynomials P, Q whose
+coefficients each have one sign ‖PQ‖₁ = ‖P‖₁‖Q‖₁. By tracemalloc, a word
+of ∇⁽⁰⁾₁₀ costs about 0.5 KB packed and 3.0 KB decoded, and the 58,786
+words of ∇⁽⁰⁾₁₂ take 34 MB packed against 219 MB decoded.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from fractions import Fraction
 
 from . import kronecker as K
 from . import words as W
-from .algebra import Element, X_EL, Y_EL
+from .algebra import Element, Packed, X_EL, Y_EL
 from .errors import DegenerateProfileError, NonCatalanWordError, TrivialWordError
 from .qlaurent import LaurentPoly, Q_COMM, q_falling, q_int, q_pow
 
@@ -141,78 +149,99 @@ def _path_bound(n: int, m: int, reduced: bool) -> int:
     return best[0]
 
 
-def _walk(n: int, m: int, reduced: bool = False) -> Element:
-    """Sum of the Catalan words of length 2n, each weighted by the product of
-    its position factors: [e + m]_q at an x and [e]_q at a y, e the elevation
-    before the letter; reduced drops the first position.
+def _walk(n: int, m: int, reduced: bool = False, sign: int = 1) -> tuple:
+    """Sum of the Catalan words of length 2n, each weighted by sign times
+    the product of its position factors: [e + m]_q at an x and [e]_q at a
+    y, e the elevation before the letter; reduced drops the first position.
 
     One depth-first walk over Catalan prefixes. Each prefix carries its
     product as one packed entry (o, N) (kronecker.py), so each letter is one
-    big-int multiply; a prefix whose product is zero is dropped with all its
-    extensions, and each word is decoded once, at its leaf. Every factor's
+    big-int multiply, and its key both forward and reversed; a prefix whose
+    product is zero is dropped with all its extensions. Every factor's
     exponents have one parity, so the slots hold q^2 steps; their width
-    comes from _path_bound. Words come out in the lexicographic order of
-    enumerate_catalan.
+    comes from _path_bound. Each leaf also carries its L1 norm, the product
+    of |k| over its factors [k]_q, exact since each factor has coefficients
+    of one sign. Returns the leaves, never decoded, as a Packed operand, and
+    the forward keys of its words in the same order: the lexicographic
+    order of enumerate_catalan.
     """
     W.check_catalan_cost(n)
-    if n == 0:
-        return Element.unit()
     unit = K.slot_width(_path_bound(n, m, reduced)) // 2
-    unpack = K.unpacker(unit, 2)
 
     def packed(k: int):
         q = q_int(k)
-        return None if q.is_zero() else K.pack(dict(q.terms()), unit)
+        return None if q.is_zero() else (*K.pack(dict(q.terms()), unit), abs(k))
 
     xf = [packed(e + m) for e in range(n)]
     yf = [packed(e) for e in range(n + 1)]
     end = 2 * n
-    terms = {}
+    terms: dict = {}
+    keys = []
+    norm = 0
 
-    def rec(key: int, pos: int, xs: int, e: int, o: int, c: int) -> None:
+    def rec(key: int, rk: int, pos: int, xs: int, e: int, o: int, c: int, nm: int) -> None:
+        nonlocal norm
         if pos == end:
-            terms[W.Word(key | (1 << pos))] = LaurentPoly(unpack(o, c), _raw=True)
+            terms[rk] = (o, c)
+            keys.append(key | (1 << pos))
+            norm += nm
             return
         if xs < n:
             f = xf[e]
             if f is not None:
-                rec(key, pos + 1, xs + 1, e + 1, o + f[0], c * f[1])
+                rec(key, rk << 1, pos + 1, xs + 1, e + 1, o + f[0], c * f[1], nm * f[2])
         if e > 0:
             f = yf[e]
-            rec(key | (1 << pos), pos + 1, xs, e - 1, o + f[0], c * f[1])
+            rec(key | (1 << pos), rk << 1 | 1, pos + 1, xs, e - 1, o + f[0], c * f[1], nm * f[2])
 
-    # every nontrivial Catalan word starts with x at elevation 0
-    first = (0, 1) if reduced else xf[0]
-    if first is not None:
-        rec(0, 1, 1, 1, *first)
-    return Element(terms, _raw=True)
+    if n == 0:
+        rec(0, 1, 0, 0, 0, 0, sign, 1)
+    else:
+        # every nontrivial Catalan word starts with x at elevation 0
+        first = (0, 1, 1) if reduced else xf[0]
+        if first is not None:
+            rec(0, 2, 1, 1, 1, first[0], sign * first[1], first[2])
+    parities = {o // unit & 1 for o, _ in terms.values()}
+    parity = parities.pop() if len(parities) == 1 else None
+    norms = {end: (len(terms), norm)} if terms else {}
+    return Packed(terms, unit, 2, norms, parity), keys
 
 
-def delta_element(m: int, n: int) -> Element:
+def _built(walk: tuple, packed: bool) -> Element | Packed:
+    """A walk's member: its Packed leaves, or the Element they decode to."""
+    leaves, keys = walk
+    return leaves if packed else leaves.decoded(keys)
+
+
+def delta_element(m: int, n: int, packed: bool = False) -> Element | Packed:
+    """Δ⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, m)
+    return _built(_walk(n, m), packed)
 
 
-def nabla_element(m: int, n: int) -> Element:
+def nabla_element(m: int, n: int, packed: bool = False) -> Element | Packed:
+    """∇⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
     if n < 1:
         raise TrivialWordError("the reduced family starts at n = 1")
-    return _walk(n, m, reduced=True)
+    return _built(_walk(n, m, reduced=True), packed)
 
 
-def catalan_element(n: int) -> Element:
+def catalan_element(n: int, packed: bool = False) -> Element | Packed:
     """C_n: coefficient of each Catalan word is the product of [1 + e_i]_q,
-    e_i the elevation after each step (e + 1 after an x, e - 1 after a y)."""
+    e_i the elevation after each step (e + 1 after an x, e - 1 after a y);
+    with packed=True, the walk's leaves as a Packed operand."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, 2)
+    return _built(_walk(n, 2), packed)
 
 
-def d_element(n: int) -> Element:
-    """D_n: the closed form (-1)^n sum of [e_{i-1} + 1]_q / [e_{i-1}]_q products."""
+def d_element(n: int, packed: bool = False) -> Element | Packed:
+    """D_n: the closed form (-1)^n sum of [e_{i-1} + 1]_q / [e_{i-1}]_q
+    products; with packed=True, the walk's leaves as a Packed operand."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _walk(n, 1).scale((-1) ** n)
+    return _built(_walk(n, 1, sign=(-1) ** n), packed)
 
 
 def gtilde_element(n: int) -> Element:
@@ -237,10 +266,9 @@ FAMILIES = {
 }
 
 
-def member(family: str, m, n: int) -> Element:
-    """The n-th member of a named family: delta and nabla take the parameter
-    m, the others take m = None. The builder is looked up by name at call
-    time, so a builder wrapped or patched on this module is the one called."""
+def _build(family: str, m, n: int, **kw):
+    """Call the builder of a named family, looked up by name at call time,
+    so that a builder wrapped or patched on this module is the one called."""
     try:
         builder, takes_m, _ = FAMILIES[family]
     except KeyError:
@@ -248,7 +276,22 @@ def member(family: str, m, n: int) -> Element:
     if takes_m != (m is not None):
         raise ValueError(f"{family} takes {'an integer' if takes_m else 'no'} parameter m")
     build = globals()[builder]
-    return build(m, n) if takes_m else build(n)
+    return build(m, n, **kw) if takes_m else build(n, **kw)
+
+
+def member(family: str, m, n: int) -> Element:
+    """The n-th member of a named family: delta and nabla take the parameter
+    m, the others take m = None."""
+    return _build(family, m, n)
+
+
+def packed_member(family: str, m, n: int) -> Packed:
+    """member(family, m, n) as a Packed operand for shuffle_sum. The walked
+    families hand over their walk's leaves, never decoded; Gtilde and xCny,
+    which are not walked, are packed from their member."""
+    if family in ("Gtilde", "xCny"):
+        return Packed.of(member(family, m, n))
+    return _build(family, m, n, packed=True)
 
 
 def embedding_image(kind: str, n: int) -> Element:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import catalan, kronecker as K, words as W
 from .algebra import (
-    Element, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair, shuffle_sum,
+    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair, shuffle_sum,
 )
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from .series import Series, family_series, log_argument
@@ -102,6 +102,7 @@ class CheckContext:
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self._cache: dict = {}
+        self._packed: dict = {}
 
     def member(self, family: str, m, n: int) -> Element:
         key = (family, m, n)
@@ -112,6 +113,20 @@ class CheckContext:
                 el = self.cfg.perturb(family, m, n, el)
             self._cache[key] = el
         return el
+
+    def packed_member(self, family: str, m, n: int) -> Packed:
+        """The member as a Packed shuffle_sum operand, cached for the run:
+        straight from catalan's walk, never decoded, when there is no
+        perturb hook, and the perturbed member packed when there is one."""
+        key = (family, m, n)
+        p = self._packed.get(key)
+        if p is None:
+            if self.cfg.perturb is None:
+                p = catalan.packed_member(family, m, n)
+            else:
+                p = Packed.of(self.member(family, m, n))
+            self._packed[key] = p
+        return p
 
 
 class _Failed(Exception):
@@ -309,7 +324,8 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
     the (n, k) truncated recursions, the weighted convolution identities, and
     their generating-function forms."""
     cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
+    ctx = ctx or CheckContext(cfg)
+    member = ctx.member
     run = _Run(
         "yinv_calculus",
         {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff},
@@ -340,10 +356,11 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
             if not 1 <= k <= cfg.n_max:
                 continue
             # the (n_max, n_max) pair sets the peak memory of verify --all:
-            # its two products meet in one packed table, never decoded
-            # when the identity holds
+            # its left side goes from the walk to the kernel packed, and its
+            # two products meet in one packed table, never decoded when the
+            # identity holds
             diff = _commutator_gap(
-                member("nabla", 0, n + k).y_inverse(),
+                ctx.packed_member("nabla", 0, n + k).y_inverse(),
                 member("nabla", 0, n).y_inverse(),
                 member("nabla", 0, k),
             )

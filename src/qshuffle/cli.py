@@ -1,4 +1,4 @@
-"""Command-line front end: compute, verify, enumerate, plot, table.
+"""Command-line front end: compute, verify, enumerate, table.
 
 Configuration precedence: command-line flags > QSHUFFLE_* environment
 variables > JSON config file > built-in defaults. Exit codes: 0 on success
@@ -231,15 +231,6 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
     return _emit(_render("enumerate", cfg, rows), cfg)
 
 
-def cmd_plot(args, cfg: CliConfig) -> int:
-    try:
-        w = words.word(args.word)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return _write(args.svg_path, render.dyck_svg(w))
-
-
 def cmd_table(args, cfg: CliConfig) -> int:
     try:
         out = _render("table", cfg, args.family, args.m_min, args.m_max, args.n_max)
@@ -288,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--elevations", action="store_true")
     e.add_argument("--count-only", dest="count_only", action="store_true")
 
-    pl = sub.add_parser("plot", parents=[common], help="write an SVG of a word's lattice path")
-    pl.add_argument("word")
-    pl.add_argument("svg_path")
-
     t = sub.add_parser("table", parents=[common], help="export a scalar table")
     t.add_argument("family", choices=("delta", "nabla"))
     t.add_argument("m_min", type=int)
@@ -310,7 +297,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    formats = WRITERS.get(_output(args), FORMATS)  # plot writes SVG whatever the format
+    formats = WRITERS[_output(args)]
     if cfg.output_format not in formats:
         what = f"{args.command} {args.kind}" if args.command == "compute" else args.command
         print(
@@ -323,7 +310,6 @@ def main(argv=None) -> int:
         "compute": cmd_compute,
         "verify": cmd_verify,
         "enumerate": cmd_enumerate,
-        "plot": cmd_plot,
         "table": cmd_table,
     }
     return handlers[args.command](args, cfg)

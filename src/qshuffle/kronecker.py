@@ -59,19 +59,22 @@ def unpacker(unit: int, step: int):
         if bias is None:
             bias = biases[slots] = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
         raw = ((n + bias) ^ bias).to_bytes(slots * size, "little")
-        if words:
-            u, s = memoryview(raw).cast("Q"), memoryview(raw).cast("q")
         if words == 1:
-            digits = s
-        elif words == 2:
-            digits = [h << 64 | a for a, h in zip(u[::2], s[1::2])]
-        elif words == 4:
-            digits = [((h << 64 | c) << 64 | b) << 64 | a
-                      for a, b, c, h in zip(u[::4], u[1::4], u[2::4], s[3::4])]
+            digits = memoryview(raw).cast("q")
+        elif words:
+            u, s = memoryview(raw).cast("Q"), memoryview(raw).cast("q")
+            if words == 2:
+                digits = [h << 64 | a for a, h in zip(u[::2], s[1::2])]
+            else:
+                digits = [((h << 64 | c) << 64 | b) << 64 | a
+                          for a, b, c, h in zip(u[::4], u[1::4], u[2::4], s[3::4])]
         else:
             digits = [int.from_bytes(raw[i:i + size], "little", signed=True)
                       for i in range(0, len(raw), size)]
         e0 = o // unit
-        return {e0 + step * i: c for i, c in enumerate(digits) if c}
+        out = dict(zip(range(e0, e0 + step * len(digits), step), digits))
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return out
 
     return unpack

@@ -154,10 +154,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def subst_q_inverse(self) -> "LaurentPoly":
-        """The image under q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self._c.items()}, _raw=True)
-
     def div_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division, raising InexactDivisionError on nonzero remainder."""
         if other.is_zero():

@@ -1,4 +1,4 @@
-"""Every text form of a scalar, element and series, plus tables and SVG.
+"""Every text form of a scalar, element and series, plus tables.
 
 Coefficients that factor exactly as a rational times a product of q-integers
 are shown in bracket notation ([2]_q^2[3]_q), like the tables this package
@@ -245,58 +245,3 @@ def table_json(family, m_min, m_max, n_max):
             for w, cells in rows
         ],
     }
-
-
-# -- Dyck path pictures -------------------------------------------------------------
-
-
-def dyck_svg(w: W.Word, unit: int = 40) -> str:
-    """An SVG drawing of the word's lattice path: gridlines, bold path,
-    letter labels under each step, dots at the vertices."""
-    path = W.dyck_path(w)
-    n = len(path) - 1
-    hs = [e for _, e in path]
-    hmax = max(hs + [1])
-    hmin = min(hs + [0])
-    pad = unit // 2
-    label_h = unit // 2
-    width = max(n, 1) * unit + 2 * pad
-    height = (hmax - hmin) * unit + 2 * pad + label_h
-
-    def px(i):
-        return pad + i * unit
-
-    def py(e):
-        return pad + (hmax - e) * unit
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for i in range(n + 1):
-        out.append(
-            f'<line x1="{px(i)}" y1="{py(hmax)}" x2="{px(i)}" y2="{py(hmin)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for e in range(hmin, hmax + 1):
-        out.append(
-            f'<line x1="{px(0)}" y1="{py(e)}" x2="{px(max(n, 1))}" y2="{py(e)}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    if n >= 1:
-        pts = " ".join(f"{px(i)},{py(e)}" for i, e in path)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="3"/>'
-        )
-    for i, e in path:
-        out.append(f'<circle cx="{px(i)}" cy="{py(e)}" r="4" fill="black"/>')
-    for i, letter in enumerate(w):
-        x = px(i) + unit // 2
-        y = py(hmin) + label_h
-        out.append(
-            f'<text x="{x}" y="{y}" text-anchor="middle" '
-            f'font-family="serif" font-style="italic" font-size="{unit // 2}">{letter}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"

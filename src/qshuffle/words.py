@@ -70,13 +70,6 @@ class Word:
                 raise ValueError(f"invalid letter {ch!r}; words use only 'x' and 'y'")
         return Word(key)
 
-    @staticmethod
-    def from_letters(letters) -> "Word":
-        key = EMPTY_KEY
-        for a in reversed(list(letters)):
-            key = (key << 1) | a.value
-        return Word(key)
-
     def __len__(self) -> int:
         return self.key.bit_length() - 1
 
@@ -251,16 +244,6 @@ def profile(w: Word) -> Profile:
     return Profile(kept)
 
 
-def interpolate_profile(p: Profile) -> tuple:
-    """Rebuild the full elevation sequence from a profile by unit steps."""
-    out = [p.entries[0]]
-    for a, b in zip(p.entries, p.entries[1:]):
-        step = 1 if b > a else -1
-        for e in range(a + step, b + step, step):
-            out.append(e)
-    return tuple(out)
-
-
 def _check_cap(nletters: int) -> None:
     if nletters > _length_cap:
         raise CapExceededError(
@@ -269,8 +252,8 @@ def _check_cap(nletters: int) -> None:
 
 
 # Catalan words one enumeration or family build may walk. The (6, 6) pair of
-# the (n, k) recursion at n_max = 6 builds nabla(0, 12), C_12 = 208,012 words
-# (about 1 GB and 20 s); C_13 = 742,900 would take about four times that.
+# the (n, k) recursion at n_max = 6 walks nabla(0, 12), priced at
+# C_12 = 208,012 words; C_13 = 742,900 would take about four times that.
 _CATALAN_BUDGET = 300_000
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qshuffle import algebra, catalan, checks, kronecker, words as W
 from qshuffle.algebra import (
-    Element, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair,
+    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair,
 )
 from qshuffle.errors import CapExceededError, InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
@@ -630,6 +630,102 @@ def test_shuffle_sum_scales_by_a_constant_operand_without_the_kernel(monkeypatch
         for triples in ([(weight, a, const)], [(weight, const, a)],
                         [(1, a, const), (Q_COMM, const, a), (-1, UNIT, UNIT)]):
             assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
+
+
+# -- packed operands: what the walk hands over, never decoded ------------------------
+
+
+def _packed_operands(rng):
+    """Random operands for shuffle_sum, each with its Packed form: rational
+    elements with words that end in x and the empty word, constants, and
+    their y^-1 images."""
+    out = []
+    for i in range(12):
+        a = _random_rational_element(rng, integral=i % 2 == 0)
+        out.append((a, Packed.of(a)))
+        out.append((a.y_inverse(), Packed.of(a).y_inverse()))
+    for c in (3, Fraction(-1, 2), q_int(2).scale(Fraction(1, 3))):
+        const = UNIT.scale(c)
+        out.append((const, Packed.of(const)))
+    return [(a, p) for a, p in out if not a.is_zero()]
+
+
+def test_packed_y_inverse_matches_the_element_y_inverse(monkeypatch):
+    rng = random.Random(71)
+    for _ in range(60):
+        a = _random_rational_element(rng, integral=False) + el("", Fraction(1, 5))
+        packed = Packed.of(a)
+        image = packed.y_inverse()
+        assert image.decoded() == a.y_inverse()
+        # the norms of the words that go are taken off exactly
+        assert image.norms == algebra._length_norms(a.y_inverse().scale(image.den)._terms)
+    # a member's words all end in y: its image shifts keys and decodes nothing
+    widths = _decoded_widths(monkeypatch)
+    for n in range(1, 7):
+        packed = catalan.packed_member("nabla", 0, n)
+        widths.clear()
+        image = packed.y_inverse()
+        assert not widths
+        assert image.norms == {2 * n - 1: packed.norms[2 * n]}
+        assert image.decoded() == catalan.nabla_element(0, n).y_inverse()
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+@pytest.mark.parametrize("cached", [True, False])
+def test_shuffle_sum_takes_packed_operands(monkeypatch, path, cached):
+    # the same sums with Packed operands in place of Elements, on either
+    # kernel path and the constant-operand path, int, Fraction and
+    # LaurentPoly weights
+    memo_state(monkeypatch, cached)
+    path(monkeypatch)
+    rng = random.Random(43)
+    ops = _packed_operands(rng)
+    for _ in range(40):
+        picked = [(rng.choice(WEIGHTS), rng.choice(ops), rng.choice(ops))
+                  for _ in range(rng.randint(1, 4))]
+        elements = [(c, a, b) for c, (a, _), (b, _) in picked]
+        mixed = [(c, rng.choice((a, pa)), rng.choice((b, pb))) for c, (a, pa), (b, pb) in picked]
+        want = _sum_by_oracle(elements)
+        assert algebra.shuffle_sum(elements) == want
+        assert algebra.shuffle_sum([(c, pa, pb) for c, (_, pa), (_, pb) in picked]) == want
+        assert algebra.shuffle_sum(mixed) == want
+    # a member's y^-1 image, packed straight from the walk, in the sum of
+    # the (1, 3) truncated recursion, which vanishes, and beside it
+    lhs = catalan.packed_member("nabla", 0, 4).y_inverse()
+    lhs_el = catalan.nabla_element(0, 4).y_inverse()
+    a, b = catalan.nabla_element(0, 1).y_inverse(), catalan.nabla_element(0, 3)
+    rest = [(-1, a, b), (1, b, a)]
+    assert algebra.shuffle_sum([(Q_COMM, lhs, UNIT)] + rest).is_zero()
+    for other in (X_EL, XY_EL, b):
+        got = algebra.shuffle_sum([(Q_COMM, lhs, other)] + rest)
+        assert got == algebra.shuffle_sum([(Q_COMM, lhs_el, other)] + rest)
+        assert not got.is_zero()
+
+
+@pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
+def test_shuffle_sum_packs_an_operand_again_only_at_another_unit(monkeypatch, path):
+    path(monkeypatch)
+    widths = _decoded_widths(monkeypatch)
+    even = el("xy", q_pow(2)) + el("x", LaurentPoly({0: 3, 4: -1}))
+    packed = Packed.of(even)
+    assert (packed.unit, packed.step) == (32, 2)
+    mixed = el("yx", LaurentPoly({0: 1, 1: Fraction(-1, 2)}))
+    big = UNIT.scale(1 << 62)
+    for triples, decoders in (
+        # the sum's unit is the operand's: only the result is decoded
+        ([(1, packed, even)], [(64, 2)]),
+        ([(q_int(3), even, packed), (1, packed, UNIT)], [(64, 2)]),
+        # results of both parities take unit 64: each use of the operand is
+        # decoded at unit 32 and packed again; so is the 128-bit sum's
+        ([(1, packed, mixed)], [(64, 2), (64, 1)]),
+        ([(q_int(2), even, packed), (1, packed, UNIT)], [(64, 2), (64, 2), (64, 1)]),
+        ([(1, packed, big), (1, big, packed)], [(64, 2), (64, 2), (128, 2)]),
+    ):
+        plain = [(c, even if a is packed else a, even if b is packed else b) for c, a, b in triples]
+        want = _sum_by_oracle(plain)
+        widths.clear()
+        assert algebra.shuffle_sum(triples) == want, triples
+        assert widths == decoders, triples
 
 
 def test_products_route_by_combined_word_length(monkeypatch):

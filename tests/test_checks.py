@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qshuffle import catalan, checks, words as W
-from qshuffle.algebra import XY_EL, X_EL, Element, commutator, shuffle_pair
+from qshuffle.algebra import XY_EL, X_EL, Element, Packed, commutator, shuffle_pair
 from qshuffle.checks import (
     CHECKS,
     VerifyConfig,
@@ -164,6 +164,35 @@ def test_perturbed_nk_left_side_fails_yinv_calculus():
     assert report.witness.description.startswith("(n,k) truncated recursion")
     assert report.witness.n == SMALL.n_max + 1
     assert not report.witness.diff.is_zero()
+
+
+def test_yinv_calculus_never_decodes_a_member_beyond_n_max(monkeypatch):
+    # the (n, k) recursion takes nabla(0, n + k), n + k up to 2 n_max, packed
+    # from the walk, once per run; no decoded member lies beyond n_max, and
+    # every packed operand already has its sum's unit
+    decoded, packed, repacked = [], [], []
+    member, packed_member, at = catalan.member, catalan.packed_member, Packed.at
+
+    def member_spy(family, m, n):
+        decoded.append((family, m, n))
+        return member(family, m, n)
+
+    def packed_spy(family, m, n):
+        packed.append((family, m, n))
+        return packed_member(family, m, n)
+
+    def at_spy(self, unit):
+        if unit != self.unit:
+            repacked.append((self.unit, unit))
+        return at(self, unit)
+
+    monkeypatch.setattr(catalan, "member", member_spy)
+    monkeypatch.setattr(catalan, "packed_member", packed_spy)
+    monkeypatch.setattr(Packed, "at", at_spy)
+    assert check_yinv_calculus(SMALL).passed
+    assert max(n for _, _, n in decoded) == SMALL.n_max
+    assert packed == [("nabla", 0, n) for n in range(2, 2 * SMALL.n_max + 1)]
+    assert not repacked
 
 
 def test_grid_that_evaluates_nothing_is_empty_not_pass():

@@ -193,35 +193,10 @@ def test_enumerate_cap(capsys):
     assert "cap" in err
 
 
-def test_plot(tmp_path, capsys):
-    target = tmp_path / "out.svg"
-    code, _, _ = run_cli(capsys, "plot", "xxyy", str(target))
-    assert code == 0
-    svg = target.read_text()
-    assert svg.startswith("<svg")
-    assert "polyline" in svg
-    assert svg.count("<circle") == 5
-
-
-def test_plot_empty_word(tmp_path, capsys):
-    target = tmp_path / "unit.svg"
-    code, _, _ = run_cli(capsys, "plot", "", str(target))
-    assert code == 0
-    svg = target.read_text()
-    assert svg.count("<circle") == 1
-    assert "polyline" not in svg
-
-
-def test_plot_parse_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "plot", "xz", str(tmp_path / "bad.svg"))
-    assert code == 2
-    assert "invalid letter" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("compute", "C", "1", "--output"),
     ("verify", "qserre", "--n-max", "2", "--output"),
-    ("plot", "xy"),
+    ("table", "delta", "-1", "1", "2", "--output"),
 ])
 def test_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x"))

@@ -206,12 +206,6 @@ def test_str_ascending_in_q():
     assert str(LaurentPoly.const(Fraction(1, 2))) == "1/2"
 
 
-def test_subst_q_inverse():
-    p = LaurentPoly({2: 1, -1: 3})
-    assert p.subst_q_inverse() == LaurentPoly({-2: 1, 1: 3})
-    assert q_int(4).subst_q_inverse() == q_int(4)
-
-
 def test_equality_with_int():
     assert LaurentPoly.zero() == 0
     assert LaurentPoly.one() == 1

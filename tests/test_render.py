@@ -8,7 +8,6 @@ from qshuffle.catalan import delta_element
 from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.render import (
-    dyck_svg,
     element_str,
     laurent_latex,
     laurent_str,
@@ -21,7 +20,6 @@ from qshuffle.render import (
     table_latex,
 )
 from qshuffle.series import delta_series
-from qshuffle.words import word
 
 from conftest import P
 
@@ -145,17 +143,3 @@ def test_table_formats_are_consistent():
     assert js["m_range"] == [-2, 2]
     assert LaurentPoly.from_json(js["rows"][1]["cells"][4]) == P("[2][3]")
     assert "\\begin{tabular}" in latex and "\\nabla" in latex
-
-
-def test_dyck_svg_structure():
-    svg = dyck_svg(word("xxyy"))
-    assert svg.startswith("<svg")
-    assert svg.count("<circle") == 5
-    assert svg.count("<text") == 4
-    assert "polyline" in svg
-    unit_svg = dyck_svg(word(""))
-    assert unit_svg.count("<circle") == 1
-    assert "<text" not in unit_svg
-    single = dyck_svg(word("y"))
-    assert single.count("<circle") == 2
-    assert dyck_svg(word("xxyy")) == dyck_svg(word("xxyy"))
