@@ -21,7 +21,6 @@ from .words import (
     Word,
     alternating_word,
     catalan_number,
-    dyck_path,
     elevation_sequence,
     enumerate_catalan,
     is_balanced,
@@ -37,7 +36,6 @@ from .algebra import (
     Element,
     commutator,
     shuffle_fold,
-    shuffle_pair,
     shuffle_sum,
     zeta,
 )

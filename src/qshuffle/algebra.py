@@ -5,8 +5,9 @@ carries the free (concatenation) product and the q-shuffle product. Every
 q-shuffle product enters the kernel through one function, shuffle_sum,
 which computes a sum Σ c·(a ⋆ b) of products in one accumulation, with
 weights c that are ints, Fractions or LaurentPolys. Element.shuffle is its
-one-term case, the series layer makes one call per output coefficient,
-and the commutation and y^-1 checks make one per identity. The kernel
+one-term case and commutator its two-term case, with weights q^m and
+-q^-m; the series layer makes one call per output coefficient, and the
+commutation and y^-1 checks make one per identity. The kernel
 works on packed word keys and packed coefficients and is integer-only:
 shuffle_sum clears the Fraction denominators of each operand and weight
 once on the way in and divides their common multiple back out once on the
@@ -494,36 +495,22 @@ class Element:
     # -- the maps of the calculus ---------------------------------------------
 
     def y_inverse(self) -> "Element":
-        """Strip a trailing y from each word; words ending in x (and 1) go to 0."""
-        out: dict = {}
-        for w, c in self._terms.items():
-            n = len(w)
-            if n == 0 or not (w.key >> (n - 1)) & 1:
-                continue
-            # dropping the sentinel turns the trailing y bit into the new sentinel
-            stripped = W.Word(w.key - (1 << n))
-            s = out.get(stripped)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(stripped, None)
-            else:
-                out[stripped] = s
-        return Element(out, _raw=True)
+        """Strip a trailing y from each word; words ending in x (and 1) go to 0.
+        Stripping is injective on the words kept, so no two terms merge."""
+        # dropping the sentinel turns the trailing y bit into the new sentinel
+        return Element(
+            {W.Word(w.key - (1 << len(w))): c for w, c in self._terms.items()
+             if len(w) and (w.key >> len(w) - 1) & 1},
+            _raw=True,
+        )
 
     def x_inverse(self) -> "Element":
-        """Strip a leading x from each word; words starting with y (and 1) go to 0."""
-        out: dict = {}
-        for w, c in self._terms.items():
-            if len(w) == 0 or (w.key & 1):
-                continue
-            stripped = W.Word(w.key >> 1)
-            s = out.get(stripped)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(stripped, None)
-            else:
-                out[stripped] = s
-        return Element(out, _raw=True)
+        """Strip a leading x from each word; words starting with y (and 1) go to 0.
+        Stripping is injective on the words kept, so no two terms merge."""
+        # the empty word's key is the bare sentinel 1, so it goes with the y's
+        return Element(
+            {W.Word(w.key >> 1): c for w, c in self._terms.items() if not w.key & 1}, _raw=True
+        )
 
     def zeta(self) -> "Element":
         """Linear extension of the reverse-and-swap antiautomorphism."""
@@ -736,59 +723,16 @@ def zeta(u: Element) -> Element:
     return u.zeta()
 
 
-def _bar_weight(el: Element):
-    """The weight #x - #y shared by every word of el, when every coefficient
-    is bar-invariant (unchanged by q -> q^-1); None otherwise and for zero."""
-    wt = None
-    for w, c in el._terms.items():
-        ww = _key_weight(w.key)
-        if wt is None:
-            wt = ww
-        elif ww != wt:
-            return None
-        p = c._c
-        for e, v in p.items():
-            if p.get(-e) != v:
-                return None
-    return wt
-
-
-def shuffle_pair(a: Element, b: Element):
-    """Both orders (a ⋆ b, b ⋆ a) of the q-shuffle product.
-
-    The reversal symmetry: for words u, v, v ⋆ u = q^(2 wt(u) wt(v)) bar(u ⋆ v),
-    where bar is q -> q^-1 and wt is #x - #y, because every pair of letters
-    (one from each word) adds its pairing to exactly one of the two orders of
-    each interleaving. When both operands are weight-homogeneous with
-    bar-invariant coefficients (every family member and its y^-1 image, x,
-    y, xy) the symmetry extends linearly, and b ⋆ a is read off a ⋆ b term by
-    term. Otherwise b ⋆ a is computed by a second product.
-    """
-    wa, wb = _bar_weight(a), _bar_weight(b)
-    ab = a.shuffle(b)
-    if wa is None or wb is None:
-        return ab, b.shuffle(a)
-    t = 2 * wa * wb
-    ba = {
-        w: LaurentPoly({t - e: c for e, c in p._c.items()}, _raw=True)
-        for w, p in ab._terms.items()
-    }
-    return ab, Element(ba, _raw=True)
-
-
 def commutator(m: int, a: Element, b: Element) -> Element:
-    """(q^m a * b - q^-m b * a) / (q - q^-1), with * the shuffle product.
+    """(q^m a ⋆ b − q^-m b ⋆ a) / (q − q^-1): one shuffle_sum, divided once.
 
     With a = x and b a Catalan word this is the weighted sum over all
-    single-x insertions. The division is always exact on valid inputs and
-    raises InexactDivisionError otherwise.
+    single-x insertions. The division is exact for all operands: every
+    q-shuffle weight is an even power of q, so at q = ±1 both products are
+    the commutative shuffle and q^m = q^-m. The numerator vanishes at q = ±1,
+    so q^2 − 1 = q·(q − q^-1) divides it.
     """
-    ab, ba = shuffle_pair(a, b)
-    if m:
-        # at m = 0 no scaled copies are made, so the largest commutators
-        # hold only their two products at once
-        ab, ba = ab.scale(q_pow(m)), ba.scale(q_pow(-m))
-    return (ab - ba).div_exact(Q_COMM)
+    return shuffle_sum(((q_pow(m), a, b), (-q_pow(-m), b, a))).div_exact(Q_COMM)
 
 
 def shuffle_fold(elements) -> Element:

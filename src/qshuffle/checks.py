@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import catalan, kronecker as K, words as W
 from .algebra import (
-    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair, shuffle_sum,
+    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_sum,
 )
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from .series import Series, family_series, log_argument
@@ -102,7 +102,6 @@ class CheckContext:
     def __init__(self, cfg: VerifyConfig):
         self.cfg = cfg
         self._cache: dict = {}
-        self._packed: dict = {}
 
     def member(self, family: str, m, n: int) -> Element:
         key = (family, m, n)
@@ -115,18 +114,13 @@ class CheckContext:
         return el
 
     def packed_member(self, family: str, m, n: int) -> Packed:
-        """The member as a Packed shuffle_sum operand, cached for the run:
-        straight from catalan's walk, never decoded, when there is no
-        perturb hook, and the perturbed member packed when there is one."""
-        key = (family, m, n)
-        p = self._packed.get(key)
-        if p is None:
-            if self.cfg.perturb is None:
-                p = catalan.packed_member(family, m, n)
-            else:
-                p = Packed.of(self.member(family, m, n))
-            self._packed[key] = p
-        return p
+        """The member as a Packed shuffle_sum operand, built on each call
+        and not kept: straight from catalan's walk, never decoded, when
+        there is no perturb hook, and the perturbed member packed when there
+        is one."""
+        if self.cfg.perturb is None:
+            return catalan.packed_member(family, m, n)
+        return Packed.of(self.member(family, m, n))
 
 
 class _Failed(Exception):
@@ -199,9 +193,8 @@ def _commutes(a: Element, b: Element) -> Element:
 
 def _commutator_gap(lhs: Element, a: Element, b: Element) -> Element:
     """lhs − commutator(0, a, b), from the packed sum of its (q − q⁻¹)
-    multiple: divided by q − q⁻¹ only when it does not vanish, where the
-    division raises InexactDivisionError exactly when commutator(0, a, b)
-    would."""
+    multiple, divided by q − q⁻¹ only when it does not vanish. The division
+    is exact for every lhs, as commutator's is."""
     diff = shuffle_sum(((Q_COMM, lhs, UNIT), (-1, a, b), (1, b, a)))
     return diff if diff.is_zero() else diff.div_exact(Q_COMM)
 
@@ -351,19 +344,16 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
         run.require_zero(diff, "one-step truncated recursion (ii)", 0, n + 1)
 
     for total in range(2, 2 * cfg.n_max + 1):
+        # the (n_max, n_max) pair sets the peak memory of verify --all: its
+        # left side goes from the walk to the kernel packed, held for one
+        # total only, and its two products meet in one packed table, never
+        # decoded when the identity holds
+        lhs = ctx.packed_member("nabla", 0, total).y_inverse()
         for n in range(1, cfg.n_max + 1):
             k = total - n
             if not 1 <= k <= cfg.n_max:
                 continue
-            # the (n_max, n_max) pair sets the peak memory of verify --all:
-            # its left side goes from the walk to the kernel packed, and its
-            # two products meet in one packed table, never decoded when the
-            # identity holds
-            diff = _commutator_gap(
-                ctx.packed_member("nabla", 0, n + k).y_inverse(),
-                member("nabla", 0, n).y_inverse(),
-                member("nabla", 0, k),
-            )
+            diff = _commutator_gap(lhs, member("nabla", 0, n).y_inverse(), member("nabla", 0, k))
             run.require_zero(diff, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
 
     for n in range(0, cfg.n_max):
@@ -408,18 +398,19 @@ def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport
     N = cfg.cutoff
     nab_t = family_series("nabla", 0, N, member)
 
-    tx = Series([Element.zero(), X_EL], N)
+    def tx_commutator(m, s):
+        # (q^m tx ⋆ s − q^-m s ⋆ tx)/(q − q^-1) with tx = t·x, whose t^k
+        # coefficient is commutator(m, x, s_(k-1)) and whose t^0 one is 0
+        return Series([Element.zero()] + [commutator(m, X_EL, c) for c in s.coeffs[:-1]], N)
+
     lhs = nab_t.apply_y_inverse()
-    rhs = tx + (tx.star_mul(nab_t) - nab_t.star_mul(tx)).div_exact(Q_COMM)
+    rhs = Series([Element.zero(), X_EL], N) + tx_commutator(0, nab_t)
     run.require_zero(lhs - rhs, "m=0 generating-function recursion")
 
     for m in cfg.m_range():
         dt = family_series("delta", m, N, member)
         lhs = dt.apply_y_inverse()
-        rhs = (
-            tx.star_mul(dt).scale(q_pow(m)) - dt.star_mul(tx).scale(q_pow(-m))
-        ).div_exact(Q_COMM)
-        run.require_zero(lhs - rhs, "generating-function recursion", m, None)
+        run.require_zero(lhs - tx_commutator(m, dt), "generating-function recursion", m, None)
 
         # at cutoff 0 the derivative has no coefficient to compare
         if N >= 1:
@@ -772,8 +763,8 @@ def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckRe
     # mutual commutation of the free products, bounded total degree
     for n in range(1, cfg.pair_degree_cap):
         for k in range(n + 1, cfg.pair_degree_cap - n + 1):
-            ab, ba = shuffle_pair(member("xCny", None, n), member("xCny", None, k))
-            run.require_zero(ab - ba, f"free products commute ({n},{k})", None, n + k)
+            diff = _commutes(member("xCny", None, n), member("xCny", None, k))
+            run.require_zero(diff, f"free products commute ({n},{k})", None, n + k)
 
     run.require_zero(log_argument(2, N, "xCny", member).exp() - ct, "exp formula, Catalan family", 2)
     minus_arg = log_argument(-1, N, "xCny", member)

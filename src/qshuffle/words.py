@@ -159,11 +159,6 @@ def is_catalan(w: Word) -> bool:
     return e == 0
 
 
-def dyck_path(w: Word) -> list:
-    """Vertices (i, e_i) of the diagonal lattice path of w."""
-    return [(i, e) for i, e in enumerate(elevation_sequence(w))]
-
-
 class Profile:
     """End points and turning points of a word's Dyck path.
 

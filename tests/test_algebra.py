@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import algebra, catalan, checks, kronecker, words as W
+from qshuffle import algebra, catalan, kronecker, words as W
 from qshuffle.algebra import (
-    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_pair,
+    Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold,
 )
-from qshuffle.errors import CapExceededError, InexactDivisionError
+from qshuffle.errors import CapExceededError
 from qshuffle.qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from conftest import all_words_upto, memo_state, shuffle_bruteforce
-from test_checks import SMALL, _bump, bump_nabla
 
 
 def el(s, coeff=None):
@@ -208,11 +207,6 @@ def test_commutator_x_matches_insertion_formula():
                 assert commutator(m, X_EL, Element.from_word(w)) == insertion_formula(m, w)
 
 
-def test_commutator_x_inexact_division_raises():
-    with pytest.raises(InexactDivisionError):
-        (X_EL @ Y_EL).div_exact(Q_COMM)
-
-
 def test_qserre_relations():
     for a, b in ((X_EL, Y_EL), (Y_EL, X_EL)):
         t = (
@@ -284,6 +278,33 @@ def test_rational_shuffle_matches_bruteforce(monkeypatch, cached):
         a = _random_rational_element(rng, integral=i % 3 == 0)
         b = _random_rational_element(rng, integral=i % 3 == 1)
         assert a @ b == _shuffle_by_oracle(a, b), (a, b)
+
+
+def _commutator_operands(rng, kind):
+    """Operands of mixed weights with int coefficients that are not
+    bar-invariant, the same with Fraction coefficients, or family members
+    and their y^-1 images; each list ends with zero and UNIT."""
+    if kind == "members":
+        ops = [catalan.nabla_element(m, n) for m in (-2, 0, 3) for n in (1, 2)]
+        ops += [catalan.delta_element(-1, 2).y_inverse(), catalan.nabla_element(2, 3).y_inverse()]
+    else:
+        ops = [_random_rational_element(rng, integral=kind == "integral") for _ in range(8)]
+    return ops + [Element.zero(), UNIT]
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("kind", ["integral", "fraction", "members"])
+def test_commutator_is_its_definition(monkeypatch, kind, cached):
+    # one shuffle_sum equals two products, scaled, subtracted and divided by
+    # q - q^-1, and that division is exact on every operand, m in -4..4
+    memo_state(monkeypatch, cached)
+    rng = random.Random(kind)
+    ops = _commutator_operands(rng, kind)
+    for a in ops:
+        for b in ops:
+            m = rng.randint(-4, 4)
+            want = (a.shuffle(b).scale(q_pow(m)) - b.shuffle(a).scale(q_pow(-m))).div_exact(Q_COMM)
+            assert commutator(m, a, b) == want, (m, a, b)
 
 
 # -- the two product paths: word pairs and the trie walk ---------------------------
@@ -789,131 +810,6 @@ def test_str_forms():
     assert str(Element.zero()) == "0"
     assert str(UNIT) == "(1) 1"
     assert str(el("xy", q_int(2))) == "(q^-1 + q) xy"
-
-
-# -- shuffle_pair: both orders from one product -----------------------------------
-
-
-def _shuffle_calls(monkeypatch):
-    """Count Element.shuffle calls from here on."""
-    calls = []
-    real = Element.shuffle
-
-    def counted(self, other):
-        calls.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(Element, "shuffle", counted)
-    return calls
-
-
-def _random_pair_operand(rng, bar_invariant):
-    """Up to three words of one weight, 0 to 5 letters; bar-invariant
-    coefficients or arbitrary ones."""
-    n = rng.randint(0, 5)
-    ys = rng.randint(0, n)
-    out = Element.zero()
-    for _ in range(rng.randint(1, 3)):
-        letters = ["y"] * ys + ["x"] * (n - ys)
-        rng.shuffle(letters)
-        k, c = rng.randint(0, 3), rng.choice((-2, -1, 1, 3))
-        if bar_invariant:
-            coeff = (q_pow(k) + q_pow(-k)).scale(c) if k else LaurentPoly.const(c)
-        else:
-            coeff = LaurentPoly({k: c, -k - 1: 1})
-        out = out + el("".join(letters), coeff)
-    return out
-
-
-@pytest.mark.parametrize("cached", [True, False])
-@pytest.mark.parametrize("bar_invariant", [True, False])
-def test_shuffle_pair_matches_bruteforce(monkeypatch, cached, bar_invariant):
-    memo_state(monkeypatch, cached)
-    rng = random.Random(23 + bar_invariant)
-    for _ in range(40):
-        a = _random_pair_operand(rng, bar_invariant)
-        b = _random_pair_operand(rng, bar_invariant)
-        ab, ba = shuffle_pair(a, b)
-        assert ab == _shuffle_by_oracle(a, b), (a, b)
-        assert ba == _shuffle_by_oracle(b, a), (a, b)
-
-
-def test_shuffle_pair_matches_direct_products_of_members():
-    # every member and y^-1 image with n <= 4, m in -3..3, paired up to total
-    # degree 6 (the commutation check's default pair cap)
-    ops = []
-    for m in range(-3, 4):
-        for n in range(0, 5):
-            ops.append((n, catalan.delta_element(m, n)))
-            if n >= 1:
-                ops.append((n, catalan.nabla_element(m, n)))
-    ops += [(n, u.y_inverse()) for n, u in ops]
-    distinct = []
-    for op in ops:
-        if op not in distinct:
-            distinct.append(op)
-    for i, (na, a) in enumerate(distinct):
-        for nb, b in distinct[i:]:
-            if na + nb <= 6:
-                assert shuffle_pair(a, b)[1] == b.shuffle(a), (na, nb)
-
-
-@pytest.mark.parametrize("cached", [True, False])
-@pytest.mark.parametrize(
-    "a",
-    [
-        X_EL + XY_EL,                                   # mixed weight
-        XY_EL + el("xy", q_pow(1)),                     # coefficient not bar-invariant
-        Element.zero(),
-        el("xxy", Fraction(1, 3)) + el("xyx", q_pow(1).scale(Fraction(1, 2))),
-    ],
-    ids=["mixed-weight", "q-xy", "zero", "fraction"],
-)
-def test_shuffle_pair_fallbacks(monkeypatch, cached, a):
-    memo_state(monkeypatch, cached)
-    b = catalan.nabla_element(2, 2)
-    expected = (a.shuffle(b), b.shuffle(a))
-    calls = _shuffle_calls(monkeypatch)
-    assert shuffle_pair(a, b) == expected
-    assert shuffle_pair(b, a) == expected[::-1]
-    assert len(calls) == 4  # both orders computed, twice
-
-
-def test_shuffle_pair_fast_path_only_when_both_operands_qualify(monkeypatch):
-    members = [
-        X_EL, Y_EL, XY_EL,
-        catalan.delta_element(-2, 3), catalan.nabla_element(3, 3),
-        catalan.delta_element(1, 2).y_inverse(),
-        el("xy", Fraction(1, 2)),  # rational but bar-invariant
-    ]
-    calls = _shuffle_calls(monkeypatch)
-    for a in members:
-        for b in members:
-            shuffle_pair(a, b)
-    assert len(calls) == len(members) ** 2
-    calls.clear()
-    perturbed = catalan.nabla_element(0, 2) + el("xy", q_pow(1))
-    for b in members:
-        shuffle_pair(perturbed, b)
-        shuffle_pair(b, perturbed)
-    assert len(calls) == 4 * len(members)
-
-
-@pytest.mark.parametrize("perturb", [_bump, bump_nabla])
-def test_run_all_unchanged_by_the_reversal_shortcut(monkeypatch, perturb):
-    cfg = checks.VerifyConfig(**{**SMALL.__dict__, "perturb": perturb})
-    fast = [r.to_json(timings=True) for r in checks.run_all(cfg)]
-
-    def two_products(a, b):
-        return a.shuffle(b), b.shuffle(a)
-
-    monkeypatch.setattr(algebra, "shuffle_pair", two_products)
-    monkeypatch.setattr(checks, "shuffle_pair", two_products)
-    slow = [r.to_json(timings=True) for r in checks.run_all(cfg)]
-    for r in fast + slow:
-        del r["elapsed"]
-    assert fast == slow
-    assert any(r["status"] == "fail" for r in fast)
 
 
 # -- pre-flight cost bound --------------------------------------------------------

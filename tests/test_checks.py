@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qshuffle import catalan, checks, words as W
-from qshuffle.algebra import XY_EL, X_EL, Element, Packed, commutator, shuffle_pair
+from qshuffle.algebra import XY_EL, X_EL, Element, Packed, commutator
 from qshuffle.checks import (
     CHECKS,
     VerifyConfig,
@@ -346,9 +346,9 @@ def test_negative_controls_match_the_golden_reports(monkeypatch):
 #
 # check_commutation, check_yinv_calculus and check_qint_identities test each
 # identity as one packed sum, decoded only when it fails. The functions below
-# are the formulations they replaced: both orders of a product from
-# shuffle_pair, commutator's exact division, and differences taken in
-# Element and LaurentPoly arithmetic.
+# are the formulations they replaced: both orders of a product as two
+# products, commutator's exact division, and differences taken in Element
+# and LaurentPoly arithmetic.
 
 
 def _unpacked_commutation(cfg, ctx=None):
@@ -358,12 +358,13 @@ def _unpacked_commutation(cfg, ctx=None):
         for m in cfg.m_range():
             for fam, first in checks._M_FAMILIES:
                 if n >= first:
-                    xyu, uxy = shuffle_pair(XY_EL, member(fam, m, n))
-                    run.require_zero(xyu - uxy, f"xy commutation ({fam})", m, n)
+                    u = member(fam, m, n)
+                    diff = XY_EL.shuffle(u) - u.shuffle(XY_EL)
+                    run.require_zero(diff, f"xy commutation ({fam})", m, n)
     for k in range(2, cfg.n_max + 1):
         for n in range(1, k):
-            ab, ba = shuffle_pair(member("nabla", 0, n), member("nabla", 0, k))
-            run.require_zero(ab - ba, f"m=0 family pair ({n},{k})", 0, n + k)
+            a, b = member("nabla", 0, n), member("nabla", 0, k)
+            run.require_zero(a.shuffle(b) - b.shuffle(a), f"m=0 family pair ({n},{k})", 0, n + k)
     members = []
     for m in cfg.m_range():
         for n in range(1, cfg.n_max + 1):
@@ -377,8 +378,9 @@ def _unpacked_commutation(cfg, ctx=None):
     ]
     pairs.sort(key=lambda p: (p[0][2] + p[1][2], p))
     for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
-        ab, ba = shuffle_pair(member(fam_a, ma, na), member(fam_b, mb, nb))
-        run.require_zero(ab - ba, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
+        a, b = member(fam_a, ma, na), member(fam_b, mb, nb)
+        diff = a.shuffle(b) - b.shuffle(a)
+        run.require_zero(diff, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
 
 
 def _unpacked_yinv_calculus(cfg, ctx=None):
@@ -391,8 +393,8 @@ def _unpacked_yinv_calculus(cfg, ctx=None):
                     continue
                 u = member(fam, m, n)
                 uy = u.y_inverse()
-                xu, ux = shuffle_pair(X_EL, u)
-                uyxy, xyuy = shuffle_pair(uy, XY_EL)
+                xu, ux = X_EL.shuffle(u), u.shuffle(X_EL)
+                uyxy, xyuy = uy.shuffle(XY_EL), XY_EL.shuffle(uy)
                 run.require_zero((xu - ux) - (uyxy - xyuy), f"commutator via y^-1 ({fam})", m, n)
     for n in range(1, cfg.n_max):
         nn = member("nabla", 0, n)
@@ -417,7 +419,7 @@ def _unpacked_yinv_calculus(cfg, ctx=None):
             for k in range(0, n + 1):
                 nky = member("nabla", 0, k + 1).y_inverse()
                 dk = member("delta", m, n - k)
-                nkyd, dnky = shuffle_pair(nky, dk)
+                nkyd, dnky = nky.shuffle(dk), dk.shuffle(nky)
                 s1 = s1 + nkyd.scale(q_pow(-m * k))
                 s2 = s2 + dnky.scale(q_pow(m * k))
             run.require_zero(target - s1.scale(q_int(m)), "weighted convolution (i)", m, n + 1)

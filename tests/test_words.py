@@ -8,7 +8,6 @@ from qshuffle.words import (
     Profile,
     alternating_word,
     catalan_number,
-    dyck_path,
     elevation_sequence,
     enumerate_catalan,
     is_balanced,
@@ -155,12 +154,6 @@ def test_profile_validation():
     assert p.r == 2
     assert p.valleys() == (0, 1, 0)
     assert p.peaks() == (2, 2)
-
-
-def test_dyck_path():
-    assert dyck_path(word("xy")) == [(0, 0), (1, 1), (2, 0)]
-    assert dyck_path(EMPTY_WORD) == [(0, 0)]
-    assert dyck_path(word("xxyy")) == [(0, 0), (1, 1), (2, 2), (3, 1), (4, 0)]
 
 
 def test_alternating_words():
