@@ -42,6 +42,16 @@ product to one of two kernel paths, chosen by its operands' longest words:
   (_trie_shuffle), which shares the work of every common suffix among all
   word pairs and keeps nothing once the product is done.
 
+Two word-pair products c·(a ⋆ b) and −c·(b ⋆ a) of one sum, with one
+scalar c (a constant LaurentPoly counts as its scalar) and the same two
+operand objects, form a pair: each word pair adds u ⋆ v − v ⋆ u once,
+from a table (_commutator_keys) built from the two _shuffle_keys tables
+with the cancelled entries dropped and kept in the same memo. A pair with
+a constant operand cancels outright. commutator(0, ...) and the checks'
+a ⋆ b − b ⋆ a, lhs − commutator(0, a, b) and commutator via y^-1 sums take
+this route. Whatever the pairing, each distinct operand object is
+cleared, counted and packed once per call.
+
 Results are identical on both paths and whatever the memo holds; only
 speed changes.
 
@@ -66,6 +76,7 @@ for hours.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, lcm
 
 from . import kronecker as K
@@ -125,6 +136,23 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
     e = 2 * unit * _key_weight(v)
     out = {(k << 1) | b: p for k, p in _shuffle_keys(u, v >> 1, unit).items()}
     _add_letter(out, _shuffle_keys(u >> 1, v, unit), a, -e if a else e)
+    if len(_memo) < _MEMO_CAP:
+        _memo[key] = out
+    return out
+
+
+def _commutator_keys(u: int, v: int, unit: int) -> dict:
+    """u ⋆ v − v ⋆ u of two packed words, both REVERSED, as {revkey: (o, N)},
+    built from the two _shuffle_keys tables with the cancelled entries
+    dropped. Memoized in the same table as _shuffle_keys, under the key
+    (u, v, −unit): a negative unit marks a difference table."""
+    key = (u, v, -unit)
+    res = _memo.get(key)
+    if res is not None:
+        return res
+    out = dict(_shuffle_keys(u, v, unit))
+    _accumulate(out, _shuffle_keys(v, u, unit), (0, -1))
+    out = {k: p for k, p in out.items() if p[1]}
     if len(_memo) < _MEMO_CAP:
         _memo[key] = out
     return out
@@ -270,13 +298,13 @@ def _decode(out: dict, unit: int, step: int, den: int, keys=None) -> dict:
     """
     unpack = K.unpacker(unit, step)
     terms = {}
-    for k, (rk, (o, n)) in zip(map(_rev_key, out) if keys is None else keys, out.items()):
+    for k, (rk, (o, n)) in zip(repeat(None) if keys is None else keys, out.items()):
         out[rk] = None
-        if n:
+        if n:  # a cancelled entry is skipped before its key is reversed
             p = unpack(o, n)
             if den != 1:
                 p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
-            terms[W.Word(k)] = LaurentPoly(p, _raw=True)
+            terms[W.Word(_rev_key(rk) if k is None else k)] = LaurentPoly(p, _raw=True)
     out.clear()
     return terms
 
@@ -655,61 +683,96 @@ def shuffle_sum(triples) -> Element:
     are packed again only when its unit differs from the sum's.
 
     Each product is priced and refused on its own. Zero weights and zero
-    operands are skipped, and a product by a constant (an operand holding
-    only the empty word) adds a scaled copy of the other operand.
+    operands are skipped, a constant LaurentPoly weight counts as its
+    scalar, and a product by a constant (an operand holding only the empty
+    word) adds a scaled copy of the other operand.
+
+    Two word-pair products c·(a ⋆ b) and −c·(b ⋆ a) with one scalar c and
+    the same two operand objects are paired: the pair is accumulated once
+    per word pair from the memoized table of u ⋆ v − v ⋆ u
+    (_commutator_keys), and cancels outright when an operand is constant.
+    Each distinct operand object is cleared, counted and packed once per
+    call, however many products use it.
     """
+    # id(operand) -> (operand, den, terms, norms, parity); holding the
+    # operand keeps its id from being reused while the call runs
+    prepared: dict = {}
+    waiting: dict = {}  # (id(a), id(b)) -> index in prods of an unpaired product
     prods = []
     for c, a, b in triples:
         if a.is_zero() or b.is_zero():
             continue
+        poly = None
         if isinstance(c, LaurentPoly):
             if c.is_zero():
                 continue
-            d = lcm(*(v.denominator for v in c._c.values() if type(v) is Fraction))
-            poly, c = c.scale(d), Fraction(1, d)
+            if len(c._c) == 1 and 0 in c._c:
+                c = c._c[0]
+            else:
+                d = lcm(*(v.denominator for v in c._c.values() if type(v) is Fraction))
+                poly, c = c.scale(d), Fraction(1, d)
         elif not c:
             continue
-        else:
-            poly = None
-        da, left, la, pa = _operand(a)
-        db, right, lb, pb = _operand(b)
+        ia, ib = id(a), id(b)
+        if ia not in prepared:
+            prepared[ia] = (a, *_operand(a))
+        if ib not in prepared:
+            prepared[ib] = (b, *_operand(b))
+        _, da, _, la, pa = prepared[ia]
+        _, db, _, lb, pb = prepared[ib]
         longest, bound = _preflight(la, lb)
+        r = c if da == db == 1 else Fraction(c, da * db)
+        if poly is None and longest <= _SMALL_LIMIT:
+            mate = waiting.get((ib, ia))
+            if mate is not None and prods[mate][0] == -r:
+                del waiting[ib, ia]
+                # b ⋆ a has a ⋆ b's bound; counting it keeps the unit the
+                # two products would take unpaired
+                r, *rest, bnd, parity, _ = prods[mate]
+                prods[mate] = (r, *rest, 2 * bnd, parity, True)
+                continue
+            waiting[ia, ib] = len(prods)
         parity = None if pa is None or pb is None else pa ^ pb
         if poly is not None:
             bound *= sum(map(abs, poly._c.values()))
             pp = _parity((poly,))
             parity = None if parity is None or pp is None else parity ^ pp
-        prods.append((Fraction(c, da * db), poly, left, right, longest, bound, parity))
+        prods.append((r, poly, ia, ib, longest, bound, parity, False))
     den = lcm(*(r.denominator for r, *_ in prods))
     prods = [(r.numerator * (den // r.denominator), *rest) for r, *rest in prods]
-    bound = sum(abs(weight) * b for weight, *_, b, _ in prods)
-    parities = {parity for *_, parity in prods}
+    bound = sum(abs(weight) * b for weight, *_, b, _, _ in prods)
+    parities = {parity for *_, parity, _ in prods}
     step = 1 if None in parities or len(parities) > 1 else 2
     unit = K.slot_width(bound) // step
+    packed = {i: _packed(terms, unit) for i, (_, _, terms, _, _) in prepared.items()}
     out: dict = {}
-    for weight, poly, left, right, longest, _, _ in prods:
+    for weight, poly, ia, ib, longest, _, _, paired in prods:
         if poly is None:
             c0, cn = 0, weight
         else:
             c0, cn = K.pack(poly._c, unit)
             cn *= weight
-        left, right = _packed(left, unit), _packed(right, unit)
-        # the packed empty word is 1: a constant operand scales the other one
+        left, right = packed[ia], packed[ib]
+        # the packed empty word is 1: a constant operand scales the other
+        # one, and c·(1 ⋆ b) − c·(b ⋆ 1) = 0
         if len(left) == 1 and 1 in left:
-            o, n = left[1]
-            _accumulate(out, right, (c0 + o, cn * n))
+            if not paired:
+                o, n = left[1]
+                _accumulate(out, right, (c0 + o, cn * n))
         elif len(right) == 1 and 1 in right:
-            o, n = right[1]
-            _accumulate(out, left, (c0 + o, cn * n))
+            if not paired:
+                o, n = right[1]
+                _accumulate(out, left, (c0 + o, cn * n))
         elif longest > _SMALL_LIMIT:
             _accumulate(out, _trie_shuffle(left, right, unit), (c0, cn))
         else:
             # one memoized kernel call per word pair
+            table = _commutator_keys if paired else _shuffle_keys
             for u, (o1, n1) in left.items():
                 o1 += c0
                 n1 *= cn
                 for v, (o2, n2) in right.items():
-                    _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
+                    _accumulate(out, table(u, v, unit), (o1 + o2, n1 * n2))
     return Element(_decode(out, unit, step, den), _raw=True)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qshuffle import catalan, checks, words as W
+from qshuffle import algebra, catalan, checks, words as W
 from qshuffle.algebra import XY_EL, X_EL, Element, Packed, commutator
 from qshuffle.checks import (
     CHECKS,
@@ -22,6 +22,7 @@ from qshuffle.checks import (
     check_yinv_calculus,
     run_all,
 )
+from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import family_series
 
@@ -340,6 +341,29 @@ def test_negative_controls_match_the_golden_reports(monkeypatch):
     # every family's perturbation turns at least one check red
     for family in NEGATIVE_BUMPS:
         assert any(r["status"] == "fail" for r in got[family]), family
+
+
+def test_a_wrong_commutator_table_turns_the_paired_checks_red(monkeypatch):
+    # the paired route of shuffle_sum, mutated to read u ⋆ v + v ⋆ u where
+    # its tables hold u ⋆ v − v ⋆ u; the mutant memoizes nothing
+    def plus(u, v, unit):
+        out = dict(algebra._shuffle_keys(u, v, unit))
+        algebra._accumulate(out, algebra._shuffle_keys(v, u, unit), (0, 1))
+        return out
+
+    monkeypatch.setattr(algebra, "_commutator_keys", plus)
+    # commutator(0, ...) divides the mutant's numerator by q − q⁻¹, which
+    # need not divide it: these two checks fail or raise
+    dividing = ("nabla_recursion", "ode")
+    for name in dividing:
+        try:
+            assert not CHECKS[name](SMALL).passed, name
+        except InexactDivisionError:
+            pass
+    reports = run_all(SMALL, names=[name for name in CHECKS if name not in dividing])
+    red = {r.name for r in reports if not r.passed}
+    assert red == {"commutation", "genfuns", "yinv_calculus"}
+    assert all(not r.witness.diff.is_zero() for r in reports if r.name in red)
 
 
 # -- the packed identities against their unpacked formulations ------------------
