@@ -81,7 +81,7 @@ from math import comb, lcm
 
 from . import kronecker as K
 from . import words as W
-from .errors import CapExceededError
+from .errors import CapExceededError, InexactDivisionError
 from .qlaurent import LaurentPoly, Q_COMM, q_pow
 
 _ONE = (0, 1)  # the packed coefficient 1
@@ -545,7 +545,10 @@ class Element:
         return Element({W.zeta_word(w): c for w, c in self._terms.items()}, _raw=True)
 
     def div_exact(self, p: LaurentPoly) -> "Element":
-        return Element({w: c.div_exact(p) for w, c in self._terms.items()}, _raw=True)
+        try:
+            return Element({w: c.div_exact(p) for w, c in self._terms.items()}, _raw=True)
+        except InexactDivisionError:
+            raise InexactDivisionError(f"the element is not divisible by {p}", self) from None
 
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in self._terms.values())

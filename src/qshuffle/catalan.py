@@ -1,17 +1,14 @@
 """The weighted Catalan-word families: scalars, elements, and named specializations.
 
-Two one-parameter scalar families live here. For a Catalan word a_1...a_2n
-with running sums e_i = weight(a_1) + ... + weight(a_i):
-
-  * the full product takes a factor [e_{i-1} + m]_q at every x position and
-    [e_{i-1}]_q at every y position, over all i;
-  * the reduced product is the same thing with the i = 1 factor dropped
-    (so it is undefined on the empty word).
-
-Summing these against the Catalan words of length 2n gives the elements
-delta_element(m, n) and nabla_element(m, n). The m = 2 column of the full
-family is the Catalan element C_n, m = 1 gives the inverse family D_n up to
-sign, and m = -1 picks out the single alternating word (xy)^n.
+Two one-parameter families weight each Catalan word by a product of
+q-integers, one factor [k]_q per letter, read off the word's elevation walk:
+the full family Δ⁽ᵐ⁾ and the reduced family ∇⁽ᵐ⁾. _factor is the one
+definition of k; the scalars, the walk and the walk's coefficient bound all
+read it. Summing the weights against the Catalan words of length 2n gives
+the elements delta_element(m, n) and nabla_element(m, n). The m = 2 column
+of the full family is the Catalan element C_n, m = 1 gives the inverse
+family D_n up to sign, and m = -1 picks out the single alternating word
+(xy)^n.
 
 The builders walk the Catalan prefixes once (_walk). Each prefix carries its
 product as one packed int (kronecker.py, the codec the shuffle kernel uses)
@@ -38,58 +35,60 @@ from .errors import DegenerateProfileError, NonCatalanWordError, TrivialWordErro
 from .qlaurent import LaurentPoly, Q_COMM, q_falling, q_int, q_pow
 
 
+def _factor(m: int, b: int, e: int, reduced_first: bool = False) -> int:
+    """The k of the factor [k]_q that both families give a letter: k = e + m
+    at an x (b = 0) and k = e at a y (b = 1), e the elevation before the
+    letter. The reduced family drops its first letter's factor, written here
+    as [1]_q = 1 when reduced_first."""
+    if reduced_first:
+        return 1
+    return e if b else e + m
+
+
 def _require_catalan(w: W.Word) -> None:
     if not W.is_catalan(w):
         raise NonCatalanWordError(f"{w.display()} is not a Catalan word")
 
 
-def delta_scalar(m: int, w: W.Word) -> LaurentPoly:
-    """Product over every position of the word; 1 on the empty word."""
+def _factors(m: int, w: W.Word, reduced: bool):
+    """The letter bit and _factor's k of each letter of the Catalan word w."""
     _require_catalan(w)
-    out = LaurentPoly.one()
+    if reduced and w.is_trivial():
+        raise TrivialWordError("the reduced product is not defined on the empty word")
     e = 0
-    for b in w.letter_bits():
-        factor = q_int(e) if b else q_int(e + m)
-        if factor.is_zero():
-            return LaurentPoly.zero()
-        out = out * factor
+    for i, b in enumerate(w.letter_bits()):
+        yield b, _factor(m, b, e, reduced and i == 0)
         e += -1 if b else 1
+
+
+def _scalar(m: int, w: W.Word, reduced: bool) -> LaurentPoly:
+    """The weight of w in the full family, or in the reduced one when reduced."""
+    out = LaurentPoly.one()
+    for _, k in _factors(m, w, reduced):
+        if k == 0:
+            return LaurentPoly.zero()
+        if k != 1:
+            out = out * q_int(k)
     return out
+
+
+def delta_scalar(m: int, w: W.Word) -> LaurentPoly:
+    """The full family's weight of w; 1 on the empty word."""
+    return _scalar(m, w, False)
 
 
 def nabla_scalar(m: int, w: W.Word) -> LaurentPoly:
-    """Product over positions 2..2n; undefined on the empty word."""
-    _require_catalan(w)
-    if w.is_trivial():
-        raise TrivialWordError("the reduced product is not defined on the empty word")
-    out = LaurentPoly.one()
-    e = 0
-    for i, b in enumerate(w.letter_bits()):
-        if i > 0:
-            factor = q_int(e) if b else q_int(e + m)
-            if factor.is_zero():
-                return LaurentPoly.zero()
-            out = out * factor
-        e += -1 if b else 1
-    return out
+    """The reduced family's weight of w; undefined on the empty word."""
+    return _scalar(m, w, True)
 
 
 def nabla_split(m: int, w: W.Word):
     """The x-part and y-part partial products; their product is nabla_scalar."""
-    _require_catalan(w)
-    if w.is_trivial():
-        raise TrivialWordError("the reduced product is not defined on the empty word")
-    px = LaurentPoly.one()
-    py = LaurentPoly.one()
-    e = 0
-    for i, b in enumerate(w.letter_bits()):
-        if i > 0:
-            if b:
-                py = py * q_int(e)
-            else:
-                px = px * q_int(e + m)
-        e += -1 if b else 1
-    return px, py
+    parts = [LaurentPoly.one()] * 2
+    for b, k in _factors(m, w, True):
+        if k != 1:
+            parts[b] = parts[b] * q_int(k)
+    return tuple(parts)
 
 
 def nabla_from_profile(m: int, p) -> LaurentPoly:
@@ -128,11 +127,9 @@ def vanishing_bound(m: int, w: W.Word) -> bool:
 
 
 def _path_bound(n: int, m: int, reduced: bool) -> int:
-    """The largest product of the factors' L1 norms along a Catalan word of
-    length 2n: [e + m]_q at an x and [e]_q at a y, e the elevation before
-    the letter, without the first factor when reduced. ‖[k]_q‖₁ = |k|, and
-    ‖PQ‖₁ ≤ ‖P‖₁‖Q‖₁, so the product of the norms bounds every coefficient
-    of the word's product.
+    """The largest product of |k| over the factors [k]_q (_factor) along a
+    Catalan word of length 2n. ‖[k]_q‖₁ = |k|, and ‖PQ‖₁ ≤ ‖P‖₁‖Q‖₁, so the
+    product of the norms bounds every coefficient of the word's product.
 
     A DP over (letters, elevation) states: best[e] is the largest product
     over the prefixes of the current length that end at elevation e.
@@ -141,18 +138,18 @@ def _path_bound(n: int, m: int, reduced: bool) -> int:
     for i in range(2 * n):
         nxt: dict = {}
         for e, b in best.items():
-            up = b if reduced and i == 0 else b * abs(e + m)
+            up = b * abs(_factor(m, 0, e, reduced and i == 0))
             nxt[e + 1] = max(nxt.get(e + 1, 0), up)
             if e > 0:
-                nxt[e - 1] = max(nxt.get(e - 1, 0), b * e)
+                nxt[e - 1] = max(nxt.get(e - 1, 0), b * abs(_factor(m, 1, e)))
         best = nxt
     return best[0]
 
 
-def _walk(n: int, m: int, reduced: bool = False, sign: int = 1) -> tuple:
+def _walk(n: int, m: int, reduced: bool = False, sign: int = 1, packed: bool = False):
     """Sum of the Catalan words of length 2n, each weighted by sign times
-    the product of its position factors: [e + m]_q at an x and [e]_q at a
-    y, e the elevation before the letter; reduced drops the first position.
+    the product of its letters' factors [k]_q (_factor), of the reduced
+    family when reduced.
 
     One depth-first walk over Catalan prefixes. Each prefix carries its
     product as one packed entry (o, N) (kronecker.py), so each letter is one
@@ -161,19 +158,20 @@ def _walk(n: int, m: int, reduced: bool = False, sign: int = 1) -> tuple:
     exponents have one parity, so the slots hold q^2 steps; their width
     comes from _path_bound. Each leaf also carries its L1 norm, the product
     of |k| over its factors [k]_q, exact since each factor has coefficients
-    of one sign. Returns the leaves, never decoded, as a Packed operand, and
-    the forward keys of its words in the same order: the lexicographic
+    of one sign. Returns the leaves, never decoded, as a Packed operand when
+    packed, else the Element they decode to, its words in the lexicographic
     order of enumerate_catalan.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     W.check_catalan_cost(n)
     unit = K.slot_width(_path_bound(n, m, reduced)) // 2
 
-    def packed(k: int):
-        q = q_int(k)
-        return None if q.is_zero() else (*K.pack(dict(q.terms()), unit), abs(k))
+    def entry(k: int):
+        return None if k == 0 else (*K.pack(dict(q_int(k).terms()), unit), abs(k))
 
-    xf = [packed(e + m) for e in range(n)]
-    yf = [packed(e) for e in range(n + 1)]
+    xf = [entry(_factor(m, 0, e)) for e in range(n)]
+    yf = [entry(_factor(m, 1, e)) for e in range(n + 1)]
     end = 2 * n
     terms: dict = {}
     keys = []
@@ -198,50 +196,37 @@ def _walk(n: int, m: int, reduced: bool = False, sign: int = 1) -> tuple:
         rec(0, 1, 0, 0, 0, 0, sign, 1)
     else:
         # every nontrivial Catalan word starts with x at elevation 0
-        first = (0, 1, 1) if reduced else xf[0]
+        first = entry(_factor(m, 0, 0, reduced))
         if first is not None:
             rec(0, 2, 1, 1, 1, first[0], sign * first[1], first[2])
     parities = {o // unit & 1 for o, _ in terms.values()}
     parity = parities.pop() if len(parities) == 1 else None
     norms = {end: (len(terms), norm)} if terms else {}
-    return Packed(terms, unit, 2, norms, parity), keys
-
-
-def _built(walk: tuple, packed: bool) -> Element | Packed:
-    """A walk's member: its Packed leaves, or the Element they decode to."""
-    leaves, keys = walk
+    leaves = Packed(terms, unit, 2, norms, parity)
     return leaves if packed else leaves.decoded(keys)
 
 
 def delta_element(m: int, n: int, packed: bool = False) -> Element | Packed:
     """Δ⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _built(_walk(n, m), packed)
+    return _walk(n, m, packed=packed)
 
 
 def nabla_element(m: int, n: int, packed: bool = False) -> Element | Packed:
     """∇⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
     if n < 1:
         raise TrivialWordError("the reduced family starts at n = 1")
-    return _built(_walk(n, m, reduced=True), packed)
+    return _walk(n, m, reduced=True, packed=packed)
 
 
 def catalan_element(n: int, packed: bool = False) -> Element | Packed:
-    """C_n: coefficient of each Catalan word is the product of [1 + e_i]_q,
-    e_i the elevation after each step (e + 1 after an x, e - 1 after a y);
-    with packed=True, the walk's leaves as a Packed operand."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _built(_walk(n, 2), packed)
+    """C_n = Δ⁽²⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
+    return _walk(n, 2, packed=packed)
 
 
 def d_element(n: int, packed: bool = False) -> Element | Packed:
-    """D_n: the closed form (-1)^n sum of [e_{i-1} + 1]_q / [e_{i-1}]_q
-    products; with packed=True, the walk's leaves as a Packed operand."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _built(_walk(n, 1, sign=(-1) ** n), packed)
+    """D_n = (-1)^n Δ⁽¹⁾ₙ; with packed=True, the walk's leaves as a Packed
+    operand."""
+    return _walk(n, 1, sign=(-1) ** n, packed=packed)
 
 
 def gtilde_element(n: int) -> Element:

@@ -18,6 +18,7 @@ from . import catalan, kronecker as K, words as W
 from .algebra import (
     Element, Packed, UNIT, X_EL, XY_EL, Y_EL, commutator, shuffle_fold, shuffle_sum,
 )
+from .errors import InexactDivisionError
 from .qlaurent import LaurentPoly, Q_COMM, q_int, q_pow
 from .series import Series, family_series, log_argument
 
@@ -131,7 +132,7 @@ class _Failed(Exception):
 class _Run:
     """Counts the identity instances one check compares and records the
     first (minimal-degree) failure, which ends the check; a run that
-    compared none is "empty"."""
+    compared none is "empty". _Run.latest is the run started last."""
 
     def __init__(self, name: str, params: dict):
         self.name = name
@@ -139,6 +140,7 @@ class _Run:
         self.t0 = time.perf_counter()
         self.witness: Optional[Witness] = None
         self.evaluated = 0
+        _Run.latest = self
 
     def require(self, holds, description, m=None, n=None, el=W.EMPTY_WORD, coeff=None):
         """Count one identity instance. A failing one ends the check; its
@@ -174,14 +176,22 @@ class _Run:
 
 
 def _check(fn):
-    """The one failure path: a check that hits a failing instance reports it."""
+    """The one failure path: a check reports its first failing instance, or
+    the Element that an exact division in it could not divide."""
 
     @functools.wraps(fn)
     def run_check(*args, **kwargs):
+        _Run.latest = None
         try:
             return fn(*args, **kwargs)
         except _Failed as failed:
             return failed.args[0].report()
+        except InexactDivisionError as err:
+            run = _Run.latest
+            if run is None or err.dividend is None:
+                raise
+            run.witness = Witness(str(err), None, None, err.dividend)
+            return run.report()
 
     return run_check
 

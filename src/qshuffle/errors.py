@@ -14,8 +14,13 @@ class InexactDivisionError(QShuffleError):
 
     On valid inputs the divisions performed by this package (by q - q^-1,
     by t, by q^n - q^-n) are always exact; seeing this error signals a bug
-    or an invalid input, never a rounding issue.
+    or an invalid input, never a rounding issue. dividend is the nonzero
+    Element that did not divide, when known; a check reports it as witness.
     """
+
+    def __init__(self, message: str, dividend=None):
+        super().__init__(message)
+        self.dividend = dividend
 
 
 class NonCatalanWordError(QShuffleError):

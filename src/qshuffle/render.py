@@ -12,9 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import words as W
+from . import catalan, words as W
 from .algebra import Element
-from .catalan import delta_scalar, nabla_scalar
 from .errors import InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
 
@@ -177,18 +176,18 @@ def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
 
     family "delta" includes the empty word; "nabla" starts at length 2.
     Rows are sorted by length then lexicographically; columns ascend in m.
+    Each column of length 2n is read from the walked member
+    catalan.member(family, m, n).
     """
     if family not in ("delta", "nabla"):
         raise ValueError(f"unknown table family {family!r}")
     if m_min > m_max or n_max < 0:
         raise ValueError("empty table range")
-    scalar = delta_scalar if family == "delta" else nabla_scalar
     rows = []
     start = 0 if family == "delta" else 1
     for n in range(start, n_max + 1):
-        for w in W.enumerate_catalan(n):
-            cells = [scalar(m, w) for m in range(m_min, m_max + 1)]
-            rows.append((w, cells))
+        columns = [catalan.member(family, m, n) for m in range(m_min, m_max + 1)]
+        rows.extend((w, [el.coeff(w) for el in columns]) for w in W.enumerate_catalan(n))
     return rows
 
 

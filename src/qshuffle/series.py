@@ -90,10 +90,6 @@ class Series:
     def scale(self, c) -> "Series":
         return Series([a.scale(c) for a in self.coeffs], self.cutoff)
 
-    def map_coeffs(self, f) -> "Series":
-        """Apply a linear Element map termwise (same cutoff)."""
-        return Series([f(a) for a in self.coeffs], self.cutoff)
-
     # -- multiplicative calculus -------------------------------------------------
 
     def star_mul(self, other: "Series") -> "Series":
@@ -135,7 +131,7 @@ class Series:
     def divide_t(self) -> "Series":
         """t^-1 * self, requiring zero constant term; the cutoff drops by one."""
         if not self.coeffs[0].is_zero():
-            raise InexactDivisionError("cannot divide by t: nonzero constant term")
+            raise InexactDivisionError("cannot divide by t: nonzero constant term", self.coeffs[0])
         if self.cutoff == 0:
             return Series.zero(0)
         return Series(list(self.coeffs[1:]), self.cutoff - 1)
@@ -198,16 +194,16 @@ class Series:
         return Series(inv, self.cutoff)
 
     def apply_y_inverse(self) -> "Series":
-        return self.map_coeffs(lambda a: a.y_inverse())
+        return Series([a.y_inverse() for a in self.coeffs], self.cutoff)
 
     def apply_x_inverse(self) -> "Series":
-        return self.map_coeffs(lambda a: a.x_inverse())
+        return Series([a.x_inverse() for a in self.coeffs], self.cutoff)
 
     def zeta(self) -> "Series":
-        return self.map_coeffs(lambda a: a.zeta())
+        return Series([a.zeta() for a in self.coeffs], self.cutoff)
 
     def div_exact(self, p: LaurentPoly) -> "Series":
-        return self.map_coeffs(lambda a: a.div_exact(p))
+        return Series([a.div_exact(p) for a in self.coeffs], self.cutoff)
 
     # -- display / serialization ---------------------------------------------
 

@@ -230,6 +230,37 @@ def test_path_bound_is_the_largest_product_of_factor_norms():
                 assert _path_bound(n, m, reduced) == want, (n, m, reduced)
 
 
+def test_the_factor_rule_has_one_definition(monkeypatch):
+    # a wrong weight, [e + m + 1]_q at an x, patched into catalan._factor
+    # reaches the scalars, the walked members and the walk's bound
+    from qshuffle import catalan
+
+    ms, ws = range(-3, 4), [word(s) for s in NABLA_TABLE]
+
+    def readings():
+        return {
+            "delta_scalar": [delta_scalar(m, w) for m in ms for w in ws],
+            "nabla_split": [nabla_split(m, w) for m in ms for w in ws],
+            "delta_element": [delta_element(m, 3) for m in ms],
+            "nabla_element": [nabla_element(m, 3) for m in ms],
+            "_path_bound": [_path_bound(3, m, r) for m in ms for r in (False, True)],
+        }
+
+    before = readings()
+
+    def wrong(m, b, e, reduced_first=False):
+        return 1 if reduced_first else e if b else e + m + 1
+
+    monkeypatch.setattr(catalan, "_factor", wrong)
+    after = readings()
+    assert [name for name in before if before[name] == after[name]] == []
+    assert any(
+        delta_scalar(m, word(s)) != P(expr)
+        for s, cells in DELTA_TABLE.items()
+        for m, expr in zip(ms, cells)
+    )
+
+
 def test_packed_members_decode_to_the_built_members():
     # the walk's leaves, decoded without the forward keys (each reversed key
     # turned back), are the member the builder decodes, in the same order;

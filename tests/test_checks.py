@@ -22,7 +22,6 @@ from qshuffle.checks import (
     check_yinv_calculus,
     run_all,
 )
-from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import family_series
 
@@ -353,17 +352,13 @@ def test_a_wrong_commutator_table_turns_the_paired_checks_red(monkeypatch):
 
     monkeypatch.setattr(algebra, "_commutator_keys", plus)
     # commutator(0, ...) divides the mutant's numerator by q − q⁻¹, which
-    # need not divide it: these two checks fail or raise
-    dividing = ("nabla_recursion", "ode")
-    for name in dividing:
-        try:
-            assert not CHECKS[name](SMALL).passed, name
-        except InexactDivisionError:
-            pass
-    reports = run_all(SMALL, names=[name for name in CHECKS if name not in dividing])
+    # need not divide it: nabla_recursion and ode report the element that
+    # did not divide instead of raising out of run_all
+    reports = run_all(SMALL)
+    assert len(reports) == len(CHECKS)
     red = {r.name for r in reports if not r.passed}
-    assert red == {"commutation", "genfuns", "yinv_calculus"}
-    assert all(not r.witness.diff.is_zero() for r in reports if r.name in red)
+    assert red == {"commutation", "genfuns", "yinv_calculus", "nabla_recursion", "ode"}
+    assert all(r.status == "fail" and not r.witness.diff.is_zero() for r in reports if r.name in red)
 
 
 # -- the packed identities against their unpacked formulations ------------------

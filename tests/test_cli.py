@@ -132,6 +132,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_inexact_division_exits_1(capsys, monkeypatch):
+    from qshuffle import checks as checks_mod
+    from qshuffle.qlaurent import q_int
+
+    # a commutator divided by [2]_q, which does not divide it: a red check, not an error
+    monkeypatch.setattr(checks_mod, "commutator", lambda m, a, b: (a * b).div_exact(q_int(2)))
+    code, out, err = run_cli(capsys, "verify", "nabla_recursion")
+    assert code == 1
+    assert "FAIL  nabla_recursion" in out and "not divisible" in out
+    assert err == ""
+
+
 def test_verify_empty_grid_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "nabla_recursion", "zeta_suite", "structural",
                            "--n-max", "0", "--cutoff", "0")
