@@ -8,7 +8,6 @@ anywhere: pass means the difference is the zero element or zero series.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +125,13 @@ class CheckContext:
 
 class _Failed(Exception):
     """Raised by _Run.require at a check's first failing instance; the
-    check's @_check wrapper turns it into the failed report."""
+    harness turns it into the failed report."""
 
 
 class _Run:
     """Counts the identity instances one check compares and records the
     first (minimal-degree) failure, which ends the check; a run that
-    compared none is "empty". _Run.latest is the run started last."""
+    compared none is "empty"."""
 
     def __init__(self, name: str, params: dict):
         self.name = name
@@ -140,7 +139,6 @@ class _Run:
         self.t0 = time.perf_counter()
         self.witness: Optional[Witness] = None
         self.evaluated = 0
-        _Run.latest = self
 
     def require(self, holds, description, m=None, n=None, el=W.EMPTY_WORD, coeff=None):
         """Count one identity instance. A failing one ends the check; its
@@ -151,7 +149,7 @@ class _Run:
             if not isinstance(el, Element):
                 el = Element.from_word(el, coeff)
             self.witness = Witness(description, m, n, el)
-            raise _Failed(self)
+            raise _Failed
 
     def require_zero(self, diff, description, m=None, n=None):
         """require that diff vanishes, with diff as the witness: an Element,
@@ -175,25 +173,36 @@ class _Run:
         return CheckReport(self.name, self.params, status, self.witness, elapsed, self.evaluated)
 
 
-def _check(fn):
-    """The one failure path: a check reports its first failing instance, or
-    the Element that an exact division in it could not divide."""
+def _check(name: str, params: Callable[[VerifyConfig], dict]):
+    """The one check harness: it makes check_<name>(cfg=None, ctx=None, **kw)
+    from body(run, cfg, ctx, **kw), which only requires identity instances
+    on run. The harness defaults cfg and ctx, starts the _Run with
+    params(cfg) as the report's params, and returns its report. That is the
+    one failure path: the first failing instance, or the Element that an
+    exact division in the body could not divide, is the witness; a division
+    error that carries no such Element propagates."""
 
-    @functools.wraps(fn)
-    def run_check(*args, **kwargs):
-        _Run.latest = None
-        try:
-            return fn(*args, **kwargs)
-        except _Failed as failed:
-            return failed.args[0].report()
-        except InexactDivisionError as err:
-            run = _Run.latest
-            if run is None or err.dividend is None:
-                raise
-            run.witness = Witness(str(err), None, None, err.dividend)
+    def wrap(body):
+        def run_check(cfg: VerifyConfig = None, ctx: CheckContext = None, **kw) -> CheckReport:
+            cfg = cfg or VerifyConfig()
+            ctx = ctx or CheckContext(cfg)
+            run = _Run(name, params(cfg))
+            try:
+                body(run, cfg, ctx, **kw)
+            except _Failed:
+                pass
+            except InexactDivisionError as err:
+                if err.dividend is None:
+                    raise
+                run.witness = Witness(str(err), None, None, err.dividend)
             return run.report()
 
-    return run_check
+        # the body's name and docstring, but run_check's signature
+        run_check.__name__ = run_check.__qualname__ = body.__name__
+        run_check.__doc__ = body.__doc__
+        return run_check
+
+    return wrap
 
 
 def _commutes(a: Element, b: Element) -> Element:
@@ -215,17 +224,25 @@ _M_FAMILIES = tuple(
 )
 
 
+def _family_grid(cfg: VerifyConfig, ns):
+    """(family, m, n) over the families that take m: n outer, then m, then
+    family, from each family's first index on. A check's first-failure
+    witness depends on this order."""
+    for n in ns:
+        for m in cfg.m_range():
+            for family, first in _M_FAMILIES:
+                if n >= first:
+                    yield family, m, n
+
+
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
 
 
-@_check
-def check_qserre(
-    cfg: VerifyConfig = None, third_coeff: LaurentPoly = None, ctx: CheckContext = None
-) -> CheckReport:
+@_check("qserre", lambda cfg: {})
+def check_qserre(run: _Run, cfg: VerifyConfig, ctx: CheckContext, third_coeff: LaurentPoly = None):
     """Both shuffle images of the degree-4 defining relations vanish."""
-    run = _Run("qserre", {})
     c = q_int(3) if third_coeff is None else third_coeff
     for a, b, label in ((X_EL, Y_EL, "x-leading"), (Y_EL, X_EL, "y-leading")):
         t1 = shuffle_fold([a, a, a, b])
@@ -233,27 +250,20 @@ def check_qserre(
         t3 = shuffle_fold([a, b, a, a]).scale(c)
         t4 = shuffle_fold([b, a, a, a])
         run.require_zero(t1 - t2 + t3 - t4, f"serre relation ({label})", n=4)
-    return run.report()
 
 
-@_check
-def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("nabla_recursion", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
+def check_nabla_recursion(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """One-step recursions: both families, both the x- and the mirrored y-form,
     plus the m = 0 specialization for the free products x C_n."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("nabla_recursion", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
-    for n in range(0, cfg.n_max):
-        for m in cfg.m_range():
-            for fam, first in _M_FAMILIES:
-                if n < first:
-                    continue
-                u = member(fam, m, n)
-                lhs = member(fam, m, n + 1)
-                rec_x = commutator(m, X_EL, u) * Y_EL
-                run.require_zero(lhs - rec_x, f"{fam} recursion, x form", m, n + 1)
-                rec_y = X_EL * commutator(m, u, Y_EL)
-                run.require_zero(lhs - rec_y, f"{fam} recursion, y form", m, n + 1)
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max)):
+        u = member(fam, m, n)
+        lhs = member(fam, m, n + 1)
+        rec_x = commutator(m, X_EL, u) * Y_EL
+        run.require_zero(lhs - rec_x, f"{fam} recursion, x form", m, n + 1)
+        rec_y = X_EL * commutator(m, u, Y_EL)
+        run.require_zero(lhs - rec_y, f"{fam} recursion, y form", m, n + 1)
     for n in range(1, cfg.n_max):
         # x C_n = (x * xC_(n-1)y - xC_(n-1)y * x)/(q - q^-1)
         rec = commutator(0, X_EL, member("xCny", None, n))
@@ -275,29 +285,18 @@ def check_nabla_recursion(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
                         prefix += 1 if s[i] == "x" else -1
                 got = commutator(m, X_EL, base)
                 run.require_zero(got - ins, "single-insertion expansion", m, n)
-    return run.report()
 
 
-@_check
-def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("commutation", lambda cfg: {
+    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "pair_degree_cap": cfg.pair_degree_cap,
+})
+def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """xy commutes with every family member; the m = 0 family commutes
     pairwise; cross-family pairs commute up to the configured total degree."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run(
-        "commutation",
-        {
-            "m": [cfg.m_min, cfg.m_max],
-            "n_max": cfg.n_max,
-            "pair_degree_cap": cfg.pair_degree_cap,
-        },
-    )
-    for n in range(0, cfg.n_max + 1):
-        for m in cfg.m_range():
-            for fam, first in _M_FAMILIES:
-                if n >= first:
-                    diff = _commutes(XY_EL, member(fam, m, n))
-                    run.require_zero(diff, f"xy commutation ({fam})", m, n)
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        diff = _commutes(XY_EL, member(fam, m, n))
+        run.require_zero(diff, f"xy commutation ({fam})", m, n)
     for k in range(2, cfg.n_max + 1):
         for n in range(1, k):
             diff = _commutes(member("nabla", 0, n), member("nabla", 0, k))
@@ -318,32 +317,22 @@ def check_commutation(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Che
     for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
         diff = _commutes(member(fam_a, ma, na), member(fam_b, mb, nb))
         run.require_zero(diff, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
-    return run.report()
 
 
-@_check
-def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("yinv_calculus", lambda cfg: {
+    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff,
+})
+def check_yinv_calculus(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The y^-1 / x^-1 calculus: commutator reformulations, the one-step and
     the (n, k) truncated recursions, the weighted convolution identities, and
     their generating-function forms."""
-    cfg = cfg or VerifyConfig()
-    ctx = ctx or CheckContext(cfg)
     member = ctx.member
-    run = _Run(
-        "yinv_calculus",
-        {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff},
-    )
-
-    for n in range(0, cfg.n_max + 1):
-        for m in cfg.m_range():
-            for fam, first in _M_FAMILIES:
-                if n < first:
-                    continue
-                u = member(fam, m, n)
-                uy = u.y_inverse()
-                # (x ⋆ u − u ⋆ x) − (u' ⋆ xy − xy ⋆ u'), u' = y^-1 u
-                diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
-                run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        u = member(fam, m, n)
+        uy = u.y_inverse()
+        # (x ⋆ u − u ⋆ x) − (u' ⋆ xy − xy ⋆ u'), u' = y^-1 u
+        diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
+        run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
 
     for n in range(1, cfg.n_max):
         nn = member("nabla", 0, n)
@@ -396,15 +385,12 @@ def check_yinv_calculus(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
         run.require_zero(dtx - rhs3, "series x^-1 form (iii)", m, None)
         rhs4 = nab_t.rescale_t(q_pow(m)).apply_x_inverse().star_mul(dt).scale(pref2)
         run.require_zero(dtx - rhs4, "series x^-1 form (iv)", m, None)
-    return run.report()
 
 
-@_check
-def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("ode", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+def check_ode(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The t-derivative identity and both generating-function recursions."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("ode", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+    member = ctx.member
     N = cfg.cutoff
     nab_t = family_series("nabla", 0, N, member)
 
@@ -429,39 +415,28 @@ def check_ode(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport
             kernel = diff.divide_t().div_exact(Q_COMM)
             rhs_ode = kernel.star_mul(dt.truncate(N - 1))
             run.require_zero(deriv - rhs_ode, "derivative identity", m, None)
-    return run.report()
 
 
-@_check
-def check_exp_theorem(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("exp_theorem", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+def check_exp_theorem(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The family's generating function equals the exponential of the weighted
     m = 0 series; verified by exponentiating and, independently, by taking log."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("exp_theorem", {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+    member = ctx.member
     N = cfg.cutoff
     for m in cfg.m_range():
         arg = log_argument(m, N, "nabla", member)
         dt = family_series("delta", m, N, member)
         run.require_zero(arg.exp() - dt, "exp of weighted series", m, None)
         run.require_zero(dt.log() - arg, "log extraction", m, None)
-    return run.report()
 
 
-@_check
-def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("main_theorems", lambda cfg: {
+    "m_max": cfg.main_m_max, "cutoff": cfg.main_cutoff, "qmn": [cfg.qmn_n_max, cfg.qmn_m_max],
+})
+def check_main_theorems(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The m-fold rescaled factorizations, their closed-form coefficients,
     and the scalar power-sum identity behind them."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run(
-        "main_theorems",
-        {
-            "m_max": cfg.main_m_max,
-            "cutoff": cfg.main_cutoff,
-            "qmn": [cfg.qmn_n_max, cfg.qmn_m_max],
-        },
-    )
+    member = ctx.member
     N = cfg.main_cutoff
     gt = family_series("Gtilde", None, N, member)
     dt = family_series("D", None, N, member)
@@ -489,16 +464,13 @@ def check_main_theorems(cfg: VerifyConfig = None, ctx: CheckContext = None) -> C
             den = q_pow(n) - q_pow(-n)
             rhs = num.div_exact(den)
             run.require_zero(lhs - rhs, f"power-sum scalar identity at n={n} m={m}", m, n)
-    return run.report()
 
 
-@_check
-def check_recurrences_expderivative(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("expderivative", lambda cfg: {"cutoff": cfg.cutoff})
+def check_recurrences_expderivative(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The derivative-of-exponential convolution recurrences for the three
     named families."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("expderivative", {"cutoff": cfg.cutoff})
+    member = ctx.member
     for n in range(1, cfg.cutoff + 1):
         acc_c = Element.zero()
         acc_g = Element.zero()
@@ -515,22 +487,16 @@ def check_recurrences_expderivative(cfg: VerifyConfig = None, ctx: CheckContext 
             member("Gtilde", None, n) + acc_g.scale(inv_n), "alternating family recurrence", None, n
         )
         run.require_zero(member("D", None, n) - acc_d.scale(inv_n), "inverse family recurrence", None, n)
-    return run.report()
 
 
-@_check
-def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("zeta_suite", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
+def check_zeta_suite(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The reverse-and-swap antiautomorphism: fixes the families, reverses
     both products, turns y^-1 into x^-1, and squares to the identity."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("zeta_suite", {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
-    for n in range(0, cfg.n_max + 1):
-        for m in cfg.m_range():
-            for fam, first in _M_FAMILIES:
-                if n >= first:
-                    u = member(fam, m, n)
-                    run.require_zero(u.zeta() - u, f"{fam} fixed by zeta", m, n)
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        u = member(fam, m, n)
+        run.require_zero(u.zeta() - u, f"{fam} fixed by zeta", m, n)
     for n in range(1, cfg.n_max + 1):
         for w in W.enumerate_catalan(n):
             zw = W.zeta_word(w)
@@ -564,11 +530,10 @@ def check_zeta_suite(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
             run.require_zero(
                 (u * v).zeta() - v.zeta() * u.zeta(), "zeta antiautomorphism (free)", None, i
             )
-    return run.report()
 
 
-@_check
-def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("qint_identities", lambda cfg: {"grid": cfg.qint_grid})
+def check_qint_identities(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The four q-integer identities on the configured integer grid.
 
     Each identity is one int. A product P of q-integers is q^(3s) P
@@ -580,9 +545,7 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
     factor, and w = kronecker.slot_width(5·L³). The identity holds when its
     int is 0; only a failing one is decoded, into its witness.
     """
-    cfg = cfg or VerifyConfig()
     g = cfg.qint_grid
-    run = _Run("qint_identities", {"grid": g})
     rng = range(-g, g + 1)
     # every factor is [n]_q with |n| <= 4g
     qints = {n: q_int(n) for n in range(-4 * g, 4 * g + 1)}
@@ -639,20 +602,14 @@ def check_qint_identities(cfg: VerifyConfig = None, ctx: CheckContext = None) ->
                         - prod(a - c, b - d, a + c - b - d)
                     )
                     require_zero(d4, f"identity (iv) at {(a, b, c, d)}")
-    return run.report()
 
 
-@_check
-def check_structural(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("structural", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
+def check_structural(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """Word-level and scalar-level structure: rise/fall counts, Catalan
     closure of the shuffle, the telescoping profile identity, the family
     comparisons, the vanishing criterion, and the special columns."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run(
-        "structural",
-        {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max},
-    )
+    member = ctx.member
 
     # rise/fall cardinality on all balanced words of length <= 8
     for half in range(0, 5):
@@ -750,17 +707,14 @@ def check_structural(cfg: VerifyConfig = None, ctx: CheckContext = None) -> Chec
             run.require_zero(
                 member("nabla", cfg.m_min, 1) - XY_EL, "reduced family starts at xy", cfg.m_min, 1
             )
-    return run.report()
 
 
-@_check
-def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckReport:
+@_check("genfuns", lambda cfg: {"cutoff": cfg.cutoff, "pair_degree_cap": cfg.pair_degree_cap})
+def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The classical generating-function package: the inverse pair, the three
     exponential formulas, the two-parameter rescaled product, and mutual
     commutation of the free products."""
-    cfg = cfg or VerifyConfig()
-    member = (ctx or CheckContext(cfg)).member
-    run = _Run("genfuns", {"cutoff": cfg.cutoff, "pair_degree_cap": cfg.pair_degree_cap})
+    member = ctx.member
     N = cfg.cutoff
     gt = family_series("Gtilde", None, N, member)
     dt = family_series("D", None, N, member)
@@ -794,7 +748,6 @@ def check_genfuns(cfg: VerifyConfig = None, ctx: CheckContext = None) -> CheckRe
         run.require_zero(
             member("delta", 1, n) - member("D", None, n).scale(sign), "signed coefficients of the inverse", 1, n
         )
-    return run.report()
 
 
 CHECKS = {

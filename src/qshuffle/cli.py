@@ -187,16 +187,16 @@ def cmd_compute(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
+    # every named check must exist, with or without --all
+    unknown = [n for n in args.checks if n not in checks.CHECKS]
+    if unknown:
+        print(
+            f"error: unknown checks: {', '.join(unknown)};"
+            f" available: {', '.join(checks.CHECKS)}",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     names = None if (args.all or not args.checks) else args.checks
-    if names:
-        unknown = [n for n in names if n not in checks.CHECKS]
-        if unknown:
-            print(
-                f"error: unknown checks: {', '.join(unknown)};"
-                f" available: {', '.join(checks.CHECKS)}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
     vcfg = checks.VerifyConfig(
         m_min=cfg.m_min,
         m_max=cfg.m_max,

@@ -189,7 +189,7 @@ class LaurentPoly:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self._c == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented

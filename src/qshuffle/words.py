@@ -95,6 +95,8 @@ class Word:
 
     def __lt__(self, other):
         # length first, then lexicographic with x < y
+        if not isinstance(other, Word):
+            return NotImplemented
         a, b = self.letter_bits(), other.letter_bits()
         return (len(a), a) < (len(b), b)
 

@@ -1,6 +1,7 @@
 """The verification suite itself: green on small grids, and the negative
 controls really turn checks red with a nonzero witness."""
 
+import inspect
 import json
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from qshuffle.checks import (
     check_yinv_calculus,
     run_all,
 )
+from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import family_series
 
@@ -557,3 +559,43 @@ def test_packed_qint_identities_match_their_unpacked_formulation(monkeypatch):
             want = _instances(monkeypatch, _unpacked_qint_identities, SMALL)
         assert got == want
         assert all(holds for *_, holds, _ in got) == (shifted is None)
+
+
+# -- the check harness ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bumped", [None, "delta"], ids=["unperturbed", "delta_bumped"])
+def test_each_check_alone_reports_as_in_run_all(bumped):
+    # alone, a check builds its own context; in run_all all twelve share one
+    perturb = None if bumped is None else _bumped(*NEGATIVE_BUMPS[bumped])
+    cfg = VerifyConfig(**{**SMALL.__dict__, "perturb": perturb})
+    shared = run_all(cfg)
+    assert [r.name for r in shared] == list(CHECKS)
+    for check, report in zip(CHECKS.values(), shared):
+        assert list(inspect.signature(check).parameters)[:2] == ["cfg", "ctx"]
+        assert _untimed(check(cfg)) == _untimed(report), report.name
+    statuses = {r.status for r in shared}
+    assert statuses == ({"pass"} if bumped is None else {"pass", "fail"})
+
+
+def _raise_inexact(dividend):
+    def commutator(m, a, b):
+        raise InexactDivisionError("not divisible by q - q^-1", dividend)
+    return commutator
+
+
+@pytest.mark.parametrize("name", ["nabla_recursion", "ode"])
+def test_a_division_error_reports_its_dividend_as_the_witness(monkeypatch, name):
+    dividend = Element.from_word("xxy", q_int(2))
+    monkeypatch.setattr(checks, "commutator", _raise_inexact(dividend))
+    report = CHECKS[name](SMALL)
+    assert report.status == "fail"
+    assert report.witness.description == "not divisible by q - q^-1"
+    assert (report.witness.m, report.witness.n) == (None, None)
+    assert report.witness.diff == dividend
+
+
+def test_a_division_error_without_a_dividend_propagates(monkeypatch):
+    monkeypatch.setattr(checks, "commutator", _raise_inexact(None))
+    with pytest.raises(InexactDivisionError, match="not divisible"):
+        check_nabla_recursion(SMALL)

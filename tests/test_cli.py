@@ -110,9 +110,12 @@ def test_verify_single_pass(capsys):
 
 
 def test_verify_unknown_name(capsys):
-    code, _, err = run_cli(capsys, "verify", "bogus_name")
-    assert code == 2
-    assert "unknown checks" in err
+    # --all runs every check, but does not excuse a name that is none of them
+    for extra in ((), ("--all",)):
+        code, out, err = run_cli(capsys, "verify", "bogus_name", *extra)
+        assert code == 2, extra
+        assert "unknown checks: bogus_name" in err
+        assert out == ""
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -223,3 +223,14 @@ def test_hash_agrees_with_equality_with_int():
     assert table[LaurentPoly.one()] == "one"
     assert table[q_int(3)] == "three"
     assert LaurentPoly.const(7) in {7}
+
+
+def test_equality_and_hash_with_fraction():
+    half = LaurentPoly.const(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert hash(half) == hash(Fraction(1, 2))
+    assert half in {Fraction(1, 2)}
+    assert LaurentPoly.const(3) == Fraction(3)
+    assert LaurentPoly.zero() == Fraction(0)
+    assert half != Fraction(1, 3)
+    assert LaurentPoly({1: Fraction(1, 2)}) != Fraction(1, 2)

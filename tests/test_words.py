@@ -46,6 +46,14 @@ def test_word_hash_and_order():
     assert [str(w) for w in ws] == ["", "x", "y", "xy", "yx"]
 
 
+def test_word_order_against_a_non_word_is_a_type_error():
+    for other in (3, "x", None):
+        with pytest.raises(TypeError):
+            word("x") < other
+        with pytest.raises(TypeError):
+            other > word("x")
+
+
 def test_concat():
     assert word("xx").concat(word("yy")) == word("xxyy")
     assert EMPTY_WORD.concat(word("xy")) == word("xy")
