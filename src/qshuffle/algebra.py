@@ -7,12 +7,13 @@ which computes a sum Σ c·(a ⋆ b) of products in one accumulation, with
 weights c that are ints, Fractions or LaurentPolys. Element.shuffle is its
 one-term case and commutator its two-term case, with weights q^m and
 -q^-m; the series layer makes one call per output coefficient, and the
-commutation and y^-1 checks make one per identity. The kernel
-works on packed word keys and packed coefficients and is integer-only:
-shuffle_sum clears the Fraction denominators of each operand and weight
-once on the way in and divides their common multiple back out once on the
-way out, where results are wrapped back into Element/LaurentPoly. A sum
-that vanishes decodes to the zero element without building a coefficient.
+commutation and y^-1 checks make one per identity. The kernel works on
+word keys, Word.key as it is (words.py), and on packed coefficients, and
+is integer-only: shuffle_sum clears the Fraction denominators of each
+operand and weight once on the way in and divides their common multiple
+back out once on the way out, where results are wrapped back into
+Element/LaurentPoly. A sum that vanishes decodes to the zero element
+without building a coefficient.
 
 Inside the kernel a Laurent coefficient is one packed entry (o, N), one big
 int by Kronecker substitution (see kronecker.py), so that adding two
@@ -56,16 +57,16 @@ Results are identical on both paths and whatever the memo holds; only
 speed changes.
 
 An operand may also come already packed, as a Packed: its entries
-{revkey: (o, N)} at a unit and step, the per-length (word count, L1 norm)
+{word key: (o, N)} at a unit and step, the per-length (word count, L1 norm)
 the pre-flight needs, and the parity of its exponents, so shuffle_sum
 neither decodes it nor recounts it. It is packed again, through the exact
 decoder, only when the sum's unit differs from its own. catalan's walk
 hands a family member over this way, with its L1 norms exact: a word's
 norm is the product of |k| over its factors [k]_q, since every [k]_q has
 coefficients of one sign and ‖PQ‖₁ = ‖P‖₁‖Q‖₁ for such P and Q. Its y^-1
-image keeps the entries of the words that end in y (bit 0 of a reversed
-key) under their keys shifted right by one, so the (n, k) recursion takes
-∇⁽⁰⁾ₙ₊ₖ to the kernel without a LaurentPoly per word.
+image keeps the entries of the words that end in y (bit 0 of the key) under
+their keys shifted right by one, so the (n, k) recursion takes ∇⁽⁰⁾ₙ₊ₖ to
+the kernel without a LaurentPoly per word.
 
 Before any kernel call each product is priced on its own: the
 interleavings it would walk are summed over its word pairs, and a product
@@ -76,7 +77,6 @@ for hours.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, lcm
 
 from . import kronecker as K
@@ -101,20 +101,10 @@ def clear_caches() -> None:
     _memo.clear()
 
 
-def _rev_key(key: int) -> int:
-    """Reverse the letters of a packed word."""
-    return int("1" + bin(key)[:2:-1], 2)
-
-
-def _key_weight(key: int) -> int:
-    """#x - #y of a packed word, reversed or not: the set bits past the sentinel are the y's."""
-    return key.bit_length() + 1 - 2 * bin(key).count("1")
-
-
 def _shuffle_keys(u: int, v: int, unit: int) -> dict:
-    """q-shuffle of two packed words, both REVERSED, as {revkey: (o, N)}.
+    """q-shuffle of two word keys as {key: (o, N)}.
 
-    Peels the last letters of the original words (the first bits here):
+    Peels the last letters of the words (bit 0 of their keys):
     u*v = (u*(v minus last))·v_s + ((u minus last)*v)·u_r q^<u_r, v>.
     Working back-to-front lets truncated words (y^-1 images) share memo
     state with their parents. Every pair is memoized, keyed with the unit
@@ -133,7 +123,7 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
     b = v & 1
     # <u_r, v> summed over all letters of v: 2*(x-count - y-count), negated for
     # u_r = y; as a shift of packed entries, unit bits per power of q
-    e = 2 * unit * _key_weight(v)
+    e = 2 * unit * W.key_weight(v)
     out = {(k << 1) | b: p for k, p in _shuffle_keys(u, v >> 1, unit).items()}
     _add_letter(out, _shuffle_keys(u >> 1, v, unit), a, -e if a else e)
     if len(_memo) < _MEMO_CAP:
@@ -142,10 +132,10 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
 
 
 def _commutator_keys(u: int, v: int, unit: int) -> dict:
-    """u ⋆ v − v ⋆ u of two packed words, both REVERSED, as {revkey: (o, N)},
-    built from the two _shuffle_keys tables with the cancelled entries
-    dropped. Memoized in the same table as _shuffle_keys, under the key
-    (u, v, −unit): a negative unit marks a difference table."""
+    """u ⋆ v − v ⋆ u of two word keys as {key: (o, N)}, built from the two
+    _shuffle_keys tables with the cancelled entries dropped. Memoized in the
+    same table as _shuffle_keys, under the key (u, v, −unit): a negative
+    unit marks a difference table."""
     key = (u, v, -unit)
     res = _memo.get(key)
     if res is not None:
@@ -178,8 +168,8 @@ def _accumulate(out: dict, sub: dict, cw: tuple) -> None:
 
 
 def _add_letter(out: dict, terms: dict, letter: int, shift: int) -> None:
-    """out[k·letter] += 2^shift · terms[k] for every k (k a reversed key);
-    packed entries (o, N)."""
+    """out[k·letter] += 2^shift · terms[k] for every word key k; packed
+    entries (o, N)."""
     if not out:  # nothing to merge into: one comprehension
         out.update({(k << 1) | letter: (f + shift, n) for k, (f, n) in terms.items()})
         return
@@ -202,11 +192,11 @@ def _scaled(terms: dict, c: tuple) -> dict:
 
 
 class _Node:
-    """A node of the suffix trie of an operand's reversed word keys.
+    """A node of the suffix trie of an operand's word keys.
 
     It stands for the operand's words that end in one suffix s. ``rest``
     holds their nonempty prefixes (each word with s removed) as
-    {revkey: (o, N)}, ``alpha`` the packed coefficient of the word s itself
+    {key: (o, N)}, ``alpha`` the packed coefficient of the word s itself
     (None when s is not a word of the operand), ``kids`` the (letter, child)
     split of ``rest`` by last letter, and ``wt`` the weight #x - #y of every
     prefix in ``rest`` when the operand is weight-homogeneous.
@@ -228,7 +218,7 @@ class _Node:
 
 
 def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
-    """The q-shuffle of two packed operands {revkey: (o, N)}, walking
+    """The q-shuffle of two packed operands {key: (o, N)}, walking
     their suffix tries instead of their word pairs.
 
     For nodes a, b let A_a, B_b be their prefix sums (``rest``) and α, β the
@@ -248,7 +238,7 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     ra = _Node(left)
     parts: dict = {}
     for k, p in right.items():
-        parts.setdefault(_key_weight(k), {})[k] = p
+        parts.setdefault(W.key_weight(k), {})[k] = p
     tables: dict = {}
 
     def add_table(out, a, b, letter, shift):
@@ -287,24 +277,23 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     return out
 
 
-def _decode(out: dict, unit: int, step: int, den: int, keys=None) -> dict:
-    """{Word: LaurentPoly} from a kernel result {revkey: (o, N)} whose
-    exponents step by ``step``, every coefficient divided by den. keys, when
-    given, are the forward keys of out's words in out's order, so that no
-    key is reversed. Entries with N = 0 are left out.
+def _decode(out: dict, unit: int, step: int, den: int) -> dict:
+    """{Word: LaurentPoly} from a kernel result {key: (o, N)} whose
+    exponents step by ``step``, every coefficient divided by den. Entries
+    with N = 0 are left out.
 
     Decoding empties out: each entry is dropped as its word is decoded, so
     that no word is held packed and decoded at once.
     """
     unpack = K.unpacker(unit, step)
     terms = {}
-    for k, (rk, (o, n)) in zip(repeat(None) if keys is None else keys, out.items()):
-        out[rk] = None
-        if n:  # a cancelled entry is skipped before its key is reversed
+    for k, (o, n) in out.items():
+        out[k] = None
+        if n:
             p = unpack(o, n)
             if den != 1:
                 p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
-            terms[W.Word(_rev_key(rk) if k is None else k)] = LaurentPoly(p, _raw=True)
+            terms[W.Word(k)] = LaurentPoly(p, _raw=True)
     out.clear()
     return terms
 
@@ -358,6 +347,18 @@ def check_shuffle_cost(a, b) -> int:
     return _preflight(_length_norms(a._terms), _length_norms(b._terms))[0]
 
 
+def _merged(out: dict, terms) -> dict:
+    """out[w] += c for every (w, c) of terms, dropping the words whose sum is zero."""
+    for w, c in terms:
+        s = out.get(w)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
+    return out
+
+
 class Element:
     """A finite linear combination of words with LaurentPoly coefficients."""
 
@@ -387,8 +388,8 @@ class Element:
             w = W.word(w)
         if coeff is None:
             coeff = LaurentPoly.one()
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = LaurentPoly.const(coeff)
+        elif not isinstance(coeff, LaurentPoly):
+            coeff = LaurentPoly.const(coeff)  # refuses a float
         if coeff.is_zero():
             return Element.zero()
         return Element({w: coeff}, _raw=True)
@@ -400,10 +401,10 @@ class Element:
 
     def terms(self):
         """Sorted (word, coefficient) pairs: by length, then lexicographic."""
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0].letter_bits()))
+        return sorted(self._terms.items(), key=lambda t: t[0].key)
 
     def support(self):
-        return sorted(self._terms, key=lambda w: (len(w), w.letter_bits()))
+        return sorted(self._terms, key=lambda w: w.key)
 
     def coeff(self, w) -> LaurentPoly:
         """The coefficient of a word: the bilinear pairing (w, self)."""
@@ -430,15 +431,7 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Element(out, _raw=True)
+        return Element(_merged(dict(self._terms), other._terms.items()), _raw=True)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -461,6 +454,8 @@ class Element:
             if not c:
                 return Element.zero()
             return Element({w: p.scale(c) for w, p in self._terms.items()}, _raw=True)
+        if not isinstance(c, LaurentPoly):
+            c = LaurentPoly.const(c)  # refuses a float
         if c.is_zero():
             return Element.zero()
         return Element({w: p * c for w, p in self._terms.items()}, _raw=True)
@@ -481,23 +476,12 @@ class Element:
     # -- products ------------------------------------------------------------
 
     def free_mul(self, other: "Element") -> "Element":
-        cap = W.length_cap()
-        out: dict = {}
-        for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                if len(u) + len(v) > cap:
-                    raise CapExceededError(
-                        f"free product would create a word of length {len(u) + len(v)}"
-                    )
-                w = u.concat(v)
-                c = cu * cv
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return Element(out, _raw=True)
+        longest = self.max_word_len() + other.max_word_len()
+        if longest > W.length_cap() and self._terms and other._terms:
+            raise CapExceededError(f"free product would create a word of length {longest}")
+        terms = ((u.concat(v), cu * cv) for u, cu in self._terms.items()
+                 for v, cv in other._terms.items())
+        return Element(_merged({}, terms), _raw=True)
 
     def _cleared(self):
         """(d, terms scaled by d): d is the lcm of the coefficient denominators,
@@ -525,19 +509,20 @@ class Element:
     def y_inverse(self) -> "Element":
         """Strip a trailing y from each word; words ending in x (and 1) go to 0.
         Stripping is injective on the words kept, so no two terms merge."""
-        # dropping the sentinel turns the trailing y bit into the new sentinel
+        # the last letter is bit 0 of the key, and the empty word's key is 1
         return Element(
-            {W.Word(w.key - (1 << len(w))): c for w, c in self._terms.items()
-             if len(w) and (w.key >> len(w) - 1) & 1},
+            {W.Word(w.key >> 1): c for w, c in self._terms.items() if w.key & 1 and w.key != 1},
             _raw=True,
         )
 
     def x_inverse(self) -> "Element":
         """Strip a leading x from each word; words starting with y (and 1) go to 0.
         Stripping is injective on the words kept, so no two terms merge."""
-        # the empty word's key is the bare sentinel 1, so it goes with the y's
+        # a leading x puts the bits 10 at the top of the key; 01 is the key without it
         return Element(
-            {W.Word(w.key >> 1): c for w, c in self._terms.items() if not w.key & 1}, _raw=True
+            {W.Word(w.key - (1 << len(w) - 1)): c for w, c in self._terms.items()
+             if len(w) and w.key >> len(w) - 1 == 2},
+            _raw=True,
         )
 
     def zeta(self) -> "Element":
@@ -581,7 +566,7 @@ class Element:
 class Packed:
     """A shuffle_sum operand held in the kernel's packed form.
 
-    ``terms`` maps the reversed key of each word to its coefficient packed
+    ``terms`` maps the key of each word to its coefficient packed
     at ``unit`` as (o, N), with N ≠ 0 and exponents that step by ``step``,
     and with the operand's Fraction denominators cleared into ``den``.
     ``norms`` is what the pre-flight reads, {word length: (word count,
@@ -627,8 +612,8 @@ class Packed:
     def y_inverse(self) -> "Packed":
         """Strip a trailing y from each word, as Element.y_inverse does.
 
-        Bit 0 of a reversed key is the word's last letter, so a word ending
-        in y keeps its entry under its key shifted right by one; stripping
+        Bit 0 of a word's key is its last letter, so a word ending in y
+        keeps its entry under its key shifted right by one; stripping
         is injective, so nothing merges. The words that go (those ending in
         x, and 1) are decoded to take their norms off their length; every
         word of a Catalan member ends in y, so its image decodes nothing.
@@ -645,10 +630,9 @@ class Packed:
         norms = {i - 1: v for i, v in norms.items() if v[0]}
         return Packed(terms, self.unit, self.step, norms, self.parity, self.den)
 
-    def decoded(self, keys=None) -> Element:
-        """The Element, emptying this operand as _decode does; keys, when
-        given, are the forward keys of the terms in their order."""
-        return Element(_decode(self.terms, self.unit, self.step, self.den, keys), _raw=True)
+    def decoded(self) -> Element:
+        """The Element, emptying this operand as _decode does."""
+        return Element(_decode(self.terms, self.unit, self.step, self.den), _raw=True)
 
 
 def _operand(x) -> tuple:
@@ -661,10 +645,10 @@ def _operand(x) -> tuple:
 
 
 def _packed(terms, unit: int) -> dict:
-    """An operand's cleared terms as {revkey: (o, N)} at unit."""
+    """An operand's cleared terms as {key: (o, N)} at unit."""
     if isinstance(terms, Packed):
         return terms.at(unit)
-    return {_rev_key(w.key): K.pack(c._c, unit) for w, c in terms.items()}
+    return {w.key: K.pack(c._c, unit) for w, c in terms.items()}
 
 
 def shuffle_sum(triples) -> Element:

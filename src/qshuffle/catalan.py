@@ -12,8 +12,9 @@ family D_n up to sign, and m = -1 picks out the single alternating word
 
 The builders walk the Catalan prefixes once (_walk). Each prefix carries its
 product as one packed int (kronecker.py, the codec the shuffle kernel uses)
-and its word key, forward and reversed, and the slot width comes from an
-exact bound on every coefficient computed before the walk (_path_bound).
+and its word key (words.py), which the kernel reads as it is. The slot width
+comes from an exact bound on every coefficient computed before the walk
+(_path_bound).
 The walk returns its leaves packed, as an algebra.Packed operand, never
 decoded: packed_member hands them to shuffle_sum as they are, and the
 builders decode each word once. Each leaf also carries its L1 norm, the
@@ -153,10 +154,10 @@ def _walk(n: int, m: int, reduced: bool = False, sign: int = 1, packed: bool = F
 
     One depth-first walk over Catalan prefixes. Each prefix carries its
     product as one packed entry (o, N) (kronecker.py), so each letter is one
-    big-int multiply, and its key both forward and reversed; a prefix whose
-    product is zero is dropped with all its extensions. Every factor's
-    exponents have one parity, so the slots hold q^2 steps; their width
-    comes from _path_bound. Each leaf also carries its L1 norm, the product
+    big-int multiply, and its word key, one letter appended per step; a
+    prefix whose product is zero is dropped with all its extensions. Every
+    factor's exponents have one parity, so the slots hold q^2 steps; their
+    width comes from _path_bound. Each leaf also carries its L1 norm, the product
     of |k| over its factors [k]_q, exact since each factor has coefficients
     of one sign. Returns the leaves, never decoded, as a Packed operand when
     packed, else the Element they decode to, its words in the lexicographic
@@ -174,36 +175,34 @@ def _walk(n: int, m: int, reduced: bool = False, sign: int = 1, packed: bool = F
     yf = [entry(_factor(m, 1, e)) for e in range(n + 1)]
     end = 2 * n
     terms: dict = {}
-    keys = []
     norm = 0
 
-    def rec(key: int, rk: int, pos: int, xs: int, e: int, o: int, c: int, nm: int) -> None:
+    def rec(key: int, pos: int, xs: int, e: int, o: int, c: int, nm: int) -> None:
         nonlocal norm
         if pos == end:
-            terms[rk] = (o, c)
-            keys.append(key | (1 << pos))
+            terms[key] = (o, c)
             norm += nm
             return
         if xs < n:
             f = xf[e]
             if f is not None:
-                rec(key, rk << 1, pos + 1, xs + 1, e + 1, o + f[0], c * f[1], nm * f[2])
+                rec(key << 1, pos + 1, xs + 1, e + 1, o + f[0], c * f[1], nm * f[2])
         if e > 0:
             f = yf[e]
-            rec(key | (1 << pos), rk << 1 | 1, pos + 1, xs, e - 1, o + f[0], c * f[1], nm * f[2])
+            rec(key << 1 | 1, pos + 1, xs, e - 1, o + f[0], c * f[1], nm * f[2])
 
     if n == 0:
-        rec(0, 1, 0, 0, 0, 0, sign, 1)
+        rec(W.EMPTY_KEY, 0, 0, 0, 0, sign, 1)
     else:
         # every nontrivial Catalan word starts with x at elevation 0
         first = entry(_factor(m, 0, 0, reduced))
         if first is not None:
-            rec(0, 2, 1, 1, 1, first[0], sign * first[1], first[2])
+            rec(W.EMPTY_KEY << 1, 1, 1, 1, first[0], sign * first[1], first[2])
     parities = {o // unit & 1 for o, _ in terms.values()}
     parity = parities.pop() if len(parities) == 1 else None
     norms = {end: (len(terms), norm)} if terms else {}
     leaves = Packed(terms, unit, 2, norms, parity)
-    return leaves if packed else leaves.decoded(keys)
+    return leaves if packed else leaves.decoded()
 
 
 def delta_element(m: int, n: int, packed: bool = False) -> Element | Packed:

@@ -769,14 +769,17 @@ CHECKS = {
 def run_all(cfg: VerifyConfig = None, names=None):
     """Run the selected checks (all by default) in catalog order.
 
-    An empty m-range raises ValueError: it would evaluate nothing, and an
-    empty report list reads as a pass. Reports come back in catalog order.
+    An empty m-range or an empty list of names raises ValueError: either
+    would evaluate nothing, and an empty report list reads as a pass.
+    Reports come back in catalog order.
     The checks share one CheckContext.
     """
     cfg = cfg or VerifyConfig()
     if cfg.m_min > cfg.m_max:
         raise ValueError(f"empty m-range: m_min {cfg.m_min} > m_max {cfg.m_max}")
     selected = list(CHECKS) if names is None else list(names)
+    if not selected:
+        raise ValueError("no checks selected")
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")

@@ -2,8 +2,9 @@
 
 The scalar ring for the whole package. Coefficients are Python ints where
 possible and fractions.Fraction otherwise; there is no floating point
-anywhere. Values are immutable after construction: every operation returns
-a fresh polynomial and the term dict of an existing one is never mutated.
+anywhere: const, monomial and the constructor refuse a coefficient of any
+other type with TypeError. Values are immutable after construction: every
+operation returns a fresh polynomial and never mutates an existing one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ def _norm(v):
 
 
 def _clean(terms: dict) -> dict:
-    return {e: _norm(c) for e, c in terms.items() if c}
+    """The nonzero terms, normalized; a coefficient is an int (a bool is
+    stored as its int) or a Fraction, and any other type is refused."""
+    out = {}
+    for e, c in terms.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__}")
+        if c:
+            out[e] = int(c) if type(c) is bool else _norm(c)
+    return out
 
 
 class LaurentPoly:
@@ -51,13 +60,11 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        c = _norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return LaurentPoly({0: c} if c else {}, _raw=True)
+        return LaurentPoly({0: c})
 
     @staticmethod
     def monomial(exp: int, coeff=1) -> "LaurentPoly":
-        coeff = _norm(coeff)
-        return LaurentPoly({exp: coeff} if coeff else {}, _raw=True)
+        return LaurentPoly({exp: coeff})
 
     # -- queries -----------------------------------------------------------
 

@@ -63,11 +63,15 @@ class Series:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def _check_match(self, other: "Series") -> None:
+    def _matches(self, other) -> bool:
+        """Whether other is a Series; one of another cutoff is refused."""
+        if not isinstance(other, Series):
+            return False
         if self.cutoff != other.cutoff:
             raise CutoffMismatchError(
                 f"cutoff {self.cutoff} vs {other.cutoff}; truncate explicitly first"
             )
+        return True
 
     def truncate(self, cutoff: int) -> "Series":
         if cutoff > self.cutoff:
@@ -77,11 +81,13 @@ class Series:
     # -- linear operations -----------------------------------------------------
 
     def __add__(self, other):
-        self._check_match(other)
+        if not self._matches(other):
+            return NotImplemented
         return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.cutoff)
 
     def __sub__(self, other):
-        self._check_match(other)
+        if not self._matches(other):
+            return NotImplemented
         return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.cutoff)
 
     def __neg__(self):
@@ -95,7 +101,8 @@ class Series:
     def star_mul(self, other: "Series") -> "Series":
         """Cauchy product with the q-shuffle on coefficients: one shuffle_sum
         per coefficient."""
-        self._check_match(other)
+        if not self._matches(other):
+            raise TypeError(f"star_mul needs a Series, not {type(other).__name__}")
         a, b = self.coeffs, other.coeffs
         return Series(
             [shuffle_sum((1, a[i], b[k - i]) for i in range(k + 1))
@@ -110,8 +117,8 @@ class Series:
 
     def rescale_t(self, c) -> "Series":
         """Substitute t -> c t: the n-th coefficient picks up c^n."""
-        if isinstance(c, (int, Fraction)):
-            c = LaurentPoly.const(c)
+        if not isinstance(c, LaurentPoly):
+            c = LaurentPoly.const(c)  # refuses a float
         out = []
         acc = LaurentPoly.one()
         for n, a in enumerate(self.coeffs):

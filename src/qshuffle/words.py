@@ -1,9 +1,11 @@
 """Words over the two-letter alphabet {x, y} and their lattice-path combinatorics.
 
-A word is stored packed: a single int whose low bits encode the letters
-(bit i is letter i, x = 0, y = 1) with a sentinel 1-bit just above the last
-letter. The empty word is the bare sentinel 1. This makes words cheap to
-hash, to split at the front, and to share as memo keys.
+A word is stored as one int, its key: the word read as a binary number
+(x = 0, y = 1) behind a sentinel 1-bit, so its last letter is bit 0. The
+empty word's key is the bare sentinel 1, and word("xy").key == 0b101. Key
+order is word order: by length, then lexicographic with x < y. The shuffle
+kernel, its memo and the family walk use these keys as they are: appending
+a letter b is key << 1 | b, and dropping the last letter is key >> 1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import lru_cache
 from .errors import CapExceededError
 
 EMPTY_KEY = 1
+_BITS = str.maketrans("xy", "01")  # letters to key bits
+_LETTERS = str.maketrans("01", "xy")  # key bits to letters
 
 _length_cap = 32
 
@@ -50,66 +54,51 @@ def weight(a: Letter) -> int:
 class Word:
     """An immutable word over {x, y}; the empty word is the algebra unit."""
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, key: int = EMPTY_KEY):
         if key < 1:
             raise ValueError("invalid packed word key")
         self.key = key
-        self._hash = hash(key)
 
     @staticmethod
     def from_string(s: str) -> "Word":
-        key = EMPTY_KEY
-        for ch in reversed(s):
-            if ch == "x":
-                key = key << 1
-            elif ch == "y":
-                key = (key << 1) | 1
-            else:
-                raise ValueError(f"invalid letter {ch!r}; words use only 'x' and 'y'")
-        return Word(key)
+        bad = s.strip("xy")  # starts at the first letter that is not x or y
+        if bad:
+            raise ValueError(f"invalid letter {bad[0]!r}; words use only 'x' and 'y'")
+        return Word(int("1" + s.translate(_BITS), 2))
 
     def __len__(self) -> int:
         return self.key.bit_length() - 1
 
     def __iter__(self):
-        k = self.key
-        while k > 1:
-            yield Letter(k & 1)
-            k >>= 1
+        return map(Letter, self.letter_bits())
 
     def __getitem__(self, i: int) -> Letter:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return Letter((self.key >> i) & 1)
+        return Letter(self.letter_bits()[i])
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __lt__(self, other):
-        # length first, then lexicographic with x < y
+        # key order is word order: length first, then lexicographic with x < y
         if not isinstance(other, Word):
             return NotImplemented
-        a, b = self.letter_bits(), other.letter_bits()
-        return (len(a), a) < (len(b), b)
+        return self.key < other.key
 
     def letter_bits(self) -> tuple:
-        return tuple((self.key >> i) & 1 for i in range(len(self)))
+        """The letters as bits (x = 0, y = 1), first letter first."""
+        return tuple(map(int, bin(self.key)[3:]))
 
     def concat(self, other: "Word") -> "Word":
-        n = len(self)
-        bits = self.key - (1 << n)
-        return Word(bits | (other.key << n))
+        n = len(other)
+        return Word((self.key << n) | (other.key - (1 << n)))
 
     def __str__(self):
-        return "".join("y" if b else "x" for b in self.letter_bits())
+        return bin(self.key)[3:].translate(_LETTERS)
 
     def __repr__(self):
         return f"Word({str(self)!r})"
@@ -142,23 +131,20 @@ def elevation_sequence(w: Word) -> tuple:
     return tuple(out)
 
 
+def key_weight(key: int) -> int:
+    """#x - #y of the word with this key: the set bits past the sentinel are the y's."""
+    return key.bit_length() + 1 - 2 * bin(key).count("1")
+
+
 def is_balanced(w: Word) -> bool:
     """Equal numbers of x and y; equivalently the final elevation is 0."""
-    n = len(w)
-    if n % 2:
-        return False
-    ys = bin(w.key).count("1") - 1
-    return 2 * ys == n
+    return key_weight(w.key) == 0
 
 
 def is_catalan(w: Word) -> bool:
     """Partial elevations stay >= 0 and the final elevation is 0."""
-    e = 0
-    for b in w.letter_bits():
-        e += -1 if b else 1
-        if e < 0:
-            return False
-    return e == 0
+    es = elevation_sequence(w)
+    return min(es) == es[-1] == 0
 
 
 class Profile:
@@ -279,14 +265,14 @@ def _enumerate_catalan(n: int) -> tuple:
 
     def rec(key: int, pos: int, xs: int, e: int) -> None:
         if pos == 2 * n:
-            out.append(Word(key | (1 << pos)))
+            out.append(Word(key))
             return
         if xs < n:
-            rec(key, pos + 1, xs + 1, e + 1)
+            rec(key << 1, pos + 1, xs + 1, e + 1)
         if e > 0:
-            rec(key | (1 << pos), pos + 1, xs, e - 1)
+            rec(key << 1 | 1, pos + 1, xs, e - 1)
 
-    rec(0, 0, 0, 0)
+    rec(EMPTY_KEY, 0, 0, 0)
     return tuple(out)
 
 
@@ -297,25 +283,22 @@ def catalan_number(n: int) -> int:
     return c
 
 
+# kind -> (head, body, tail) of the word head + body^n + tail
+_ALTERNATING = {"W_minus": ("", "xy", "x"), "W_plus": ("y", "xy", ""),
+                "G": ("", "yx", ""), "Gtilde": ("", "xy", "")}
+
+
 def alternating_word(kind: str, n: int) -> Word:
     """The alternating families: W_minus(n) = (xy)^n x, W_plus(n) = y(xy)^n
     (the word indexed n+1 in the plus family), G(n) = (yx)^n, Gtilde(n) = (xy)^n.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    if kind == "W_minus":
-        _check_cap(2 * n + 1)
-        return word("xy" * n + "x")
-    if kind == "W_plus":
-        _check_cap(2 * n + 1)
-        return word("y" + "xy" * n)
-    if kind == "G":
-        _check_cap(2 * n)
-        return word("yx" * n)
-    if kind == "Gtilde":
-        _check_cap(2 * n)
-        return word("xy" * n)
-    raise ValueError(f"unknown alternating family {kind!r}")
+    head, body, tail = _ALTERNATING.get(kind, (None,) * 3)
+    if body is None:
+        raise ValueError(f"unknown alternating family {kind!r}")
+    _check_cap(2 * n + len(head + tail))
+    return word(head + body * n + tail)
 
 
 def gtilde_word(n: int) -> Word:
@@ -323,8 +306,5 @@ def gtilde_word(n: int) -> Word:
 
 
 def zeta_word(w: Word) -> Word:
-    """Reverse the word and swap x <-> y."""
-    key = EMPTY_KEY
-    for b in w.letter_bits():
-        key = (key << 1) | (b ^ 1)
-    return Word(key)
+    """Reverse the word and swap x <-> y: its key's letter bits reversed, then flipped."""
+    return Word(int("1" + bin(w.key)[:2:-1], 2) ^ ((1 << len(w)) - 1))

@@ -262,8 +262,8 @@ def test_the_factor_rule_has_one_definition(monkeypatch):
 
 
 def test_packed_members_decode_to_the_built_members():
-    # the walk's leaves, decoded without the forward keys (each reversed key
-    # turned back), are the member the builder decodes, in the same order;
+    # the walk's leaves, decoded on their own (their keys are the words'
+    # keys), are the member the builder decodes, in the same order;
     # the norms the walk carries are the member's L1 norms, exactly, and
     # decoding empties the leaves
     for n in range(0, 9):

@@ -149,6 +149,13 @@ def test_run_all_empty_m_range():
         run_all(VerifyConfig(m_min=1, m_max=0))
 
 
+def test_run_all_with_no_names_evaluates_nothing_and_is_refused():
+    # an empty report list would read as a pass
+    for names in ([], (), iter([])):
+        with pytest.raises(ValueError):
+            run_all(SMALL, names=names)
+
+
 def test_perturbed_nk_left_side_fails_yinv_calculus():
     # nabla(0, n_max + 1) is consumed only by the left-hand side of the
     # (n, k) truncated recursion, so only that identity can see it

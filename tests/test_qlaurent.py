@@ -234,3 +234,21 @@ def test_equality_and_hash_with_fraction():
     assert LaurentPoly.zero() == Fraction(0)
     assert half != Fraction(1, 3)
     assert LaurentPoly({1: Fraction(1, 2)}) != Fraction(1, 2)
+
+
+def test_coefficients_are_ints_or_fractions_only():
+    # no float enters the ring, not even one a Fraction could hold exactly
+    for bad in (0.1, 0.5, 0.0, 1.0, "1/2", None, 1j):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(bad)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(1, bad)
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 1, 2: bad})
+    # a bool is stored as its int, so it serializes as a number
+    for p in (LaurentPoly.const(True), LaurentPoly.monomial(0, True), LaurentPoly({0: True})):
+        assert type(p.coeff(0)) is int and p.to_json() == {"0": "1"}
+        assert LaurentPoly.from_json(p.to_json()) == p == 1
+    assert LaurentPoly.const(False).is_zero() and LaurentPoly({3: False}).is_zero()
+    assert LaurentPoly.const(Fraction(4, 2)).coeff(0) == 2
+    assert type(LaurentPoly.monomial(1, Fraction(4, 2)).coeff(1)) is int

@@ -13,7 +13,7 @@ from qshuffle.catalan import (
     x_cn_y,
 )
 from qshuffle.errors import CutoffMismatchError, InexactDivisionError
-from qshuffle.qlaurent import q_int, q_pow
+from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import (
     Series,
     beck_log_argument,
@@ -331,3 +331,30 @@ def test_series_builders_take_their_members_from_the_given_getter():
     arg = log_argument(2, 2, "xCny", member)
     assert calls == [("xCny", None, 1), ("xCny", None, 2)]
     assert arg[2] == Element.from_word("xyxy", q_int(4) * Fraction(1, 2))
+
+
+def test_arithmetic_against_a_non_series_is_a_type_error():
+    s = Series.unit(2)
+    for other in (1, Fraction(1, 2), UNIT, None):
+        with pytest.raises(TypeError):
+            s + other
+        with pytest.raises(TypeError):
+            s - other
+        with pytest.raises(TypeError):
+            other + s
+        with pytest.raises(TypeError):
+            s.star_mul(other)
+        with pytest.raises(TypeError):
+            s @ other
+
+
+def test_float_scalars_are_refused():
+    s = family_series("Gtilde", None, 2)
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            s.rescale_t(bad)
+        with pytest.raises(TypeError):
+            X_EL.scale(bad)
+        with pytest.raises(TypeError):
+            Element.from_word("xy", bad)
+    assert s.rescale_t(Fraction(1, 2)) == s.rescale_t(LaurentPoly.const(Fraction(1, 2)))

@@ -1,11 +1,16 @@
+from itertools import product
+
 import pytest
 
 from qshuffle import words as W
+from qshuffle.algebra import Element
 from qshuffle.errors import CapExceededError
+from qshuffle.qlaurent import LaurentPoly
 from qshuffle.words import (
     EMPTY_WORD,
     Letter,
     Profile,
+    Word,
     alternating_word,
     catalan_number,
     elevation_sequence,
@@ -52,6 +57,48 @@ def test_word_order_against_a_non_word_is_a_type_error():
             word("x") < other
         with pytest.raises(TypeError):
             other > word("x")
+
+
+def _strings_upto(n):
+    return ["".join(t) for k in range(n + 1) for t in product("xy", repeat=k)]
+
+
+def test_key_is_the_word_read_as_a_binary_number():
+    # x = 0, y = 1, behind a sentinel 1; the last letter is bit 0
+    assert word("xy").key == 0b101 and EMPTY_WORD.key == 1
+    strings = _strings_upto(8)
+    to_bits = str.maketrans("xy", "01")
+    ws = [word(s) for s in strings]
+    for s, w in zip(strings, ws):
+        assert w.key == int("1" + s.translate(to_bits), 2), s
+        assert str(w) == s and Word(w.key) == w
+        assert [str(a) for a in w] == list(s)
+        assert "".join(str(w[i]) for i in range(-len(s), len(s))) == s + s
+        for i in (len(s), -len(s) - 1):
+            with pytest.raises(IndexError):
+                w[i]
+    # key order is word order: by length, then lexicographic with x < y
+    by_key = sorted(ws, key=lambda w: w.key)
+    assert [str(w) for w in by_key] == sorted(strings, key=lambda s: (len(s), s))
+    assert sorted(reversed(ws)) == by_key
+    assert all(a < b and not b < a for a, b in zip(by_key, by_key[1:]))
+
+
+def test_key_operations_match_their_string_definitions():
+    strings = _strings_upto(8)
+    swap = str.maketrans("xy", "yx")
+    for s in strings:
+        w = word(s)
+        assert str(zeta_word(w)) == s[::-1].translate(swap), s
+        assert W.is_balanced(w) == (s.count("x") == s.count("y")), s
+        assert W.key_weight(w.key) == s.count("x") - s.count("y"), s
+        for t in strings[:63]:  # every word of up to 5 letters
+            assert str(w.concat(word(t))) == s + t, (s, t)
+    el = Element({word(s): LaurentPoly.const(i + 1) for i, s in enumerate(strings)})
+    y_inv = {str(w)[:-1]: c for w, c in el.terms() if str(w).endswith("y")}
+    x_inv = {str(w)[1:]: c for w, c in el.terms() if str(w).startswith("x")}
+    assert {str(w): c for w, c in el.y_inverse().terms()} == y_inv
+    assert {str(w): c for w, c in el.x_inverse().terms()} == x_inv
 
 
 def test_concat():
