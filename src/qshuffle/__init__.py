@@ -4,6 +4,8 @@ verification suite. All arithmetic is exact (integers and rationals in a
 formal variable q); there is no floating point anywhere.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     CapExceededError,
     CutoffMismatchError,
@@ -54,19 +56,42 @@ from .catalan import (
     vanishing_bound,
     x_cn_y,
 )
-from .series import (
-    Series,
-    beck_log_argument,
-    c_series,
-    d_series,
-    delta_series,
-    family_series,
-    gtilde_series,
-    log_argument,
-    nabla0_log_argument,
-    nabla0_series,
-    x_cn_y_series,
+# series and checks load on first use (PEP 562), so that a request that needs
+# neither, such as a compute, does not import them
+_LAZY = {
+    "series": (
+        "Series",
+        "beck_log_argument",
+        "c_series",
+        "d_series",
+        "delta_series",
+        "family_series",
+        "gtilde_series",
+        "log_argument",
+        "nabla0_log_argument",
+        "nabla0_series",
+        "x_cn_y_series",
+    ),
+    "checks": ("CheckReport", "VerifyConfig", "Witness", "run_all"),
+}
+
+__all__ = sorted(
+    {n for n in globals() if not n.startswith("_")}
+    | {n for mod, names in _LAZY.items() for n in (mod, *names)}
 )
-from .checks import CheckReport, VerifyConfig, Witness, run_all
+
+
+def __getattr__(name: str):
+    for mod, names in _LAZY.items():
+        if name == mod or name in names:
+            module = _import_module(f".{mod}", __name__)
+            value = globals()[name] = module if name == mod else getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

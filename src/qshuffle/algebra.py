@@ -277,25 +277,31 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     return out
 
 
-def _decode(out: dict, unit: int, step: int, den: int) -> dict:
-    """{Word: LaurentPoly} from a kernel result {key: (o, N)} whose
-    exponents step by ``step``, every coefficient divided by den. Entries
-    with N = 0 are left out.
+def _decoded(out: dict, unit: int, step: int, den: int, keys):
+    """Yield (Word, LaurentPoly) for the given keys of a kernel result
+    {key: (o, N)} whose exponents step by ``step``, every coefficient
+    divided by den, one entry decoded at a time. Entries with N = 0 are
+    left out.
 
     Decoding empties out: each entry is dropped as its word is decoded, so
     that no word is held packed and decoded at once.
     """
     unpack = K.unpacker(unit, step)
-    terms = {}
-    for k, (o, n) in out.items():
+    for k in keys:
+        o, n = out[k]
         out[k] = None
         if n:
             p = unpack(o, n)
             if den != 1:
                 p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
-            terms[W.Word(k)] = LaurentPoly(p, _raw=True)
+            yield W.Word(k), LaurentPoly(p, _raw=True)
     out.clear()
-    return terms
+
+
+def _decode(out: dict, unit: int, step: int, den: int) -> dict:
+    """{Word: LaurentPoly} of a kernel result, in its own order, emptying
+    it as _decoded does."""
+    return dict(_decoded(out, unit, step, den, out))
 
 
 def _length_norms(terms: dict) -> dict:
@@ -633,6 +639,12 @@ class Packed:
     def decoded(self) -> Element:
         """The Element, emptying this operand as _decode does."""
         return Element(_decode(self.terms, self.unit, self.step, self.den), _raw=True)
+
+    def decoded_terms(self):
+        """Yield the (Word, LaurentPoly) terms in key order, as Element.terms
+        lists them, decoding one entry at a time and emptying this operand
+        as _decode does. The walk's leaves are already in key order."""
+        return _decoded(self.terms, self.unit, self.step, self.den, sorted(self.terms))
 
 
 def _operand(x) -> tuple:

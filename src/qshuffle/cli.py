@@ -13,7 +13,9 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import catalan, checks, render, series, words
+# checks and series are imported by the commands that use them, so that a
+# compute request loads neither
+from . import catalan, render, words
 from .errors import QShuffleError
 
 USAGE_ERROR = 2
@@ -99,13 +101,19 @@ def _enumerate_human(rows) -> str:
     ) + "\n"
 
 
+def _lines(chunks):
+    yield from chunks
+    yield "\n"
+
+
 # The formats each kind of output renders, in the order refusals list them,
 # and the writer of each. Writers look render's functions up at call time.
+# An element's writers take its (word, coefficient) terms and return chunks.
 WRITERS = {
     "element": {
-        "human": lambda el: render.element_str(el) + "\n",
-        "json": lambda el: _json(el.to_json()),
-        "latex": lambda el: render.element_latex(el) + "\n",
+        "human": lambda terms: _lines(render.human_chunks(terms)),
+        "json": lambda terms: _lines(render.json_chunks(terms)),
+        "latex": lambda terms: _lines(render.latex_chunks(terms)),
     },
     "series": {
         "human": lambda s: render.series_str(s) + "\n",
@@ -132,25 +140,32 @@ def _output(args) -> str:
     return args.command
 
 
-def _render(output: str, cfg: CliConfig, *values) -> str:
+def _render(output: str, cfg: CliConfig, *values):
     return WRITERS[output][cfg.output_format](*values)
 
 
-def _write(path: str, text: str) -> int:
-    """Write text to a file; an unwritable path is a usage error."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return 0
-
-
-def _emit(text: str, cfg: CliConfig) -> int:
+def _emit(out, cfg: CliConfig) -> int:
+    """Write a request's output, a string or an iterable of chunks, to the
+    --output file or to stdout. An unwritable path is a usage error. A
+    reader that closes stdout early (say, `| head`) ends the request
+    quietly: stdout is pointed at devnull, so that the interpreter's exit
+    flush writes nothing more."""
+    chunks = (out,) if isinstance(out, str) else out
     if cfg.output_path:
-        return _write(cfg.output_path, text)
-    sys.stdout.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        return 0
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
@@ -158,6 +173,8 @@ def cmd_compute(args, cfg: CliConfig) -> int:
     kind = args.kind
     try:
         if kind.startswith("series:"):
+            from . import series
+
             name = kind.split(":", 1)[1]
             if name not in ("delta", "nabla0", "C", "D", "Gtilde"):
                 raise ValueError(f"unknown series {name!r}")
@@ -169,15 +186,18 @@ def cmd_compute(args, cfg: CliConfig) -> int:
             takes_m = catalan.FAMILIES[kind][1]
             if args.n is None or (takes_m and args.m is None):
                 raise ValueError(f"compute {kind} needs {'--m and --n' if takes_m else '--n'}")
-            out = _render("element", cfg, catalan.member(kind, args.m if takes_m else None, args.n))
+            # streamed from the walk's leaves (Gtilde's one word is packed
+            # from its member), one word decoded at a time
+            packed = catalan.packed_member(kind, args.m if takes_m else None, args.n)
+            out = _render("element", cfg, packed.decoded_terms())
         elif kind == "damiani":
             if args.sub is None or args.n is None:
                 raise ValueError("compute damiani needs --kind {E0,E1,Edelta} and --n")
-            out = _render("element", cfg, catalan.embedding_image(f"Damiani_{args.sub}", args.n))
+            out = _render("element", cfg, catalan.embedding_image(f"Damiani_{args.sub}", args.n).terms())
         elif kind == "beck":
             if args.n is None:
                 raise ValueError("compute beck needs --n")
-            out = _render("element", cfg, catalan.embedding_image("Beck_Edelta", args.n))
+            out = _render("element", cfg, catalan.embedding_image("Beck_Edelta", args.n).terms())
         else:
             raise ValueError(f"unknown compute kind {kind!r}")
     except (ValueError, QShuffleError) as exc:
@@ -187,6 +207,8 @@ def cmd_compute(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
+    from . import checks
+
     # every named check must exist, with or without --all
     unknown = [n for n in args.checks if n not in checks.CHECKS]
     if unknown:

@@ -145,6 +145,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"a scalar is an int or a Fraction, not {type(c).__name__}")
         if not c:
             return _ZERO
         return LaurentPoly({e: _norm(v * c) for e, v in self._c.items()}, _raw=True)

@@ -80,11 +80,17 @@ def _bracket_body(factors) -> str:
     return "".join(f"[{n}]_q" + (f"^{e}" if e > 1 else "") for n, e in factors)
 
 
-def _join(parts, plus=" + ", minus=" - ") -> str:
-    """Join signed terms, writing a later term's leading minus as its separator."""
-    if not parts:
-        return "0"
-    return parts[0] + "".join(minus + t[1:] if t.startswith("-") else plus + t for t in parts[1:])
+def _join(parts, plus=" + ", minus=" - "):
+    """Yield signed terms joined, writing a later term's leading minus as its
+    separator; no terms at all is "0"."""
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
+        yield "0"
+        return
+    yield first
+    for t in parts:
+        yield minus + t[1:] if t.startswith("-") else plus + t
 
 
 def laurent_expanded(p: LaurentPoly, latex: bool = False) -> str:
@@ -100,7 +106,7 @@ def laurent_expanded(p: LaurentPoly, latex: bool = False) -> str:
             continue
         mono = "q" if e == 1 else power.format(e)
         parts.append(mono if c == 1 else "-" + mono if c == -1 else f"{c}{times}{mono}")
-    return _join(parts, *(("+", "-") if latex else (" + ", " - ")))
+    return "".join(_join(parts, *(("+", "-") if latex else (" + ", " - "))))
 
 
 def laurent_str(p: LaurentPoly, latex: bool = False) -> str:
@@ -128,44 +134,67 @@ def laurent_latex(p: LaurentPoly) -> str:
     return laurent_str(p, latex=True)
 
 
-def element_latex(el: Element) -> str:
+# The element writers take (word, coefficient) terms in word order, as
+# Element.terms() or Packed.decoded_terms() gives them, and yield the text in
+# chunks, one term at a time, so that a caller can write an element while it
+# is still being decoded.
+
+
+def _human_term(w: W.Word, c: LaurentPoly) -> str:
+    cs = laurent_str(c)
+    wd = w.display()
+    if cs == "1":
+        return wd
+    if cs == "-1":
+        return "-" + wd
+    return cs if w.is_trivial() else f"{cs} {wd}"
+
+
+def latex_chunks(terms):
     """LaTeX for an element: each coefficient in parentheses before its word;
     the empty word shows its coefficient alone."""
-    parts = []
-    for w, c in el.terms():
-        cs = laurent_latex(c)
-        parts.append(cs if w.is_trivial() else f"({cs}){w.display()}")
-    return _join(parts, "+", "-")
+    return _join((laurent_latex(c) if w.is_trivial() else f"({laurent_latex(c)}){w.display()}"
+                  for w, c in terms), "+", "-")
+
+
+def human_chunks(terms):
+    return _join(_human_term(w, c) for w, c in terms)
+
+
+def json_chunks(terms):
+    """json.dumps(Element.to_json(), indent=2), one term per chunk. Every
+    string in it is a word over x, y or an integer or rational, which JSON
+    writes as it is."""
+    sep = "[\n"
+    for w, c in terms:
+        coeff = ",\n".join(f'      "{e}": "{v}"' for e, v in c.terms())
+        yield f'{sep}  {{\n    "word": "{w}",\n    "coeff": {{\n{coeff}\n    }}\n  }}'
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n]"
+
+
+def element_latex(el: Element) -> str:
+    return "".join(latex_chunks(el.terms()))
 
 
 def element_str(el: Element) -> str:
-    parts = []
-    for w, c in el.terms():
-        cs = laurent_str(c)
-        wd = w.display()
-        if cs == "1":
-            parts.append(wd)
-        elif cs == "-1":
-            parts.append("-" + wd)
-        else:
-            parts.append(cs if w.is_trivial() else f"{cs} {wd}")
-    return _join(parts)
+    return "".join(human_chunks(el.terms()))
 
 
 def element_expanded(el: Element) -> str:
     """What str() returns: each coefficient expanded, in parentheses, before its word."""
-    return _join([f"({laurent_expanded(c)}) {w.display()}" for w, c in el.terms()])
+    return "".join(_join(f"({laurent_expanded(c)}) {w.display()}" for w, c in el.terms()))
 
 
 def series_str(s) -> str:
-    return _join([f"({element_str(a)})" + ("" if n == 0 else " t" if n == 1 else f" t^{n}")
-                  for n, a in enumerate(s.coeffs) if not a.is_zero()])
+    return "".join(_join(f"({element_str(a)})" + ("" if n == 0 else " t" if n == 1 else f" t^{n}")
+                         for n, a in enumerate(s.coeffs) if not a.is_zero()))
 
 
 def series_expanded(s) -> str:
     """What str() returns: t^n [coefficient], each coefficient in expanded form."""
-    return _join([("" if n == 0 else "t " if n == 1 else f"t^{n} ") + f"[{element_expanded(a)}]"
-                  for n, a in enumerate(s.coeffs) if not a.is_zero()])
+    return "".join(_join(("" if n == 0 else "t " if n == 1 else f"t^{n} ") + f"[{element_expanded(a)}]"
+                         for n, a in enumerate(s.coeffs) if not a.is_zero()))
 
 
 # -- scalar tables ---------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qshuffle import algebra
+from qshuffle import algebra, catalan, render
 from qshuffle.algebra import Element
 from qshuffle.catalan import delta_element, nabla_element
 from qshuffle.cli import main
@@ -419,3 +422,98 @@ def test_verify_refused_product_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "interleavings" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args, **kw):
+    """A fresh interpreter that imports qshuffle from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, *args], env=env, **kw)
+
+
+def _members():
+    """(compute arguments, member) of every walked family through n = 6, the
+    zero member (m = 0), the unit (n = 0), and the Fraction coefficients of
+    beck."""
+    for family, ms in (("delta", range(-3, 4)), ("nabla", range(-3, 4)), ("C", [None]), ("D", [None])):
+        for m in ms:
+            for n in range(catalan.FAMILIES[family][2], 7):
+                argv = (family, "--n", str(n)) + (() if m is None else ("--m", str(m)))
+                yield argv, catalan.member(family, m, n)
+    for n in range(3):
+        yield ("Gtilde", str(n)), catalan.member("Gtilde", None, n)
+        yield ("beck", "--n", str(n + 1)), catalan.embedding_image("Beck_Edelta", n + 1)
+
+
+def test_streamed_members_equal_the_built_members_rendered(tmp_path, capsys):
+    # compute streams from the walk's packed leaves, one word at a time; its
+    # text is what the whole-element writers give for the built member
+    target = tmp_path / "out"
+    seen = set()
+    for argv, el in _members():
+        seen.add(("zero" if el.is_zero() else "unit" if el == algebra.UNIT else
+                  "fraction" if not el.is_integral() else "integral"))
+        want = {
+            "human": render.element_str(el) + "\n",
+            "latex": render.element_latex(el) + "\n",
+            "json": json.dumps(el.to_json(), indent=2) + "\n",
+        }
+        for fmt, text in want.items():
+            assert run_cli(capsys, "compute", *argv, "--format", fmt) == (0, text, ""), (argv, fmt)
+            code, out, err = run_cli(capsys, "compute", *argv, "--format", fmt, "--output", str(target))
+            assert (code, out, err) == (0, "", "") and target.read_text() == text, (argv, fmt)
+    assert seen == {"zero", "unit", "fraction", "integral"}
+
+
+def test_a_closed_pipe_ends_compute_quietly():
+    # the reader takes the first line and goes, as `| head -1` does; the
+    # request still exits 0 and writes nothing to stderr
+    p = _python("-m", "qshuffle.cli", "compute", "delta", "--m", "2", "--n", "9", "--format", "json",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert p.stdout.readline() == b"[\n"
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert (p.wait(timeout=60), err) == (0, b"")
+
+
+def test_compute_imports_neither_checks_nor_series():
+    code = ("import sys\n"
+            "from qshuffle.cli import main\n"
+            "main(['compute', 'C', '2'])\n"
+            "print(sorted(m for m in ('qshuffle.checks', 'qshuffle.series') if m in sys.modules))\n"
+            "import qshuffle\n"
+            "qshuffle.Series, qshuffle.run_all\n"
+            "print(sorted(m for m in ('qshuffle.checks', 'qshuffle.series') if m in sys.modules))\n")
+    p = _python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = p.communicate(timeout=60)
+    assert (p.returncode, err) == (0, "")
+    assert out.splitlines()[1:] == ["[]", "['qshuffle.checks', 'qshuffle.series']"]
+
+
+def test_star_import_names_are_unchanged_and_lazy_names_resolve():
+    import qshuffle
+
+    ns: dict = {}
+    exec("from qshuffle import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(qshuffle.__all__) == [
+        "CapExceededError", "CheckReport", "CutoffMismatchError", "DegenerateProfileError",
+        "EMPTY_WORD", "Element", "InexactDivisionError", "LaurentPoly", "Letter",
+        "NonCatalanWordError", "Profile", "QShuffleError", "Q_COMM", "Series",
+        "TrivialWordError", "VerifyConfig", "Witness", "Word", "algebra", "alternating_word",
+        "beck_log_argument", "c_series", "catalan", "catalan_element", "catalan_number",
+        "checks", "commutator", "d_element", "d_series", "delta_element", "delta_scalar",
+        "delta_series", "elevation_sequence", "embedding_image", "enumerate_catalan", "errors",
+        "family_series", "gtilde_element", "gtilde_series", "is_balanced", "is_catalan",
+        "kronecker", "length_cap", "log_argument", "member", "nabla0_log_argument",
+        "nabla0_series", "nabla_element", "nabla_from_profile", "nabla_scalar", "nabla_split",
+        "profile", "q_falling", "q_int", "q_pow", "qlaurent", "run_all", "series",
+        "set_length_cap", "shuffle_fold", "shuffle_sum", "vanishing_bound", "weight", "word",
+        "words", "x_cn_y", "x_cn_y_series", "zeta", "zeta_word",
+    ]
+    assert set(qshuffle.__all__) <= set(dir(qshuffle))
+    assert qshuffle.Series is Series and qshuffle.series.delta_series is delta_series
+    with pytest.raises(AttributeError):
+        qshuffle.no_such_name

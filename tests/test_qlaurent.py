@@ -250,5 +250,11 @@ def test_coefficients_are_ints_or_fractions_only():
         assert type(p.coeff(0)) is int and p.to_json() == {"0": "1"}
         assert LaurentPoly.from_json(p.to_json()) == p == 1
     assert LaurentPoly.const(False).is_zero() and LaurentPoly({3: False}).is_zero()
+    # scale refuses what the constructor refuses, and an integral poly stays integral
+    for bad in (0.5, 0.0, 2.0, "2", None, q_int(2)):
+        with pytest.raises(TypeError):
+            q_int(2).scale(bad)
+    assert q_int(2).scale(True) == q_int(2) and q_int(2).scale(-2).is_integral()
+    assert not q_int(2).scale(Fraction(1, 2)).is_integral()
     assert LaurentPoly.const(Fraction(4, 2)).coeff(0) == 2
     assert type(LaurentPoly.monomial(1, Fraction(4, 2)).coeff(1)) is int

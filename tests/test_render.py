@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.render import (
     element_str,
+    json_chunks,
     laurent_latex,
     laurent_str,
     qint_factorization,
@@ -114,6 +116,12 @@ def test_element_str():
     assert element_str(-UNIT) == "-1"
     assert element_str(delta_element(2, 2)) == "[2]_q^2[3]_q xxyy + [2]_q^2 xyxy"
     assert element_str(Element.from_word("xy") - Element.from_word("yx")) == "xy - yx"
+
+
+def test_json_writer_is_json_dumps():
+    for el in (Element.zero(), UNIT, catalan.embedding_image("Beck_Edelta", 2),
+               -delta_element(-2, 3), Element.from_word("yx", LaurentPoly({-3: 5}))):
+        assert "".join(json_chunks(el.terms())) == json.dumps(el.to_json(), indent=2)
 
 
 def test_series_str():
