@@ -8,6 +8,9 @@ anywhere: pass means the difference is the zero element or zero series.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,7 +87,8 @@ class VerifyConfig:
     qint_grid: int = 6
     # optional hook (family, m, n, element) -> element, used by negative controls;
     # family is one of catalan.FAMILIES: "delta" and "nabla" with an integer m,
-    # "C", "D", "Gtilde" and "xCny" with m = None
+    # "C", "D", "Gtilde" and "xCny" with m = None. run_all calls it in the
+    # calling process, never in a worker, so its side effects are seen there
     perturb: Optional[Callable] = None
 
     def m_range(self):
@@ -94,9 +98,10 @@ class VerifyConfig:
 class CheckContext:
     """Caches the family members for one run and applies the perturb hook.
 
-    run_all shares one context among all its checks, so each member is
-    built and perturbed once per run. Pass ctx.member to series.family_series
-    and series.log_argument for series built from the same members.
+    run_all shares one context among the checks of each process it runs
+    them in, so each member is built and perturbed at most once per process.
+    Pass ctx.member to series.family_series and series.log_argument for
+    series built from the same members.
     """
 
     def __init__(self, cfg: VerifyConfig):
@@ -766,13 +771,45 @@ CHECKS = {
 }
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on. Tests patch it to choose run_all's
+    worker count."""
+    return len(os.sched_getaffinity(0))
+
+
+# the CheckContext of a run_all worker process, set by _start_worker
+_worker_ctx: Optional[CheckContext] = None
+
+
+def _start_worker(cfg: VerifyConfig) -> None:
+    global _worker_ctx
+    _worker_ctx = CheckContext(cfg)
+
+
+def _run_in_worker(name: str) -> CheckReport:
+    return CHECKS[name](_worker_ctx.cfg, ctx=_worker_ctx)
+
+
 def run_all(cfg: VerifyConfig = None, names=None):
-    """Run the selected checks (all by default) in catalog order.
+    """Run the selected checks (all by default); reports come back in
+    catalog order.
 
     An empty m-range or an empty list of names raises ValueError: either
     would evaluate nothing, and an empty report list reads as a pass.
-    Reports come back in catalog order.
-    The checks share one CheckContext.
+
+    The checks run in forked worker processes, one per CPU this process may
+    run on and at most one per check; the workers inherit cfg and every
+    module-level patch, and each shares one CheckContext among the checks
+    it runs, so a member is built at most once per worker process. Only
+    check names go to the workers and only reports come back. The checks
+    run in this process instead when that is one worker, off Linux, when
+    this process has other threads (a fork copies only the calling one,
+    and any lock another holds stays held in the copy), or when
+    cfg.perturb is set: the hook is the caller's code, and its side
+    effects, such as a record of the members it saw, must be seen here.
+    The exception raised, if any, is that of the first failing check in
+    catalog order, as in one process; the pending checks are cancelled and
+    the workers joined before it propagates.
     """
     cfg = cfg or VerifyConfig()
     if cfg.m_min > cfg.m_max:
@@ -784,5 +821,21 @@ def run_all(cfg: VerifyConfig = None, names=None):
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
     ordered = [n for n in CHECKS if n in selected]
-    ctx = CheckContext(cfg)
-    return [CHECKS[name](cfg, ctx=ctx) for name in ordered]
+    forkable = (
+        sys.platform == "linux" and threading.active_count() == 1 and cfg.perturb is None
+    )
+    workers = min(_cpu_count(), len(ordered)) if forkable else 1
+    if workers == 1:
+        ctx = CheckContext(cfg)
+        return [CHECKS[name](cfg, ctx=ctx) for name in ordered]
+
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=_start_worker, initargs=(cfg,),
+    )
+    try:
+        return list(pool.map(_run_in_worker, ordered))
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -3,11 +3,17 @@ controls really turn checks red with a nonzero witness."""
 
 import inspect
 import json
+import multiprocessing
+import os
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from concurrent.futures.process import BrokenProcessPool
 
 from qshuffle import algebra, catalan, checks, words as W
 from qshuffle.algebra import XY_EL, X_EL, Element, Packed, commutator
@@ -23,7 +29,7 @@ from qshuffle.checks import (
     check_yinv_calculus,
     run_all,
 )
-from qshuffle.errors import InexactDivisionError
+from qshuffle.errors import CapExceededError, InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import family_series
 
@@ -221,6 +227,8 @@ def test_run_all_selection_and_order():
 
 
 def test_run_all_builds_each_member_once(monkeypatch):
+    # in one process: members built in a worker process are not counted here
+    monkeypatch.setattr(checks, "_cpu_count", lambda: 1)
     built = Counter()
     real = catalan.member
 
@@ -606,3 +614,133 @@ def test_a_division_error_without_a_dividend_propagates(monkeypatch):
     monkeypatch.setattr(checks, "commutator", _raise_inexact(None))
     with pytest.raises(InexactDivisionError, match="not divisible"):
         check_nabla_recursion(SMALL)
+
+
+# -- run_all's worker processes --------------------------------------------------
+
+
+forks = pytest.mark.skipif(sys.platform != "linux", reason="run_all forks workers on Linux only")
+
+
+def _run_with(monkeypatch, cpus, cfg=SMALL, names=None):
+    """run_all's untimed reports with _cpu_count patched to cpus; no worker
+    process may outlive the run."""
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_cpu_count", lambda: cpus)
+        reports = [_untimed(r) for r in run_all(cfg, names)]
+    assert not multiprocessing.active_children()
+    return reports
+
+
+def _builders(monkeypatch):
+    """The pids of the processes that build a member from here on; the
+    patched catalan.member is inherited by forked workers, but what it
+    records there is not seen here."""
+    pids = set()
+    real = catalan.member
+
+    def member(family, m, n):
+        pids.add(os.getpid())
+        return real(family, m, n)
+
+    monkeypatch.setattr(catalan, "member", member)
+    return pids
+
+
+def test_parallel_reports_equal_the_serial_reports(monkeypatch):
+    serial = _run_with(monkeypatch, 1)
+    assert _run_with(monkeypatch, 2) == serial
+    assert [r["check"] for r in serial] == list(CHECKS)
+
+
+def test_parallel_reports_equal_the_serial_reports_under_a_kernel_mutant(monkeypatch):
+    # the workers are forked, so they inherit the patched kernel
+    def plus(u, v, unit):
+        out = dict(algebra._shuffle_keys(u, v, unit))
+        algebra._accumulate(out, algebra._shuffle_keys(v, u, unit), (0, 1))
+        return out
+
+    monkeypatch.setattr(algebra, "_commutator_keys", plus)
+    serial = _run_with(monkeypatch, 1)
+    assert _run_with(monkeypatch, 2) == serial
+    assert {r["status"] for r in serial} == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("family", NEGATIVE_BUMPS)
+def test_a_perturbed_run_stays_in_the_calling_process(monkeypatch, family):
+    # the hook's side effects are the caller's: here, the members it saw
+    key, extra = NEGATIVE_BUMPS[family]
+    seen = []
+
+    def bump(fam, m, n, el):
+        seen.append((fam, m, n))
+        return el + extra if (fam, m, n) == key else el
+
+    cfg = VerifyConfig(**{**SMALL.__dict__, "perturb": bump})
+    serial = _run_with(monkeypatch, 1, cfg)
+    seen.clear()
+    pids = _builders(monkeypatch)
+    assert _run_with(monkeypatch, 2, cfg) == serial
+    assert key in seen and pids == {os.getpid()}
+    assert "fail" in {r["status"] for r in serial}
+
+
+@forks
+def test_the_checks_run_in_the_workers_and_a_single_check_in_process(monkeypatch):
+    pids = _builders(monkeypatch)
+    _run_with(monkeypatch, 2, names=["structural", "commutation"])
+    assert pids == set()
+    _run_with(monkeypatch, 2, names=["structural"])
+    assert pids == {os.getpid()}
+
+
+def test_a_process_with_other_threads_runs_the_checks_itself(monkeypatch):
+    # fork would copy only this thread, and no lock another thread holds
+    # would ever be released in the copy
+    pids, release = _builders(monkeypatch), threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        _run_with(monkeypatch, 2, names=["structural", "commutation"])
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert pids == {os.getpid()}
+
+
+def test_a_check_that_raises_in_a_worker_raises_as_in_serial(monkeypatch):
+    # commutation, yinv_calculus and zeta_suite each refuse a product, with
+    # different messages; commutation comes first in catalog order
+    monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 100)
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(CapExceededError) as info:
+            _run_with(monkeypatch, cpus)
+        assert not multiprocessing.active_children()
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+def test_the_first_failure_in_catalog_order_wins_not_the_first_in_time(monkeypatch):
+    def late(cfg, ctx=None):
+        time.sleep(0.3)
+        raise ValueError("qserre")
+
+    def early(cfg, ctx=None):
+        raise ValueError("qint_identities")
+
+    monkeypatch.setitem(CHECKS, "qserre", late)
+    monkeypatch.setitem(CHECKS, "qint_identities", early)
+    for cpus in (1, 2):
+        with pytest.raises(ValueError, match="^qserre$"):
+            _run_with(monkeypatch, cpus)
+        assert not multiprocessing.active_children()
+
+
+@forks
+def test_a_worker_that_dies_breaks_the_pool_without_hanging(monkeypatch):
+    monkeypatch.setitem(CHECKS, "structural", lambda cfg, ctx=None: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        _run_with(monkeypatch, 2)
+    assert not multiprocessing.active_children()

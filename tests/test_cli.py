@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -424,6 +425,38 @@ def test_verify_refused_product_exits_2(capsys, monkeypatch):
     assert "interleavings" in err
 
 
+def test_verify_refused_in_a_worker_exits_as_in_process(capsys, monkeypatch):
+    from qshuffle import checks as checks_mod
+
+    monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 100)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(checks_mod, "_cpu_count", lambda: cpus)
+        results.append(run_cli(capsys, "verify", "--all", "--n-max", "3", "--cutoff", "3"))
+        assert not multiprocessing.active_children()
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and "interleavings" in results[0][2]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="run_all forks workers on Linux only")
+@pytest.mark.parametrize("cpus, forks", [({0}, 0), ({0, 1}, 2)])
+def test_verify_forks_one_worker_per_cpu(capsys, monkeypatch, cpus, forks):
+    # one CPU in the affinity set: the checks run in this process
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n-max", "2", "--cutoff", "2")
+    assert code == 0 and "12/12 checks passed" in out
+    assert len(forked) == forks
+    assert not multiprocessing.active_children()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -480,13 +513,15 @@ def test_a_closed_pipe_ends_compute_quietly():
 
 
 def test_compute_imports_neither_checks_nor_series():
+    # nor the process pool, which only run_all's parallel branch imports
     code = ("import sys\n"
             "from qshuffle.cli import main\n"
             "main(['compute', 'C', '2'])\n"
-            "print(sorted(m for m in ('qshuffle.checks', 'qshuffle.series') if m in sys.modules))\n"
+            "mods = ('qshuffle.checks', 'qshuffle.series', 'concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in mods if m in sys.modules))\n"
             "import qshuffle\n"
             "qshuffle.Series, qshuffle.run_all\n"
-            "print(sorted(m for m in ('qshuffle.checks', 'qshuffle.series') if m in sys.modules))\n")
+            "print(sorted(m for m in mods if m in sys.modules))\n")
     p = _python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     out, err = p.communicate(timeout=60)
     assert (p.returncode, err) == (0, "")
