@@ -18,8 +18,6 @@ from .errors import (
 from .qlaurent import LaurentPoly, Q_COMM, q_falling, q_int, q_pow
 from .words import (
     EMPTY_WORD,
-    Letter,
-    Profile,
     Word,
     alternating_word,
     catalan_number,
@@ -30,7 +28,6 @@ from .words import (
     length_cap,
     profile,
     set_length_cap,
-    weight,
     word,
     zeta_word,
 )
@@ -39,7 +36,6 @@ from .algebra import (
     commutator,
     shuffle_fold,
     shuffle_sum,
-    zeta,
 )
 from .catalan import (
     catalan_element,
@@ -62,15 +58,11 @@ _LAZY = {
     "series": (
         "Series",
         "beck_log_argument",
-        "c_series",
         "d_series",
         "delta_series",
         "family_series",
         "gtilde_series",
         "log_argument",
-        "nabla0_log_argument",
-        "nabla0_series",
-        "x_cn_y_series",
     ),
     "checks": ("CheckReport", "VerifyConfig", "Witness", "run_all"),
 }

@@ -321,7 +321,10 @@ def _parity(coeffs):
 
 def _preflight(la: dict, lb: dict) -> tuple:
     """(longest word, bound B) for the product of two operands given by
-    their length norms, refused as check_shuffle_cost says.
+    their length norms. Refuses the product up front when its longest word
+    passes the length cap or it would walk more than _SHUFFLE_BUDGET
+    interleavings: C(i + j, i) for every pair of a word of length i in one
+    operand and a word of length j in the other.
 
     Every result coefficient is bounded by B = Σ C(i + j, i) L1_i L1_j, over
     the summed L1 norms L1_i of the coefficients of the words of length i.
@@ -343,14 +346,6 @@ def _preflight(la: dict, lb: dict) -> tuple:
             f" {_SHUFFLE_BUDGET:.0e}"
         )
     return longest, bound
-
-
-def check_shuffle_cost(a, b) -> int:
-    """Refuse a ⋆ b up front when its longest word passes the length cap or
-    it would walk more than _SHUFFLE_BUDGET interleavings: C(i + j, i) for
-    every pair of a word of length i in a and a word of length j in b.
-    Returns the length of the longest word of a ⋆ b (0 when it is zero)."""
-    return _preflight(_length_norms(a._terms), _length_norms(b._terms))[0]
 
 
 def _merged(out: dict, terms) -> dict:
@@ -779,10 +774,6 @@ X_EL = Element.from_word("x")
 Y_EL = Element.from_word("y")
 XY_EL = Element.from_word("xy")
 UNIT = Element.unit()
-
-
-def zeta(u: Element) -> Element:
-    return u.zeta()
 
 
 def commutator(m: int, a: Element, b: Element) -> Element:

@@ -95,8 +95,8 @@ def nabla_split(m: int, w: W.Word):
 def nabla_from_profile(m: int, p) -> LaurentPoly:
     """The reduced product evaluated on a valley/peak sequence.
 
-    Accepts a Profile or any odd-length integer sequence
-    (l_0, h_1, l_1, ..., h_r, l_r) with r >= 1; the shifted sequences used
+    Takes an odd-length integer sequence (l_0, h_1, l_1, ..., h_r, l_r)
+    with r >= 1, such as words.profile(w); the shifted sequences used
     by the telescoping identity are legal inputs even when they are not the
     profile of any word. Out-of-range descents are absorbed by the falling
     product's zero rule.
@@ -229,7 +229,7 @@ def d_element(n: int, packed: bool = False) -> Element | Packed:
 
 
 def gtilde_element(n: int) -> Element:
-    return Element.from_word(W.gtilde_word(n))
+    return Element.from_word(W.alternating_word("Gtilde", n))
 
 
 def x_cn_y(n: int) -> Element:

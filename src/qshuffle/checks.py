@@ -653,7 +653,7 @@ def check_structural(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     # telescoping identity on profiles, lengths 4 .. 2 n_max, excluding xy
     for n in range(2, cfg.n_max + 1):
         for w in W.enumerate_catalan(n):
-            p = W.profile(w).entries
+            p = W.profile(w)
             r = (len(p) - 1) // 2
             ls = p[0::2]
             xi = max(j for j in range(0, r) if ls[j] == 0)

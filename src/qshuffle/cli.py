@@ -172,6 +172,13 @@ def _emit(out, cfg: CliConfig) -> int:
 def cmd_compute(args, cfg: CliConfig) -> int:
     kind = args.kind
     try:
+        if args.pos_n is not None:
+            if args.n not in (None, args.pos_n):
+                raise ValueError(f"index {args.pos_n} disagrees with --n {args.n}")
+            args.n = args.pos_n
+        takes_m = kind in ("delta", "nabla", "series:delta")
+        if args.m is not None and not takes_m:
+            raise ValueError(f"compute {kind} takes no --m")
         if kind.startswith("series:"):
             from . import series
 
@@ -183,12 +190,11 @@ def cmd_compute(args, cfg: CliConfig) -> int:
             family, m = {"delta": ("delta", args.m), "nabla0": ("nabla", 0)}.get(name, (name, None))
             out = _render("series", cfg, series.family_series(family, m, cfg.cutoff))
         elif kind in ("C", "D", "Gtilde", "delta", "nabla"):
-            takes_m = catalan.FAMILIES[kind][1]
             if args.n is None or (takes_m and args.m is None):
                 raise ValueError(f"compute {kind} needs {'--m and --n' if takes_m else '--n'}")
             # streamed from the walk's leaves (Gtilde's one word is packed
             # from its member), one word decoded at a time
-            packed = catalan.packed_member(kind, args.m if takes_m else None, args.n)
+            packed = catalan.packed_member(kind, args.m, args.n)
             out = _render("element", cfg, packed.decoded_terms())
         elif kind == "damiani":
             if args.sub is None or args.n is None:
@@ -246,7 +252,7 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
     for w in cat:
         row = {"word": w.display()}
         if args.profiles:
-            row["profile"] = list(words.profile(w).entries)
+            row["profile"] = list(words.profile(w))
         if args.elevations:
             row["elevation"] = list(words.elevation_sequence(w))
         rows.append(row)
@@ -312,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute" and args.pos_n is not None and args.n is None:
-        args.n = args.pos_n
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -18,20 +18,13 @@ from .errors import InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
 
 
-def qint_factorization(p: LaurentPoly):
-    """Factor p as (rational, {n: multiplicity}) over q-integers, or None.
-
-    Factors are extracted greedily from the largest plausible q-integer
-    down; the remaining unit must be a rational constant.
-    """
-    fact = _factorization(p)
-    return None if fact is None else (fact[0], dict(fact[1]))
-
-
 @lru_cache(maxsize=4096)
 def _factorization(p: LaurentPoly):
-    """qint_factorization with the factors as ascending (n, multiplicity)
-    pairs; memoized, since a family element repeats few distinct coefficients.
+    """Factor p as (rational, ((n, multiplicity), ...)) over q-integers, the
+    pairs ascending in n, or None. Factors are extracted greedily from the
+    largest plausible q-integer down; the remaining unit must be a rational
+    constant. Memoized, since a family element repeats few distinct
+    coefficients.
 
     A q-integer [n]_q is tried only when (4^n - 1)/3 divides A(2), where
     A = d·q^(-e0)·cur is the remaining cofactor made an integer polynomial
@@ -201,23 +194,31 @@ def series_expanded(s) -> str:
 
 
 def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
-    """Rows (word, cells) of the weighted-Catalan-word scalar table.
+    """Rows (word, cells) of the weighted-Catalan-word scalar table, yielded
+    one at a time.
 
     family "delta" includes the empty word; "nabla" starts at length 2.
     Rows are sorted by length then lexicographically; columns ascend in m.
-    Each column of length 2n is read from the walked member
-    catalan.member(family, m, n).
+    Each column of length 2n is read from the walked member's packed leaves,
+    catalan.packed_member(family, m, n).decoded_terms(), one word at a time;
+    a word the walk dropped (a zero product) gets a zero cell.
     """
     if family not in ("delta", "nabla"):
         raise ValueError(f"unknown table family {family!r}")
     if m_min > m_max or n_max < 0:
         raise ValueError("empty table range")
-    rows = []
-    start = 0 if family == "delta" else 1
+    return _table_rows(family, range(m_min, m_max + 1), 0 if family == "delta" else 1, n_max)
+
+
+def _table_rows(family, ms, start, n_max):
+    zero, end = LaurentPoly.zero(), (None, None)
     for n in range(start, n_max + 1):
-        columns = [catalan.member(family, m, n) for m in range(m_min, m_max + 1)]
-        rows.extend((w, [el.coeff(w) for el in columns]) for w in W.enumerate_catalan(n))
-    return rows
+        columns = [catalan.packed_member(family, m, n).decoded_terms() for m in ms]
+        # heads[i] is column i's next (word, coefficient), in enumerate_catalan's order
+        heads = [next(col, end) for col in columns]
+        for w in W.enumerate_catalan(n):
+            yield w, [c if u == w else zero for u, c in heads]
+            heads = [next(col, end) if u == w else (u, c) for col, (u, c) in zip(columns, heads)]
 
 
 def table_csv(family, m_min, m_max, n_max) -> str:

@@ -43,10 +43,6 @@ class Series:
     def unit(cutoff: int) -> "Series":
         return Series([UNIT], cutoff)
 
-    @staticmethod
-    def from_function(f, cutoff: int) -> "Series":
-        return Series([f(n) for n in range(cutoff + 1)], cutoff)
-
     # -- structure ----------------------------------------------------------
 
     def __getitem__(self, n: int) -> Element:
@@ -237,8 +233,9 @@ def family_series(family: str, m, cutoff: int, member=catalan.member) -> Series:
     if family not in catalan.FAMILIES:
         raise ValueError(f"unknown element family {family!r}")
     first = catalan.FAMILIES[family][2]
-    return Series.from_function(
-        lambda n: member(family, m, n) if n >= first else Element.zero(), cutoff
+    return Series(
+        [member(family, m, n) if n >= first else Element.zero() for n in range(cutoff + 1)],
+        cutoff,
     )
 
 
@@ -254,13 +251,10 @@ def log_argument(m: int, cutoff: int, body: str = "xCny", member=catalan.member)
     return Series(coeffs, cutoff)
 
 
+# perfbench/worker.py builds its series workload from these four
 def gtilde_series(cutoff: int) -> Series:
     """Sum of the alternating words (xy)^n t^n."""
     return family_series("Gtilde", None, cutoff)
-
-
-def c_series(cutoff: int) -> Series:
-    return family_series("C", None, cutoff)
 
 
 def d_series(cutoff: int) -> Series:
@@ -271,21 +265,6 @@ def delta_series(m: int, cutoff: int) -> Series:
     return family_series("delta", m, cutoff)
 
 
-def nabla0_series(cutoff: int) -> Series:
-    """The reduced family at m = 0, starting in degree one."""
-    return family_series("nabla", 0, cutoff)
-
-
-def x_cn_y_series(cutoff: int) -> Series:
-    """Sum of the free products x C_(n-1) y t^n, starting in degree one."""
-    return family_series("xCny", None, cutoff)
-
-
 def beck_log_argument(m: int, cutoff: int) -> Series:
     """Sum of ([mn]_q / n) x C_(n-1) y t^n, the exponent of the main formulas."""
     return log_argument(m, cutoff, "xCny")
-
-
-def nabla0_log_argument(m: int, cutoff: int) -> Series:
-    """Same exponent built from the reduced family instead of free products."""
-    return log_argument(m, cutoff, "nabla")

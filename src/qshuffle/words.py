@@ -10,7 +10,6 @@ a letter b is key << 1 | b, and dropping the last letter is key >> 1.
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 
 from .errors import CapExceededError
@@ -34,23 +33,6 @@ def set_length_cap(n: int) -> None:
     _length_cap = n
 
 
-class Letter(enum.Enum):
-    X = 0
-    Y = 1
-
-    def __str__(self):
-        return "x" if self is Letter.X else "y"
-
-
-X = Letter.X
-Y = Letter.Y
-
-
-def weight(a: Letter) -> int:
-    """+1 for x, -1 for y."""
-    return 1 if a is Letter.X else -1
-
-
 class Word:
     """An immutable word over {x, y}; the empty word is the algebra unit."""
 
@@ -70,12 +52,6 @@ class Word:
 
     def __len__(self) -> int:
         return self.key.bit_length() - 1
-
-    def __iter__(self):
-        return map(Letter, self.letter_bits())
-
-    def __getitem__(self, i: int) -> Letter:
-        return Letter(self.letter_bits()[i])
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.key == other.key
@@ -147,84 +123,23 @@ def is_catalan(w: Word) -> bool:
     return min(es) == es[-1] == 0
 
 
-class Profile:
-    """End points and turning points of a word's Dyck path.
+def profile(w: Word) -> tuple:
+    """Subsequence of the elevation sequence at end points and turning points.
 
     For a nontrivial Catalan word this is the odd-length valley/peak
     sequence (l_0, h_1, l_1, ..., h_r, l_r). Arbitrary words may yield
-    even-length sequences (e.g. a word ending mid-climb); the Catalan
-    helpers below only apply to the odd-length shape.
+    even-length sequences (e.g. a word ending mid-climb).
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        if not entries:
-            raise ValueError("a profile has at least one entry")
-        for i in range(1, len(entries)):
-            if entries[i] == entries[i - 1]:
-                raise ValueError("profile entries must change at every step")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.entries == other
-        return isinstance(other, Profile) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"Profile{self.entries!r}"
-
-    @property
-    def r(self) -> int:
-        """Number of peaks, for odd-length (l, h, ..., l) profiles."""
-        if len(self.entries) % 2 == 0:
-            raise ValueError("peak count is defined for odd-length profiles only")
-        return (len(self.entries) - 1) // 2
-
-    def valleys(self) -> tuple:
-        return self.entries[0::2]
-
-    def peaks(self) -> tuple:
-        return self.entries[1::2]
-
-    def is_catalan(self) -> bool:
-        """l_i >= 0 for 1 <= i <= r-1 and l_r = 0 (with l_0 = 0)."""
-        if len(self.entries) % 2 == 0 or self.entries[0] != 0:
-            return False
-        ls = self.valleys()
-        if ls[-1] != 0:
-            return False
-        if any(l < 0 for l in ls[1:-1]):
-            return False
-        hs = self.peaks()
-        return all(h > ls[i] and h > ls[i + 1] for i, h in enumerate(hs))
-
-
-def profile(w: Word) -> Profile:
-    """Subsequence of the elevation sequence at end points and turning points."""
     es = elevation_sequence(w)
     n = len(es) - 1
     if n == 0:
-        return Profile((0,))
+        return (0,)
     kept = [es[0]]
     for i in range(1, n):
         if es[i] - es[i - 1] != es[i + 1] - es[i]:
             kept.append(es[i])
     kept.append(es[n])
-    return Profile(kept)
+    return tuple(kept)
 
 
 def _check_cap(nletters: int) -> None:
@@ -299,10 +214,6 @@ def alternating_word(kind: str, n: int) -> Word:
         raise ValueError(f"unknown alternating family {kind!r}")
     _check_cap(2 * n + len(head + tail))
     return word(head + body * n + tail)
-
-
-def gtilde_word(n: int) -> Word:
-    return alternating_word("Gtilde", n)
 
 
 def zeta_word(w: Word) -> Word:

@@ -34,10 +34,10 @@ from qshuffle.checks import (
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import (
     Series,
-    c_series,
     d_series,
+    family_series,
     gtilde_series,
-    nabla0_log_argument,
+    log_argument,
 )
 
 from test_catalan import DELTA_TABLE, NABLA_TABLE
@@ -138,7 +138,7 @@ def test_criterion_07_generating_function_package():
         assert report.passed, report.witness and report.witness.description
         # the two-factor rescaled product, stated directly
         N = 5
-        lhs = c_series(N).rescale_t(-1)
+        lhs = family_series("C", None, N).rescale_t(-1)
         rhs = d_series(N).rescale_t(q_pow(1)).star_mul(d_series(N).rescale_t(q_pow(-1)))
         assert lhs == rhs
 
@@ -168,7 +168,7 @@ def test_criterion_09_structural_suites():
 def test_criterion_10_integrality():
     with _Gate("criterion 10: exp-reconstructed coefficients have denominator 1", 120.0):
         for m in range(-3, 4):
-            e = nabla0_log_argument(m, 5).exp()
+            e = log_argument(m, 5, "nabla").exp()
             for n in range(6):
                 assert e[n].is_integral(), (m, n)
                 assert e[n] == delta_element(m, n)

@@ -631,8 +631,11 @@ def test_shuffle_sum_prices_each_product_on_its_own(monkeypatch):
 def test_shuffle_sum_skips_a_zero_laurent_weight(monkeypatch):
     # a zero LaurentPoly is truthy; skipped, it is not even priced
     a, b = el("xyx", q_int(2)), el("yy", Fraction(1, 3))
-    assert algebra.check_shuffle_cost(a, b) == 5  # 10 interleavings
+    monkeypatch.setattr(algebra, "_shuffle_keys", None)   # any kernel call fails
+    monkeypatch.setattr(algebra, "_trie_shuffle", None)
     monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 1)
+    with pytest.raises(CapExceededError, match="1.00e[+]01 interleavings"):
+        algebra.shuffle_sum([(q_int(2), a, b)])
     for zero in (LaurentPoly.zero(), q_int(0), q_int(2) - q_int(2)):
         assert algebra.shuffle_sum([(zero, a, b)]) == Element.zero()
         assert algebra.shuffle_sum([(zero, a, b), (q_int(2), a, UNIT)]) == a.scale(q_int(2))
@@ -942,14 +945,26 @@ def test_str_forms():
 def test_absurd_product_is_refused_up_front(monkeypatch):
     a, b = catalan.nabla_element(3, 7), catalan.delta_element(2, 6)
     monkeypatch.setattr(algebra, "_shuffle_keys", None)  # any kernel call would fail
+    monkeypatch.setattr(algebra, "_trie_shuffle", None)
     with pytest.raises(CapExceededError, match="interleavings"):
         a.shuffle(b)
 
 
-def test_cost_bound_admits_the_grid_products():
+class _KernelReached(Exception):
+    pass
+
+
+def test_cost_bound_admits_the_grid_products(monkeypatch):
     # the (5, 5) pair of the default grid's (n, k) recursion (about 1.8e7
-    # interleavings) and the (6, 6) pair at n_max = 6 (about 2.4e9)
+    # interleavings) and the (6, 6) pair at n_max = 6 (about 2.4e9) pass the
+    # pre-flight and reach a kernel, patched to stop there
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(algebra, "_shuffle_keys", reached)
+    monkeypatch.setattr(algebra, "_trie_shuffle", reached)
     for n in (5, 6):
         nn = catalan.nabla_element(0, n)
-        algebra.check_shuffle_cost(nn.y_inverse(), nn)
-    algebra.check_shuffle_cost(Element.zero(), catalan.nabla_element(3, 7))
+        with pytest.raises(_KernelReached):
+            algebra.shuffle_sum([(1, nn.y_inverse(), nn)])
+    assert algebra.shuffle_sum([(1, Element.zero(), catalan.nabla_element(3, 7))]).is_zero()

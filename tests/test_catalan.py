@@ -374,7 +374,7 @@ def test_vanishing_bound():
     assert not vanishing_bound(-1, word("xxyy"))
     assert vanishing_bound(-2, word("xxyy"))
     for n in range(0, 5):
-        assert vanishing_bound(-1, W.gtilde_word(n))
+        assert vanishing_bound(-1, W.alternating_word("Gtilde", n))
     with pytest.raises(ValueError):
         vanishing_bound(0, word("xy"))
     for n in range(0, 5):

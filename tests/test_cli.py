@@ -107,6 +107,16 @@ def test_compute_missing_params(capsys):
     assert code == 2
 
 
+def test_compute_refuses_what_it_would_drop(capsys):
+    # a positional n that disagrees with --n, and --m to a kind that takes none
+    assert run_cli(capsys, "compute", "C", "3", "--n", "2") == (
+        2, "", "error: index 3 disagrees with --n 2\n")
+    assert run_cli(capsys, "compute", "C", "2", "--m", "5") == (
+        2, "", "error: compute C takes no --m\n")
+    assert run_cli(capsys, "compute", "C", "2", "--n", "2") == (
+        0, "[2]_q^2[3]_q xxyy + [2]_q^2 xyxy\n", "")
+
+
 def test_verify_single_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "qserre")
     assert code == 0
@@ -535,20 +545,24 @@ def test_star_import_names_are_unchanged_and_lazy_names_resolve():
     exec("from qshuffle import *", ns)
     assert sorted(set(ns) - {"__builtins__"}) == sorted(qshuffle.__all__) == [
         "CapExceededError", "CheckReport", "CutoffMismatchError", "DegenerateProfileError",
-        "EMPTY_WORD", "Element", "InexactDivisionError", "LaurentPoly", "Letter",
-        "NonCatalanWordError", "Profile", "QShuffleError", "Q_COMM", "Series",
+        "EMPTY_WORD", "Element", "InexactDivisionError", "LaurentPoly",
+        "NonCatalanWordError", "QShuffleError", "Q_COMM", "Series",
         "TrivialWordError", "VerifyConfig", "Witness", "Word", "algebra", "alternating_word",
-        "beck_log_argument", "c_series", "catalan", "catalan_element", "catalan_number",
+        "beck_log_argument", "catalan", "catalan_element", "catalan_number",
         "checks", "commutator", "d_element", "d_series", "delta_element", "delta_scalar",
         "delta_series", "elevation_sequence", "embedding_image", "enumerate_catalan", "errors",
         "family_series", "gtilde_element", "gtilde_series", "is_balanced", "is_catalan",
-        "kronecker", "length_cap", "log_argument", "member", "nabla0_log_argument",
-        "nabla0_series", "nabla_element", "nabla_from_profile", "nabla_scalar", "nabla_split",
+        "kronecker", "length_cap", "log_argument", "member",
+        "nabla_element", "nabla_from_profile", "nabla_scalar", "nabla_split",
         "profile", "q_falling", "q_int", "q_pow", "qlaurent", "run_all", "series",
-        "set_length_cap", "shuffle_fold", "shuffle_sum", "vanishing_bound", "weight", "word",
-        "words", "x_cn_y", "x_cn_y_series", "zeta", "zeta_word",
+        "set_length_cap", "shuffle_fold", "shuffle_sum", "vanishing_bound", "word",
+        "words", "x_cn_y", "zeta_word",
     ]
     assert set(qshuffle.__all__) <= set(dir(qshuffle))
+    for name in ("Letter", "Profile", "weight", "zeta", "c_series", "nabla0_series",
+                 "x_cn_y_series", "nabla0_log_argument"):
+        with pytest.raises(ImportError):
+            exec(f"from qshuffle import {name}", {})
     assert qshuffle.Series is Series and qshuffle.series.delta_series is delta_series
     with pytest.raises(AttributeError):
         qshuffle.no_such_name

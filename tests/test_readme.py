@@ -1,0 +1,13 @@
+"""README's library tour runs as written, so a name it shows cannot outlive
+the code."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_tour_runs():
+    tour = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,11 @@ from qshuffle.catalan import delta_element
 from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.render import (
+    _factorization,
     element_str,
     json_chunks,
     laurent_latex,
     laurent_str,
-    qint_factorization,
     scalar_table,
     series_str,
     table_csv,
@@ -22,31 +23,24 @@ from qshuffle.render import (
     table_latex,
 )
 from qshuffle.series import delta_series
+from qshuffle.words import enumerate_catalan
 
 from conftest import P
 
 
-def test_qint_factorization_results_are_not_shared():
-    # memoized by coefficient; a caller that edits its result must not edit the memo
-    p = P("[2]^2[3]")
-    qint_factorization(p)[1][2] = 99
-    assert qint_factorization(p) == (Fraction(1), {2: 2, 3: 1})
-    assert laurent_str(p) == "[2]_q^2[3]_q"
-
-
 def test_qint_factorization_products():
-    assert qint_factorization(P("[2]^2[3]")) == (Fraction(1), {2: 2, 3: 1})
-    assert qint_factorization(P("-[2][3]^2[4]")) == (Fraction(-1), {2: 1, 3: 2, 4: 1})
-    assert qint_factorization(P("[2][3][4][5]")) == (Fraction(1), {2: 1, 3: 1, 4: 1, 5: 1})
-    assert qint_factorization(LaurentPoly.one()) == (Fraction(1), {})
-    assert qint_factorization(LaurentPoly.zero()) == (Fraction(0), {})
-    assert qint_factorization(P("[2]").scale(Fraction(3, 2))) == (Fraction(3, 2), {2: 1})
+    assert _factorization(P("[2]^2[3]")) == (Fraction(1), ((2, 2), (3, 1)))
+    assert _factorization(P("-[2][3]^2[4]")) == (Fraction(-1), ((2, 1), (3, 2), (4, 1)))
+    assert _factorization(P("[2][3][4][5]")) == (Fraction(1), ((2, 1), (3, 1), (4, 1), (5, 1)))
+    assert _factorization(LaurentPoly.one()) == (Fraction(1), ())
+    assert _factorization(LaurentPoly.zero()) == (Fraction(0), ())
+    assert _factorization(P("[2]").scale(Fraction(3, 2))) == (Fraction(3, 2), ((2, 1),))
 
 
 def test_qint_factorization_rejects_non_products():
-    assert qint_factorization(q_pow(1)) is None          # bare monomial q
-    assert qint_factorization(q_int(2) + LaurentPoly.one()) is None
-    assert qint_factorization(q_pow(2) - q_pow(-2)) is None  # [2](q - q^-1)
+    assert _factorization(q_pow(1)) is None          # bare monomial q
+    assert _factorization(q_int(2) + LaurentPoly.one()) is None
+    assert _factorization(q_pow(2) - q_pow(-2)) is None  # [2](q - q^-1)
 
 
 def _greedy_factorization(p):
@@ -85,7 +79,7 @@ def test_factorization_filter_matches_the_unfiltered_greedy():
     factored = 0
     for c in coeffs:
         want = _greedy_factorization(c)
-        assert qint_factorization(c) == (None if want is None else (want[0], dict(want[1]))), c
+        assert _factorization(c) == want, c
         factored += want is not None
     assert 0 < factored < len(coeffs)
 
@@ -138,6 +132,31 @@ def test_scalar_table_rows():
         scalar_table("other", 0, 0, 1)
     with pytest.raises(ValueError):
         scalar_table("delta", 1, 0, 1)
+
+
+def test_table_cells_are_the_scalars():
+    # every cell of every format against the per-word scalar, m in -3..3 and
+    # n <= 5; at negative m the walk drops the words whose product vanishes
+    ms = range(-3, 4)
+    for family, scalar, start in (("delta", catalan.delta_scalar, 0),
+                                  ("nabla", catalan.nabla_scalar, 1)):
+        want = [(w, [scalar(m, w) for m in ms])
+                for n in range(start, 6) for w in enumerate_catalan(n)]
+        assert any(c.is_zero() for _, cells in want for c in cells)
+        csv = table_csv(family, -3, 3, 5).splitlines()
+        human = table_human(family, -3, 3, 5).splitlines()
+        latex = table_latex(family, -3, 3, 5).splitlines()
+        js = table_json(family, -3, 3, 5)["rows"]
+        assert len(csv) - 1 == len(human) - 2 == len(latex) - 4 == len(js) == len(want)
+        for i, (w, cells) in enumerate(want):
+            strs = [laurent_str(c) for c in cells]
+            assert csv[i + 1].split(",") == [w.display()] + strs, w
+            assert re.split(" {2,}", human[i + 2]) == [w.display()] + strs, w
+            word = w.display() if not w.is_trivial() else "\\mathbb{1}"
+            assert latex[i + 3] == " & ".join(
+                [f"${word}$"] + [f"${laurent_latex(c)}$" for c in cells]) + "\\\\", w
+            assert js[i]["word"] == w.display()
+            assert [LaurentPoly.from_json(c) for c in js[i]["cells"]] == cells, w
 
 
 def test_table_formats_are_consistent():

@@ -17,15 +17,11 @@ from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.series import (
     Series,
     beck_log_argument,
-    c_series,
     d_series,
     delta_series,
     family_series,
     gtilde_series,
     log_argument,
-    nabla0_log_argument,
-    nabla0_series,
-    x_cn_y_series,
 )
 
 N = 5
@@ -114,7 +110,7 @@ def test_derivative_is_a_star_derivation():
 
 
 def test_divide_t():
-    s = nabla0_series(N)
+    s = family_series("nabla", 0, N)
     shifted = s.divide_t()
     assert shifted.cutoff == N - 1
     assert shifted[0] == x_cn_y(1)
@@ -132,12 +128,12 @@ def test_exp_basics():
 
 
 def test_exp_matches_catalan_series():
-    assert beck_log_argument(2, 4).exp() == c_series(4)
+    assert beck_log_argument(2, 4).exp() == family_series("C", None, 4)
 
 
 def test_log_basics():
     assert Series.unit(N).log() == Series.zero(N)
-    got = c_series(4).log()
+    got = family_series("C", None, 4).log()
     expect = beck_log_argument(2, 4)
     assert got == expect
     a = t_times(Element.from_word("xy"), 1)
@@ -149,14 +145,14 @@ def test_log_basics():
 
 def test_exp_theorem_all_m():
     for m in range(-3, 4):
-        lhs = nabla0_log_argument(m, 4).exp()
+        lhs = log_argument(m, 4, "nabla").exp()
         assert lhs == delta_series(m, 4), m
-        assert delta_series(m, 4).log() == nabla0_log_argument(m, 4), m
+        assert delta_series(m, 4).log() == log_argument(m, 4, "nabla"), m
 
 
 def test_exp_coefficients_are_integral():
     for m in range(-3, 4):
-        e = nabla0_log_argument(m, N).exp()
+        e = log_argument(m, N, "nabla").exp()
         for n in range(N + 1):
             assert e[n].is_integral(), (m, n)
 
@@ -183,7 +179,7 @@ def test_shuffle_kernel_sees_only_ints(monkeypatch):
     monkeypatch.setattr(algebra, "_add_letter", guarded_add)
     for m in (-2, 3):
         assert beck_log_argument(m, 4).exp() == delta_series(m, 4), m
-        assert nabla0_log_argument(m, 4).exp() == delta_series(m, 4), m
+        assert log_argument(m, 4, "nabla").exp() == delta_series(m, 4), m
     assert seen
 
 
@@ -257,10 +253,10 @@ def test_beck_exp_at_cutoff_6(m):
 
 def test_apply_truncations():
     assert Series.unit(N).apply_y_inverse() == Series.zero(N)
-    s = nabla0_series(N).apply_y_inverse()
+    s = family_series("nabla", 0, N).apply_y_inverse()
     for n in range(1, N + 1):
         assert s[n] == X_EL * catalan_element(n - 1), n
-    z = nabla0_series(N).zeta().apply_x_inverse()
+    z = family_series("nabla", 0, N).zeta().apply_x_inverse()
     assert z == s.zeta()
 
 
@@ -280,8 +276,8 @@ def test_truncate():
 
 
 def test_free_form_series_agree_with_reduced():
-    assert x_cn_y_series(4) == nabla0_series(4)
-    assert beck_log_argument(3, 4) == nabla0_log_argument(3, 4)
+    assert family_series("xCny", None, 4) == family_series("nabla", 0, 4)
+    assert beck_log_argument(3, 4) == log_argument(3, 4, "nabla")
 
 
 def test_family_series_and_log_argument_match_the_direct_builders():
@@ -291,26 +287,20 @@ def test_family_series_and_log_argument_match_the_direct_builders():
         assert family_series("delta", m, N) == want == delta_series(m, N)
         want = Series([zero] + [nabla_element(m, n) for n in range(1, N + 1)], N)
         assert family_series("nabla", m, N) == want
-        for body, build, public in (
-            ("xCny", x_cn_y, beck_log_argument),
-            ("nabla", lambda n: nabla_element(0, n), nabla0_log_argument),
-        ):
+        for body, build in (("xCny", x_cn_y), ("nabla", lambda n: nabla_element(0, n))):
             want = Series(
                 [zero] + [build(n).scale(q_int(m * n) * Fraction(1, n)) for n in range(1, N + 1)],
                 N,
             )
-            assert log_argument(m, N, body) == want == public(m, N), (m, body)
-    assert family_series("nabla", 0, N) == nabla0_series(N)
-    for family, build, public in (
-        ("C", catalan_element, c_series),
-        ("D", d_element, d_series),
-        ("Gtilde", gtilde_element, gtilde_series),
-    ):
+            assert log_argument(m, N, body) == want, (m, body)
+        assert log_argument(m, N) == beck_log_argument(m, N), m
+    for family, build in (("C", catalan_element), ("D", d_element), ("Gtilde", gtilde_element)):
         want = Series([build(n) for n in range(N + 1)], N)
-        assert family_series(family, None, N) == want == public(N), family
+        assert family_series(family, None, N) == want, family
+    assert d_series(N) == family_series("D", None, N)
+    assert gtilde_series(N) == family_series("Gtilde", None, N)
     want = Series([zero] + [x_cn_y(n) for n in range(1, N + 1)], N)
-    assert family_series("xCny", None, N) == want == x_cn_y_series(N)
-    assert log_argument(2, N) == beck_log_argument(2, N)
+    assert family_series("xCny", None, N) == want
     with pytest.raises(ValueError):
         log_argument(2, N, "delta")
     with pytest.raises(ValueError):

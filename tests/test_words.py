@@ -8,8 +8,6 @@ from qshuffle.errors import CapExceededError
 from qshuffle.qlaurent import LaurentPoly
 from qshuffle.words import (
     EMPTY_WORD,
-    Letter,
-    Profile,
     Word,
     alternating_word,
     catalan_number,
@@ -18,18 +16,11 @@ from qshuffle.words import (
     is_balanced,
     is_catalan,
     profile,
-    weight,
     word,
     zeta_word,
 )
 
 from conftest import all_words_upto
-
-
-def test_weights():
-    assert weight(Letter.X) == 1
-    assert weight(Letter.Y) == -1
-    assert weight(Letter.X) + weight(Letter.Y) == 0
 
 
 def test_word_round_trip_and_identity():
@@ -72,11 +63,7 @@ def test_key_is_the_word_read_as_a_binary_number():
     for s, w in zip(strings, ws):
         assert w.key == int("1" + s.translate(to_bits), 2), s
         assert str(w) == s and Word(w.key) == w
-        assert [str(a) for a in w] == list(s)
-        assert "".join(str(w[i]) for i in range(-len(s), len(s))) == s + s
-        for i in (len(s), -len(s) - 1):
-            with pytest.raises(IndexError):
-                w[i]
+        assert w.letter_bits() == tuple(int(b) for b in s.translate(to_bits))
     # key order is word order: by length, then lexicographic with x < y
     by_key = sorted(ws, key=lambda w: w.key)
     assert [str(w) for w in by_key] == sorted(strings, key=lambda s: (len(s), s))
@@ -193,22 +180,6 @@ def test_profiles_match_reference_table():
     }
     for s, entries in expected.items():
         assert profile(word(s)) == entries
-
-
-def test_profile_catalan_criterion():
-    for w in all_words_upto(8):
-        assert profile(w).is_catalan() == is_catalan(w)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        Profile(())
-    with pytest.raises(ValueError):
-        Profile((0, 0))
-    p = Profile((0, 2, 1, 2, 0))
-    assert p.r == 2
-    assert p.valleys() == (0, 1, 0)
-    assert p.peaks() == (2, 2)
 
 
 def test_alternating_words():
