@@ -25,9 +25,7 @@ from .words import (
     enumerate_catalan,
     is_balanced,
     is_catalan,
-    length_cap,
     profile,
-    set_length_cap,
     word,
     zeta_word,
 )

@@ -332,7 +332,7 @@ def _preflight(la: dict, lb: dict) -> tuple:
     if not la or not lb:
         return 0, 0
     longest = max(la) + max(lb)
-    if longest > W.length_cap():
+    if longest > W.LENGTH_CAP:
         raise CapExceededError(f"shuffle would create a word of length {longest}")
     cost = bound = 0
     for i, (na, norm_a) in la.items():
@@ -478,7 +478,7 @@ class Element:
 
     def free_mul(self, other: "Element") -> "Element":
         longest = self.max_word_len() + other.max_word_len()
-        if longest > W.length_cap() and self._terms and other._terms:
+        if longest > W.LENGTH_CAP and self._terms and other._terms:
             raise CapExceededError(f"free product would create a word of length {longest}")
         terms = ((u.concat(v), cu * cv) for u, cu in self._terms.items()
                  for v, cv in other._terms.items())
@@ -554,14 +554,6 @@ class Element:
             {"word": str(w), "coeff": c.to_json()}
             for w, c in self.terms()
         ]
-
-    @staticmethod
-    def from_json(obj: list) -> "Element":
-        terms = {}
-        for entry in obj:
-            w = W.word(entry["word"])
-            terms[w] = LaurentPoly.from_json(entry["coeff"])
-        return Element(terms)
 
 
 class Packed:

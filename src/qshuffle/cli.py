@@ -52,13 +52,13 @@ class CliConfig:
 
 def resolve_config(args) -> CliConfig:
     layers = {}
+    keys = [f.name for f in fields(CliConfig)]
     path = args.config or os.environ.get("QSHUFFLE_CONFIG")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-        keys = {f.name for f in fields(CliConfig)}
         for k, v in file_cfg.items():
             if k not in keys:
                 raise ValueError(f"unknown config key {k!r}")
@@ -69,15 +69,10 @@ def resolve_config(args) -> CliConfig:
             layers["cutoff"] = int(raw)
         except ValueError:
             raise ValueError(f"QSHUFFLE_CUTOFF must be an integer, got {raw!r}") from None
-    flag_map = {
-        "cutoff": args.cutoff,
-        "m_min": args.m_min,
-        "m_max": args.m_max,
-        "n_max": args.n_max,
-        "output_format": args.format,
-        "output_path": args.output,
-    }
-    for key, val in flag_map.items():
+    # a flag's dest is its config key; args holds only the flags its
+    # subcommand takes, and table's range positionals share those dests
+    for key in keys:
+        val = getattr(args, key, None)
         if val is not None:
             layers[key] = val
     cfg = CliConfig(**layers)
@@ -126,7 +121,7 @@ WRITERS = {
     "enumerate": {"human": _enumerate_human, "json": _json},
     "table": {
         "human": lambda *a: render.table_human(*a),
-        "json": lambda *a: _json(render.table_json(*a)),
+        "json": lambda *a: render.table_json(*a),
         "latex": lambda *a: render.table_latex(*a),
         "csv": lambda *a: render.table_csv(*a),
     },
@@ -224,7 +219,10 @@ def cmd_verify(args, cfg: CliConfig) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    names = None if (args.all or not args.checks) else args.checks
+    if args.all and args.checks:
+        print(f"error: verify --all takes no check names, got {', '.join(args.checks)}", file=sys.stderr)
+        return USAGE_ERROR
+    names = args.checks or None
     vcfg = checks.VerifyConfig(
         m_min=cfg.m_min,
         m_max=cfg.m_max,
@@ -269,18 +267,19 @@ def cmd_table(args, cfg: CliConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--config", help="JSON config file (or set QSHUFFLE_CONFIG)")
-    common.add_argument("--cutoff", type=int, help="series truncation degree")
-    common.add_argument("--m-min", dest="m_min", type=int, help="smallest parameter m")
-    common.add_argument("--m-max", dest="m_max", type=int, help="largest parameter m")
-    common.add_argument("--n-max", dest="n_max", type=int, help="largest family index n")
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        help="output format (default human)",
-    )
-    common.add_argument("--output", help="write output to this path instead of stdout")
+    # each subcommand takes only the flags it reads, so none is silently ignored
+    output = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    output.add_argument("--config", help="JSON config file (or set QSHUFFLE_CONFIG)")
+    output.add_argument("--format", dest="output_format", choices=FORMATS,
+                        help="output format (default human)")
+    output.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                        help="write output to this path instead of stdout")
+    cutoff = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    cutoff.add_argument("--cutoff", type=int, help="series truncation degree")
+    grid = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    grid.add_argument("--m-min", dest="m_min", type=int, help="smallest parameter m")
+    grid.add_argument("--m-max", dest="m_max", type=int, help="largest parameter m")
+    grid.add_argument("--n-max", dest="n_max", type=int, help="largest family index n")
 
     p = argparse.ArgumentParser(
         prog="qshuffle",
@@ -289,25 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compute", parents=[common], help="compute an element or series")
+    c = sub.add_parser("compute", parents=[output, cutoff], help="compute an element or series")
     c.add_argument("kind", help="C, D, Gtilde, delta, nabla, damiani, beck, or series:<name>")
     c.add_argument("pos_n", nargs="?", type=int, help="index n (positional shorthand)")
     c.add_argument("--m", type=int)
     c.add_argument("--n", type=int)
     c.add_argument("--kind", dest="sub", choices=("E0", "E1", "Edelta"))
 
-    v = sub.add_parser("verify", parents=[common], help="run identity checks")
+    v = sub.add_parser("verify", parents=[output, cutoff, grid], help="run identity checks")
     v.add_argument("checks", nargs="*", help="check names (default: all)")
     v.add_argument("--all", action="store_true", help="run every check")
     v.add_argument("--timings", action="store_true", help="include elapsed times in JSON")
 
-    e = sub.add_parser("enumerate", parents=[common], help="list the Catalan words of length 2n")
+    e = sub.add_parser("enumerate", parents=[output], help="list the Catalan words of length 2n")
     e.add_argument("n", type=int)
     e.add_argument("--profiles", action="store_true")
     e.add_argument("--elevations", action="store_true")
     e.add_argument("--count-only", dest="count_only", action="store_true")
 
-    t = sub.add_parser("table", parents=[common], help="export a scalar table")
+    t = sub.add_parser("table", parents=[output], help="export a scalar table")
     t.add_argument("family", choices=("delta", "nabla"))
     t.add_argument("m_min", type=int)
     t.add_argument("m_max", type=int)

@@ -13,7 +13,8 @@ no bound.
 
 The shuffle kernel (algebra) and the family walk (catalan) both pack their
 coefficients with pack, choose w with slot_width from a bound computed
-before they start, and decode their results with unpacker.
+before they start, and decode their results with unpacker, which reads
+64-bit slots with one cast and wider ones one slot at a time.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ def unpacker(unit: int, step: int):
 
     Adding 2^(w-1) to every slot makes every digit non-negative, and flipping
     the top bit of every slot back leaves each slot the two's complement of
-    its digit. Slots of 64, 128 and 256 bits are read from one cast of the
-    bytes to 64-bit words: a slot is its top word (signed) over the words
-    below it (unsigned). Wider slots are read one at a time.
+    its digit. 64-bit slots are read with one cast of the bytes to signed
+    64-bit words; wider slots are read one slot at a time.
     """
     w = step * unit
     size = w // 8
-    words = w // 64 if w in (64, 128, 256) and sys.byteorder == "little" else 0
+    cast = w == 64 and sys.byteorder == "little"
     biases: dict = {}  # slot count -> 2^(w-1) in every slot
 
     def unpack(o: int, n: int) -> dict:
@@ -59,15 +59,8 @@ def unpacker(unit: int, step: int):
         if bias is None:
             bias = biases[slots] = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
         raw = ((n + bias) ^ bias).to_bytes(slots * size, "little")
-        if words == 1:
+        if cast:
             digits = memoryview(raw).cast("q")
-        elif words:
-            u, s = memoryview(raw).cast("Q"), memoryview(raw).cast("q")
-            if words == 2:
-                digits = [h << 64 | a for a, h in zip(u[::2], s[1::2])]
-            else:
-                digits = [((h << 64 | c) << 64 | b) << 64 | a
-                          for a, b, c, h in zip(u[::4], u[1::4], u[2::4], s[3::4])]
         else:
             digits = [int.from_bytes(raw[i:i + size], "little", signed=True)
                       for i in range(0, len(raw), size)]

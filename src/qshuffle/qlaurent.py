@@ -230,13 +230,6 @@ class LaurentPoly:
             out[str(e)] = str(c)
         return out
 
-    @staticmethod
-    def from_json(obj: dict) -> "LaurentPoly":
-        terms = {}
-        for e, c in obj.items():
-            terms[int(e)] = Fraction(c)
-        return LaurentPoly(terms)
-
 
 _ZERO = LaurentPoly({}, _raw=True)
 _ONE = LaurentPoly({0: 1}, _raw=True)

@@ -8,6 +8,7 @@ expanded forms are also what str() of a LaurentPoly, Element or Series returns.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -166,10 +167,6 @@ def json_chunks(terms):
     yield "[]" if sep == "[\n" else "\n]"
 
 
-def element_latex(el: Element) -> str:
-    return "".join(latex_chunks(el.terms()))
-
-
 def element_str(el: Element) -> str:
     return "".join(human_chunks(el.terms()))
 
@@ -207,6 +204,8 @@ def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
         raise ValueError(f"unknown table family {family!r}")
     if m_min > m_max or n_max < 0:
         raise ValueError("empty table range")
+    for n in range(n_max + 1):  # refused before a streamed writer writes a row
+        W.check_catalan_cost(n)
     return _table_rows(family, range(m_min, m_max + 1), 0 if family == "delta" else 1, n_max)
 
 
@@ -265,12 +264,18 @@ def table_human(family, m_min, m_max, n_max) -> str:
 
 
 def table_json(family, m_min, m_max, n_max):
-    rows = scalar_table(family, m_min, m_max, n_max)
-    return {
-        "family": family,
-        "m_range": [m_min, m_max],
-        "rows": [
-            {"word": w.display(), "cells": [c.to_json() for c in cells]}
-            for w, cells in rows
-        ],
-    }
+    """json.dumps of {"family", "m_range", "rows"}, indent 2, plus a newline, in
+    chunks: the head, then one row (a word and its cells' to_json()) at a time."""
+    rows = scalar_table(family, m_min, m_max, n_max)  # refuses a bad range now
+    head = json.dumps({"family": family, "m_range": [m_min, m_max], "rows": []}, indent=2)
+    return _json_rows(head[:-len("[]\n}")], rows)
+
+
+def _json_rows(head, rows):
+    yield head
+    sep = "[\n    "
+    for w, cells in rows:
+        row = json.dumps({"word": w.display(), "cells": [c.to_json() for c in cells]}, indent=2)
+        yield sep + row.replace("\n", "\n    ")
+        sep = ",\n    "
+    yield "[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n"

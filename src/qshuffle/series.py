@@ -218,10 +218,6 @@ class Series:
     def to_json(self) -> dict:
         return {"cutoff": self.cutoff, "coeffs": [a.to_json() for a in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Series":
-        return Series([Element.from_json(c) for c in obj["coeffs"]], obj["cutoff"])
-
 
 # -- named generating functions ------------------------------------------------
 

@@ -18,19 +18,7 @@ EMPTY_KEY = 1
 _BITS = str.maketrans("xy", "01")  # letters to key bits
 _LETTERS = str.maketrans("01", "xy")  # key bits to letters
 
-_length_cap = 32
-
-
-def length_cap() -> int:
-    return _length_cap
-
-
-def set_length_cap(n: int) -> None:
-    """Adjust the global word-length guard (memory protection, default 32)."""
-    global _length_cap
-    if n < 0:
-        raise ValueError("length cap must be non-negative")
-    _length_cap = n
+LENGTH_CAP = 32  # the longest word a product or walk may make: a memory guard, read at call time
 
 
 class Word:
@@ -42,13 +30,6 @@ class Word:
         if key < 1:
             raise ValueError("invalid packed word key")
         self.key = key
-
-    @staticmethod
-    def from_string(s: str) -> "Word":
-        bad = s.strip("xy")  # starts at the first letter that is not x or y
-        if bad:
-            raise ValueError(f"invalid letter {bad[0]!r}; words use only 'x' and 'y'")
-        return Word(int("1" + s.translate(_BITS), 2))
 
     def __len__(self) -> int:
         return self.key.bit_length() - 1
@@ -94,7 +75,10 @@ def word(s: str) -> Word:
     """Shorthand parser, accepting '' or '1' for the empty word."""
     if s == "1":
         return EMPTY_WORD
-    return Word.from_string(s)
+    bad = s.strip("xy")  # starts at the first letter that is not x or y
+    if bad:
+        raise ValueError(f"invalid letter {bad[0]!r}; words use only 'x' and 'y'")
+    return Word(int("1" + s.translate(_BITS), 2))
 
 
 def elevation_sequence(w: Word) -> tuple:
@@ -143,10 +127,8 @@ def profile(w: Word) -> tuple:
 
 
 def _check_cap(nletters: int) -> None:
-    if nletters > _length_cap:
-        raise CapExceededError(
-            f"word length {nletters} exceeds the configured cap {_length_cap}"
-        )
+    if nletters > LENGTH_CAP:
+        raise CapExceededError(f"word length {nletters} exceeds the configured cap {LENGTH_CAP}")
 
 
 # Catalan words one enumeration or family build may walk. The (6, 6) pair of

@@ -16,13 +16,6 @@ from qshuffle.errors import InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int
 
 
-@pytest.fixture(autouse=True)
-def _restore_length_cap():
-    cap = words.length_cap()
-    yield
-    words.set_length_cap(cap)
-
-
 def memo_state(monkeypatch, cached: bool) -> None:
     """Empty the persistent shuffle memo. With cached=False it also stores
     nothing more, as once it is full at _MEMO_CAP, so every kernel call is

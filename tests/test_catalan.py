@@ -297,8 +297,8 @@ def test_packed_members_decode_to_the_built_members():
             assert packed_member(family, None, n).decoded() == member(family, None, n)
 
 
-def test_builders_keep_the_length_cap():
-    W.set_length_cap(6)
+def test_builders_keep_the_length_cap(monkeypatch):
+    monkeypatch.setattr(W, "LENGTH_CAP", 6)
     assert len(nabla_element(2, 3)) == 5
     for build in (lambda: delta_element(1, 4), lambda: nabla_element(0, 4),
                   lambda: catalan_element(4), lambda: d_element(4)):

@@ -35,7 +35,7 @@ def test_compute_delta_negative_m(capsys):
 def test_compute_element_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "compute", "nabla", "--m", "0", "--n", "2", "--format", "json")
     assert code == 0
-    assert Element.from_json(json.loads(out)) == nabla_element(0, 2)
+    assert json.loads(out) == nabla_element(0, 2).to_json()
 
 
 def test_compute_series_json_round_trip(capsys):
@@ -43,7 +43,7 @@ def test_compute_series_json_round_trip(capsys):
         capsys, "compute", "series:delta", "--m", "2", "--cutoff", "3", "--format", "json"
     )
     assert code == 0
-    assert Series.from_json(json.loads(out)) == delta_series(2, 3)
+    assert json.loads(out) == delta_series(2, 3).to_json()
 
 
 def test_compute_element_latex_golden(capsys):
@@ -283,7 +283,7 @@ def test_output_file(tmp_path, capsys):
                            "--output", str(target))
     assert code == 0
     assert out == ""
-    assert Element.from_json(json.loads(target.read_text())) == delta_element(2, 2)
+    assert json.loads(target.read_text()) == delta_element(2, 2).to_json()
 
 
 def test_determinism_and_cache_independence(capsys):
@@ -376,12 +376,14 @@ def test_config_file_values_pass_through(tmp_path, capsys):
                                "cutoff": 2, "m_min": -1, "m_max": 1, "n_max": 2}))
     code, out, _ = run_cli(capsys, "compute", "series:C", "--config", str(cfg))
     assert code == 0 and out == ""
-    assert Series.from_json(json.loads(out_path.read_text())).cutoff == 2
+    assert json.loads(out_path.read_text())["cutoff"] == 2
 
 
 def test_invalid_ranges(capsys):
-    code, _, err = run_cli(capsys, "compute", "C", "1", "--m-min", "3", "--m-max", "-3")
-    assert code == 2
+    assert run_cli(capsys, "verify", "qserre", "--m-min", "3", "--m-max", "-3") == (
+        2, "", "error: m-min must be <= m-max\n")
+    assert run_cli(capsys, "verify", "qserre", "--n-max", "-1") == (
+        2, "", "error: n-max must be >= 0\n")
 
 
 def test_verify_all_small_grid(capsys):
@@ -411,11 +413,37 @@ def test_verify_json_independent_of_cache(capsys):
 
 
 def test_table_positionals_do_not_clash_with_global_flags(capsys):
-    # the table ranges are positional; the global range flags stay usable
-    code, out, _ = run_cli(capsys, "table", "nabla", "-1", "1", "1",
-                           "--format", "csv", "--cutoff", "3")
+    # the table ranges are positional, and table takes no --cutoff or range flag
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "nabla", "-1", "1", "1", "--format", "csv", "--cutoff", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out, _ = run_cli(capsys, "table", "nabla", "-1", "1", "1", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "w,m=-1,m=0,m=1"
+
+
+@pytest.mark.parametrize("argv", [
+    # the 11 flag slots that a subcommand ignored: compute reads no range,
+    # enumerate and table neither a range nor --cutoff
+    *(("compute", "C", "2", flag, "1") for flag in ("--m-min", "--m-max", "--n-max")),
+    *(("enumerate", "2", flag, "1") for flag in ("--cutoff", "--m-min", "--m-max", "--n-max")),
+    *(("table", "delta", "-1", "1", "2", flag, "1")
+      for flag in ("--cutoff", "--m-min", "--m-max", "--n-max")),
+    # a range flag that overrode table's positional range
+    ("table", "delta", "-1", "1", "2", "--m-min", "0"),
+    # a name that --all dropped
+    ("verify", "--all", "qserre"),
+])
+def test_what_a_subcommand_would_ignore_is_refused(capsys, argv):
+    # argparse refuses a flag by raising SystemExit(2); verify returns 2
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verify --all" if argv[0] == "verify" else "usage: ")
 
 
 def test_oversized_family_is_refused_at_once(capsys):
@@ -500,7 +528,7 @@ def test_streamed_members_equal_the_built_members_rendered(tmp_path, capsys):
                   "fraction" if not el.is_integral() else "integral"))
         want = {
             "human": render.element_str(el) + "\n",
-            "latex": render.element_latex(el) + "\n",
+            "latex": "".join(render.latex_chunks(el.terms())) + "\n",
             "json": json.dumps(el.to_json(), indent=2) + "\n",
         }
         for fmt, text in want.items():
@@ -552,15 +580,18 @@ def test_star_import_names_are_unchanged_and_lazy_names_resolve():
         "checks", "commutator", "d_element", "d_series", "delta_element", "delta_scalar",
         "delta_series", "elevation_sequence", "embedding_image", "enumerate_catalan", "errors",
         "family_series", "gtilde_element", "gtilde_series", "is_balanced", "is_catalan",
-        "kronecker", "length_cap", "log_argument", "member",
+        "kronecker", "log_argument", "member",
         "nabla_element", "nabla_from_profile", "nabla_scalar", "nabla_split",
         "profile", "q_falling", "q_int", "q_pow", "qlaurent", "run_all", "series",
-        "set_length_cap", "shuffle_fold", "shuffle_sum", "vanishing_bound", "word",
+        "shuffle_fold", "shuffle_sum", "vanishing_bound", "word",
         "words", "x_cn_y", "zeta_word",
     ]
     assert set(qshuffle.__all__) <= set(dir(qshuffle))
+    # readers and wrappers that nothing called
+    assert not any(hasattr(cls, "from_json") for cls in (qshuffle.Element, Series, qshuffle.LaurentPoly))
+    assert not hasattr(render, "element_latex") and not hasattr(qshuffle.Word, "from_string")
     for name in ("Letter", "Profile", "weight", "zeta", "c_series", "nabla0_series",
-                 "x_cn_y_series", "nabla0_log_argument"):
+                 "x_cn_y_series", "nabla0_log_argument", "length_cap", "set_length_cap"):
         with pytest.raises(ImportError):
             exec(f"from qshuffle import {name}", {})
     assert qshuffle.Series is Series and qshuffle.series.delta_series is delta_series

@@ -196,7 +196,7 @@ def test_serialization_round_trip():
     p = P("-[2]^2[3]").scale(Fraction(5, 3))
     obj = p.to_json()
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items())
-    assert LaurentPoly.from_json(obj) == p
+    assert LaurentPoly({int(e): Fraction(c) for e, c in obj.items()}) == p
 
 
 def test_str_ascending_in_q():
@@ -248,7 +248,7 @@ def test_coefficients_are_ints_or_fractions_only():
     # a bool is stored as its int, so it serializes as a number
     for p in (LaurentPoly.const(True), LaurentPoly.monomial(0, True), LaurentPoly({0: True})):
         assert type(p.coeff(0)) is int and p.to_json() == {"0": "1"}
-        assert LaurentPoly.from_json(p.to_json()) == p == 1
+        assert p == 1
     assert LaurentPoly.const(False).is_zero() and LaurentPoly({3: False}).is_zero()
     # scale refuses what the constructor refuses, and an integral poly stays integral
     for bad in (0.5, 0.0, 2.0, "2", None, q_int(2)):

@@ -7,7 +7,7 @@ import pytest
 from qshuffle import catalan
 from qshuffle.algebra import Element, UNIT
 from qshuffle.catalan import delta_element
-from qshuffle.errors import InexactDivisionError
+from qshuffle.errors import CapExceededError, InexactDivisionError
 from qshuffle.qlaurent import LaurentPoly, q_int, q_pow
 from qshuffle.render import (
     _factorization,
@@ -146,7 +146,7 @@ def test_table_cells_are_the_scalars():
         csv = table_csv(family, -3, 3, 5).splitlines()
         human = table_human(family, -3, 3, 5).splitlines()
         latex = table_latex(family, -3, 3, 5).splitlines()
-        js = table_json(family, -3, 3, 5)["rows"]
+        js = json.loads("".join(table_json(family, -3, 3, 5)))["rows"]
         assert len(csv) - 1 == len(human) - 2 == len(latex) - 4 == len(js) == len(want)
         for i, (w, cells) in enumerate(want):
             strs = [laurent_str(c) for c in cells]
@@ -156,17 +156,51 @@ def test_table_cells_are_the_scalars():
             assert latex[i + 3] == " & ".join(
                 [f"${word}$"] + [f"${laurent_latex(c)}$" for c in cells]) + "\\\\", w
             assert js[i]["word"] == w.display()
-            assert [LaurentPoly.from_json(c) for c in js[i]["cells"]] == cells, w
+            assert js[i]["cells"] == [c.to_json() for c in cells], w
 
 
 def test_table_formats_are_consistent():
     csv = table_csv("nabla", -2, 2, 2)
     human = table_human("nabla", -2, 2, 2)
-    js = table_json("nabla", -2, 2, 2)
+    js = json.loads("".join(table_json("nabla", -2, 2, 2)))
     latex = table_latex("nabla", -2, 2, 2)
     assert csv.splitlines()[1].startswith("xy,")
     assert "xy" in human
     assert js["rows"][0]["word"] == "xy"
     assert js["m_range"] == [-2, 2]
-    assert LaurentPoly.from_json(js["rows"][1]["cells"][4]) == P("[2][3]")
+    assert js["rows"][1]["cells"][4] == P("[2][3]").to_json()
     assert "\\begin{tabular}" in latex and "\\nabla" in latex
+
+
+def _table_tree(family, m_min, m_max, n_max):
+    """The whole JSON tree the table's json format once built before writing."""
+    return {
+        "family": family,
+        "m_range": [m_min, m_max],
+        "rows": [
+            {"word": w.display(), "cells": [c.to_json() for c in cells]}
+            for w, cells in scalar_table(family, m_min, m_max, n_max)
+        ],
+    }
+
+
+@pytest.mark.parametrize("family, m_min, m_max, n_max", [
+    ("nabla", 0, 0, 0),  # no rows: nabla starts at n = 1
+    ("delta", 0, 0, 0),
+    ("delta", -3, 3, 4),
+    ("nabla", -2, 1, 3),
+    ("delta", 2, 2, 5),
+])
+def test_streamed_table_json_is_json_dumps_of_the_tree(family, m_min, m_max, n_max):
+    chunks = list(table_json(family, m_min, m_max, n_max))
+    want = json.dumps(_table_tree(family, m_min, m_max, n_max), indent=2) + "\n"
+    assert "".join(chunks) == want
+    # the head, one chunk per row, the tail
+    assert len(chunks) == len(list(scalar_table(family, m_min, m_max, n_max))) + 2
+
+
+def test_oversized_table_is_refused_before_its_first_row():
+    # C_13 = 742,900 words: refused when the table is asked for, so a
+    # streamed writer never writes a partial table
+    with pytest.raises(CapExceededError, match="742900 Catalan words"):
+        table_json("delta", 0, 0, 13)

@@ -260,13 +260,6 @@ def test_apply_truncations():
     assert z == s.zeta()
 
 
-def test_series_json_round_trip():
-    s = delta_series(2, 3)
-    obj = s.to_json()
-    assert obj["cutoff"] == 3
-    assert Series.from_json(obj) == s
-
-
 def test_truncate():
     s = delta_series(2, 4)
     t = s.truncate(2)

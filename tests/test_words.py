@@ -148,10 +148,10 @@ def test_enumerate_catalan_examples():
     }
 
 
-def test_length_cap():
+def test_length_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         enumerate_catalan(17)
-    W.set_length_cap(4)
+    monkeypatch.setattr(W, "LENGTH_CAP", 4)
     with pytest.raises(CapExceededError):
         enumerate_catalan(3)
     assert len(enumerate_catalan(2)) == 2
