@@ -128,7 +128,7 @@ def profile(w: Word) -> tuple:
 
 def _check_cap(nletters: int) -> None:
     if nletters > LENGTH_CAP:
-        raise CapExceededError(f"word length {nletters} exceeds the configured cap {LENGTH_CAP}")
+        raise CapExceededError(f"word length {nletters} exceeds the length cap {LENGTH_CAP}")
 
 
 # Catalan words one enumeration or family build may walk. The (6, 6) pair of

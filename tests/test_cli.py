@@ -94,14 +94,6 @@ def test_unrendered_format_is_refused(capsys, argv, what, formats):
     assert err == f"error: {what} does not render --format {argv[-1]}; it renders {formats}\n"
 
 
-def test_bad_cutoff_variable_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("QSHUFFLE_CUTOFF", "abc")
-    code, out, err = run_cli(capsys, "compute", "series:C")
-    assert code == 2
-    assert out == ""
-    assert err == "error: QSHUFFLE_CUTOFF must be an integer, got 'abc'\n"
-
-
 def test_compute_missing_params(capsys):
     code, _, err = run_cli(capsys, "compute", "delta", "--n", "1")
     assert code == 2
@@ -113,6 +105,15 @@ def test_compute_refuses_what_it_would_drop(capsys):
         2, "", "error: index 3 disagrees with --n 2\n")
     assert run_cli(capsys, "compute", "C", "2", "--m", "5") == (
         2, "", "error: compute C takes no --m\n")
+    # an index to a series, --cutoff to an element, --kind to all but damiani
+    for argv in (("series:C", "3"), ("series:C", "--n", "3")):
+        assert run_cli(capsys, "compute", *argv) == (2, "", "error: compute series:C takes no index\n")
+    assert run_cli(capsys, "compute", "C", "2", "--cutoff", "3") == (
+        2, "", "error: compute C takes no --cutoff\n")
+    assert run_cli(capsys, "compute", "C", "2", "--kind", "E0") == (
+        2, "", "error: compute C takes no --kind\n")
+    assert run_cli(capsys, "compute", "beck", "--n", "1", "--kind", "E1") == (
+        2, "", "error: compute beck takes no --kind\n")
     assert run_cli(capsys, "compute", "C", "2", "--n", "2") == (
         0, "[2]_q^2[3]_q xxyy + [2]_q^2 xyxy\n", "")
 
@@ -297,39 +298,6 @@ def test_determinism_and_cache_independence(capsys):
     assert outs[0] == outs[1]
 
 
-def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cutoff": 1}))
-    # config file < env < flag
-    monkeypatch.setenv("QSHUFFLE_CONFIG", str(cfg))
-    code, out, _ = run_cli(capsys, "compute", "series:Gtilde", "--format", "json")
-    assert json.loads(out)["cutoff"] == 1
-    monkeypatch.setenv("QSHUFFLE_CUTOFF", "2")
-    code, out, _ = run_cli(capsys, "compute", "series:Gtilde", "--format", "json")
-    assert json.loads(out)["cutoff"] == 2
-    code, out, _ = run_cli(capsys, "compute", "series:Gtilde", "--format", "json",
-                           "--cutoff", "3")
-    assert json.loads(out)["cutoff"] == 3
-
-
-def test_bad_config_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nope": 1}))
-    code, _, err = run_cli(capsys, "compute", "C", "1", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key" in err
-
-
-def _config_error(tmp_path, capsys, content):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
-    code, out, err = run_cli(capsys, "compute", "C", "1", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    return err
-
-
 def test_negative_enumerate_index_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "-1")
     assert code == 2
@@ -337,46 +305,23 @@ def test_negative_enumerate_index_is_a_usage_error(capsys):
     assert err == "error: n must be non-negative\n" and "Traceback" not in err
 
 
-def test_config_file_must_hold_an_object(tmp_path, capsys):
-    assert "JSON object" in _config_error(tmp_path, capsys, "[1, 2]")
+def test_config_cache_key_is_unknown(capsys):
+    # there is no cache setting, and no config file that could hold one
+    for flag in (("--no-cache",), ("--config", "cfg.json")):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "C", "1", *flag])
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_config_integer_given_as_string(tmp_path, capsys):
-    assert "cutoff must be an integer" in _config_error(tmp_path, capsys, '{"cutoff": "5"}')
-
-
-def test_config_integer_given_as_float_or_bool(tmp_path, capsys):
-    assert "n_max must be an integer" in _config_error(tmp_path, capsys, '{"n_max": 2.5}')
-    assert "m_min must be an integer" in _config_error(tmp_path, capsys, '{"m_min": true}')
-
-
-def test_config_unknown_output_format(tmp_path, capsys):
-    err = _config_error(tmp_path, capsys, '{"output_format": "yaml"}')
-    assert "output_format must be one of human, json, latex, csv" in err
-
-
-def test_config_output_path_not_a_string(tmp_path, capsys):
-    assert "output_path must be a string or null" in _config_error(
-        tmp_path, capsys, '{"output_path": 3}'
-    )
-
-
-def test_config_cache_key_is_unknown(tmp_path, capsys):
-    err = _config_error(tmp_path, capsys, '{"cache_enabled": false}')
-    assert "unknown config key 'cache_enabled'" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "C", "1", "--no-cache"])
-    assert exc.value.code == 2
-
-
-def test_config_file_values_pass_through(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    out_path = tmp_path / "out.json"
-    cfg.write_text(json.dumps({"output_format": "json", "output_path": str(out_path),
-                               "cutoff": 2, "m_min": -1, "m_max": 1, "n_max": 2}))
-    code, out, _ = run_cli(capsys, "compute", "series:C", "--config", str(cfg))
-    assert code == 0 and out == ""
-    assert json.loads(out_path.read_text())["cutoff"] == 2
+def test_environment_changes_no_output(capsys, monkeypatch, tmp_path):
+    # flags are the only settings: no environment variable sets the cutoff
+    # or names a config file
+    want = run_cli(capsys, "compute", "series:C")
+    assert want[0] == 0
+    monkeypatch.setenv("QSHUFFLE_CUTOFF", "abc")
+    monkeypatch.setenv("QSHUFFLE_CONFIG", str(tmp_path / "missing.json"))
+    assert run_cli(capsys, "compute", "series:C") == want
 
 
 def test_invalid_ranges(capsys):
@@ -434,6 +379,11 @@ def test_table_positionals_do_not_clash_with_global_flags(capsys):
     ("table", "delta", "-1", "1", "2", "--m-min", "0"),
     # a name that --all dropped
     ("verify", "--all", "qserre"),
+    # no subcommand takes a config file
+    ("compute", "C", "2", "--config", "cfg.json"),
+    ("verify", "qserre", "--config", "cfg.json"),
+    ("enumerate", "2", "--config", "cfg.json"),
+    ("table", "delta", "-1", "1", "2", "--config", "cfg.json"),
 ])
 def test_what_a_subcommand_would_ignore_is_refused(capsys, argv):
     # argparse refuses a flag by raising SystemExit(2); verify returns 2
@@ -443,7 +393,7 @@ def test_what_a_subcommand_would_ignore_is_refused(capsys, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: verify --all" if argv[0] == "verify" else "usage: ")
+    assert err.startswith("error: verify --all" if "--all" in argv else "usage: ")
 
 
 def test_oversized_family_is_refused_at_once(capsys):
@@ -555,7 +505,8 @@ def test_compute_imports_neither_checks_nor_series():
     code = ("import sys\n"
             "from qshuffle.cli import main\n"
             "main(['compute', 'C', '2'])\n"
-            "mods = ('qshuffle.checks', 'qshuffle.series', 'concurrent.futures', 'multiprocessing')\n"
+            "mods = ('qshuffle.checks', 'qshuffle.series', 'concurrent.futures', 'multiprocessing',\n"
+            "        'dataclasses', 'inspect')\n"
             "print(sorted(m for m in mods if m in sys.modules))\n"
             "import qshuffle\n"
             "qshuffle.Series, qshuffle.run_all\n"
@@ -563,7 +514,8 @@ def test_compute_imports_neither_checks_nor_series():
     p = _python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     out, err = p.communicate(timeout=60)
     assert (p.returncode, err) == (0, "")
-    assert out.splitlines()[1:] == ["[]", "['qshuffle.checks', 'qshuffle.series']"]
+    assert out.splitlines()[1:] == [
+        "[]", "['dataclasses', 'inspect', 'qshuffle.checks', 'qshuffle.series']"]
 
 
 def test_star_import_names_are_unchanged_and_lazy_names_resolve():
