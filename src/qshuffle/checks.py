@@ -328,9 +328,8 @@ def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff,
 })
 def check_yinv_calculus(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The y^-1 / x^-1 calculus: commutator reformulations, the one-step and
-    the (n, k) truncated recursions, the weighted convolution identities, and
-    their generating-function forms."""
+    """The y^-1 / x^-1 calculus: commutator reformulations, the (n, k) truncated
+    recursion, the weighted convolution identities, and their series forms."""
     member = ctx.member
     for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
         u = member(fam, m, n)
@@ -339,14 +338,7 @@ def check_yinv_calculus(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
         diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
         run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
 
-    for n in range(1, cfg.n_max):
-        nn = member("nabla", 0, n)
-        target = member("nabla", 0, n + 1).y_inverse()
-        diff = _commutator_gap(target, X_EL, nn)
-        run.require_zero(diff, "one-step truncated recursion (i)", 0, n + 1)
-        diff = _commutator_gap(target, nn.y_inverse(), XY_EL)
-        run.require_zero(diff, "one-step truncated recursion (ii)", 0, n + 1)
-
+    # its (1, n) and (n, 1) instances are the one-step recursions, as ∇⁽⁰⁾₁y⁻¹ = x
     for total in range(2, 2 * cfg.n_max + 1):
         # the (n_max, n_max) pair sets the peak memory of verify --all: its
         # left side goes from the walk to the kernel packed, held for one

@@ -1,8 +1,8 @@
 """Command-line front end: compute, verify, enumerate, table.
 
-Flags are the only settings; each subcommand takes only the flags it reads.
-Exit codes: 0 on success or all checks passing, 1 on verification failure,
-2 on usage errors.
+Flags are the only settings: a subcommand takes only the flags it reads, a
+compute kind only the values its row of KINDS lists. Exit codes: 0 on
+success or all checks passing, 1 on verification failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -70,11 +70,42 @@ WRITERS = {
 }
 
 
+# each value a compute kind may take -> how a refusal ("takes no …") and a
+# "needs …" message name it; no kind needs --cutoff, which has a default
+VALUES = {"m": ("--m", "--m"), "n": ("index", "--n"), "cutoff": ("--cutoff", None),
+          "sub": ("--kind", "--kind {E0,E1,Edelta}")}
+
+
+def _series(family, m, cutoff):
+    from . import series
+
+    return series.family_series(family, m, CUTOFF if cutoff is None else cutoff)
+
+
+# compute kind -> (its WRITERS key, the VALUES it takes, its output from args);
+# the element rows, each streamed one word at a time, are catalan.FAMILIES'
+KINDS = {
+    **{family: ("element", ("m", "n") if takes_m else ("n",),
+                lambda a, f=family: catalan.packed_member(f, a.m, a.n).decoded_terms())
+       for family, (_, takes_m, _) in catalan.FAMILIES.items()},
+    "damiani": ("element", ("sub", "n"),
+                lambda a: catalan.embedding_image(f"Damiani_{a.sub}", a.n).terms()),
+    "beck": ("element", ("n",), lambda a: catalan.embedding_image("Beck_Edelta", a.n).terms()),
+    "series:delta": ("series", ("m", "cutoff"), lambda a: _series("delta", a.m, a.cutoff)),
+    "series:nabla0": ("series", ("cutoff",), lambda a: _series("nabla", 0, a.cutoff)),
+    **{f"series:{family}": ("series", ("cutoff",), lambda a, f=family: _series(f, None, a.cutoff))
+       for family in ("C", "D", "Gtilde")},
+}
+
+
 def _output(args) -> str:
-    """The WRITERS key of a request's output: its command, or what compute builds."""
-    if args.command == "compute":
-        return "series" if args.kind.startswith("series:") else "element"
-    return args.command
+    """The WRITERS key of a request's output: its command, or its compute kind's."""
+    if args.command != "compute":
+        return args.command
+    name = args.kind.removeprefix("series:")
+    if args.kind not in KINDS:
+        raise ValueError(f"unknown {'compute kind' if name == args.kind else 'series'} {name!r}")
+    return KINDS[args.kind][0]
 
 
 def _render(output: str, args, *values):
@@ -107,48 +138,19 @@ def _emit(out, args) -> int:
 
 
 def cmd_compute(args) -> int:
-    kind = args.kind
+    output, takes, build = KINDS[args.kind]  # main's _output refused an unknown kind
     if args.pos_n is not None:
         if args.n not in (None, args.pos_n):
             raise ValueError(f"index {args.pos_n} disagrees with --n {args.n}")
         args.n = args.pos_n
-    # refuse each value this kind would drop
-    takes_m = kind in ("delta", "nabla", "series:delta")
-    is_series = kind.startswith("series:")
-    for given, takes, what in ((args.m, takes_m, "--m"), (args.n, not is_series, "index"),
-                               (args.cutoff, is_series, "--cutoff"),
-                               (args.sub, kind == "damiani", "--kind")):
-        if given is not None and not takes:
-            raise ValueError(f"compute {kind} takes no {what}")
-    if is_series:
-        from . import series
-
-        name = kind.split(":", 1)[1]
-        if name not in ("delta", "nabla0", "C", "D", "Gtilde"):
-            raise ValueError(f"unknown series {name!r}")
-        if name == "delta" and args.m is None:
-            raise ValueError("compute series:delta needs --m")
-        family, m = {"delta": ("delta", args.m), "nabla0": ("nabla", 0)}.get(name, (name, None))
-        cutoff = CUTOFF if args.cutoff is None else args.cutoff
-        out = _render("series", args, series.family_series(family, m, cutoff))
-    elif kind in ("C", "D", "Gtilde", "delta", "nabla"):
-        if args.n is None or (takes_m and args.m is None):
-            raise ValueError(f"compute {kind} needs {'--m and --n' if takes_m else '--n'}")
-        # streamed from the walk's leaves (Gtilde's one word is packed
-        # from its member), one word decoded at a time
-        packed = catalan.packed_member(kind, args.m, args.n)
-        out = _render("element", args, packed.decoded_terms())
-    elif kind == "damiani":
-        if args.sub is None or args.n is None:
-            raise ValueError("compute damiani needs --kind {E0,E1,Edelta} and --n")
-        out = _render("element", args, catalan.embedding_image(f"Damiani_{args.sub}", args.n).terms())
-    elif kind == "beck":
-        if args.n is None:
-            raise ValueError("compute beck needs --n")
-        out = _render("element", args, catalan.embedding_image("Beck_Edelta", args.n).terms())
-    else:
-        raise ValueError(f"unknown compute kind {kind!r}")
-    return _emit(out, args)
+    # refuse each value this kind would drop, then name all it needs
+    for value, (label, _) in VALUES.items():
+        if getattr(args, value) is not None and value not in takes:
+            raise ValueError(f"compute {args.kind} takes no {label}")
+    needs = [value for value in takes if VALUES[value][1]]
+    if any(getattr(args, value) is None for value in needs):
+        raise ValueError(f"compute {args.kind} needs {' and '.join(VALUES[v][1] for v in needs)}")
+    return _emit(_render(output, args, build(args)), args)
 
 
 def cmd_verify(args) -> int:
@@ -213,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", parents=[output], help="compute an element or series")
-    c.add_argument("kind", help="C, D, Gtilde, delta, nabla, damiani, beck, or series:<name>")
+    c.set_defaults(handler=cmd_compute)
+    c.add_argument("kind", help=", ".join(KINDS))
     c.add_argument("pos_n", nargs="?", type=int, help="index n (positional shorthand)")
     c.add_argument("--m", type=int)
     c.add_argument("--n", type=int)
@@ -222,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", dest="sub", choices=("E0", "E1", "Edelta"))
 
     v = sub.add_parser("verify", parents=[output], help="run identity checks")
+    v.set_defaults(handler=cmd_verify)
     v.add_argument("checks", nargs="*", help="check names (default: all)")
     v.add_argument("--all", action="store_true", help="run every check")
     v.add_argument("--timings", action="store_true", help="include elapsed times in JSON")
@@ -232,12 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument(flag, type=int, default=default, help=f"{what} (default {default})")
 
     e = sub.add_parser("enumerate", parents=[output], help="list the Catalan words of length 2n")
+    e.set_defaults(handler=cmd_enumerate)
     e.add_argument("n", type=int)
     e.add_argument("--profiles", action="store_true")
     e.add_argument("--elevations", action="store_true")
     e.add_argument("--count-only", dest="count_only", action="store_true")
 
     t = sub.add_parser("table", parents=[output], help="export a scalar table")
+    t.set_defaults(handler=cmd_table)
     t.add_argument("family", choices=("delta", "nabla"))
     t.add_argument("m_min", type=int)
     t.add_argument("m_max", type=int)
@@ -245,25 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-HANDLERS = {
-    "compute": cmd_compute,
-    "verify": cmd_verify,
-    "enumerate": cmd_enumerate,
-    "table": cmd_table,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the one place where an error becomes a usage error
     try:
-        _check_ranges(args)
         formats = WRITERS[_output(args)]
+        _check_ranges(args)
         if args.output_format not in formats:
             what = f"{args.command} {args.kind}" if args.command == "compute" else args.command
             raise ValueError(f"{what} does not render --format {args.output_format};"
                              f" it renders {', '.join(formats)}")
-        return HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, QShuffleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

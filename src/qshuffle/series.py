@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from . import catalan
+from . import catalan, words
 from .algebra import Element, UNIT, shuffle_sum
 from .errors import CutoffMismatchError, InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
@@ -228,6 +228,9 @@ def family_series(family: str, m, cutoff: int, member=catalan.member) -> Series:
     coefficient; the verification suite passes its cached, perturbable one."""
     if family not in catalan.FAMILIES:
         raise ValueError(f"unknown element family {family!r}")
+    if family not in ("Gtilde", "xCny"):  # walked: price every member before building any
+        for n in range(cutoff + 1):
+            words.check_catalan_cost(n)
     first = catalan.FAMILIES[family][2]
     return Series(
         [member(family, m, n) if n >= first else Element.zero() for n in range(cutoff + 1)],

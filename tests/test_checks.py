@@ -62,7 +62,7 @@ DEFAULT_EVALUATED = {
     "structural": 3058,
     "nabla_recursion": 186,
     "commutation": 1536,
-    "yinv_calculus": 348,
+    "yinv_calculus": 340,
     "ode": 83,
     "exp_theorem": 84,
     "genfuns": 72,
@@ -432,13 +432,6 @@ def _unpacked_yinv_calculus(cfg, ctx=None):
                 xu, ux = X_EL.shuffle(u), u.shuffle(X_EL)
                 uyxy, xyuy = uy.shuffle(XY_EL), XY_EL.shuffle(uy)
                 run.require_zero((xu - ux) - (uyxy - xyuy), f"commutator via y^-1 ({fam})", m, n)
-    for n in range(1, cfg.n_max):
-        nn = member("nabla", 0, n)
-        target = member("nabla", 0, n + 1).y_inverse()
-        one = commutator(0, X_EL, nn)
-        run.require_zero(target - one, "one-step truncated recursion (i)", 0, n + 1)
-        two = commutator(0, nn.y_inverse(), XY_EL)
-        run.require_zero(target - two, "one-step truncated recursion (ii)", 0, n + 1)
     for total in range(2, 2 * cfg.n_max + 1):
         for n in range(1, cfg.n_max + 1):
             k = total - n

@@ -76,9 +76,13 @@ def test_cli_output_matches_the_render_corpus(capsys):
 
 
 def test_compute_bad_kind(capsys):
-    code, _, err = run_cli(capsys, "compute", "bogus", "1")
-    assert code == 2
-    assert "unknown compute kind" in err
+    # the kind is looked up first, before the values it takes and its formats
+    for argv, err in ((("bogus", "1"), "unknown compute kind 'bogus'"),
+                      (("bogus", "--cutoff", "3"), "unknown compute kind 'bogus'"),
+                      (("bogus", "--format", "csv"), "unknown compute kind 'bogus'"),
+                      (("series:bogus", "2"), "unknown series 'bogus'"),
+                      (("series:bogus", "--format", "latex"), "unknown series 'bogus'")):
+        assert run_cli(capsys, "compute", *argv) == (2, "", f"error: {err}\n"), argv
 
 
 @pytest.mark.parametrize("argv, what, formats", [
@@ -105,6 +109,8 @@ def test_compute_refuses_what_it_would_drop(capsys):
         2, "", "error: index 3 disagrees with --n 2\n")
     assert run_cli(capsys, "compute", "C", "2", "--m", "5") == (
         2, "", "error: compute C takes no --m\n")
+    assert run_cli(capsys, "compute", "xCny", "2", "--m", "1") == (
+        2, "", "error: compute xCny takes no --m\n")
     # an index to a series, --cutoff to an element, --kind to all but damiani
     for argv in (("series:C", "3"), ("series:C", "--n", "3")):
         assert run_cli(capsys, "compute", *argv) == (2, "", "error: compute series:C takes no index\n")
@@ -405,6 +411,18 @@ def test_oversized_family_is_refused_at_once(capsys):
         assert "35357670 Catalan words" in err
 
 
+def test_oversized_series_is_refused_before_any_member_is_built(capsys, monkeypatch):
+    # member 13 is over the word budget; members 0..12 would take seconds and
+    # over a gigabyte to build first
+    def build(*args, **kw):
+        raise AssertionError("a family builder was called")
+
+    for builder, _, _ in catalan.FAMILIES.values():
+        monkeypatch.setattr(catalan, builder, build)
+    assert run_cli(capsys, "compute", "series:delta", "--m", "2", "--cutoff", "13") == (
+        2, "", "error: n = 13 has 742900 Catalan words, over the budget of 300000\n")
+
+
 def test_verify_refused_product_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(algebra, "_SHUFFLE_BUDGET", 10)
     code, out, err = run_cli(capsys, "verify", "commutation", "--n-max", "2")
@@ -456,8 +474,8 @@ def _python(*args, **kw):
 
 def _members():
     """(compute arguments, member) of every walked family through n = 6, the
-    zero member (m = 0), the unit (n = 0), and the Fraction coefficients of
-    beck."""
+    zero member (m = 0), the unit (n = 0), the Fraction coefficients of
+    beck, and xCny."""
     for family, ms in (("delta", range(-3, 4)), ("nabla", range(-3, 4)), ("C", [None]), ("D", [None])):
         for m in ms:
             for n in range(catalan.FAMILIES[family][2], 7):
@@ -466,6 +484,7 @@ def _members():
     for n in range(3):
         yield ("Gtilde", str(n)), catalan.member("Gtilde", None, n)
         yield ("beck", "--n", str(n + 1)), catalan.embedding_image("Beck_Edelta", n + 1)
+        yield ("xCny", str(n + 1)), catalan.x_cn_y(n + 1)
 
 
 def test_streamed_members_equal_the_built_members_rendered(tmp_path, capsys):
