@@ -60,13 +60,11 @@ An operand may also come already packed, as a Packed: its entries
 {word key: (o, N)} at a unit and step, the per-length (word count, L1 norm)
 the pre-flight needs, and the parity of its exponents, so shuffle_sum
 neither decodes it nor recounts it. It is packed again, through the exact
-decoder, only when the sum's unit differs from its own. catalan's walk
-hands a family member over this way, with its L1 norms exact: a word's
-norm is the product of |k| over its factors [k]_q, since every [k]_q has
-coefficients of one sign and ‖PQ‖₁ = ‖P‖₁‖Q‖₁ for such P and Q. Its y^-1
-image keeps the entries of the words that end in y (bit 0 of the key) under
-their keys shifted right by one, so the (n, k) recursion takes ∇⁽⁰⁾ₙ₊ₖ to
-the kernel without a LaurentPoly per word.
+decoder, only when the sum's unit differs from its own. catalan's
+packed_member collects a walked family member's leaves into one, their
+L1 norms exact. Its y^-1 image keeps the entries of the words that end in y
+(bit 0 of the key) under their keys shifted right by one, so the (n, k)
+recursion takes ∇⁽⁰⁾ₙ₊ₖ to the kernel without a LaurentPoly per word.
 
 Before any kernel call each product is priced on its own: the
 interleavings it would walk are summed over its word pairs, and a product
@@ -277,31 +275,27 @@ def _trie_shuffle(left: dict, right: dict, unit: int) -> dict:
     return out
 
 
-def _decoded(out: dict, unit: int, step: int, den: int, keys):
-    """Yield (Word, LaurentPoly) for the given keys of a kernel result
-    {key: (o, N)} whose exponents step by ``step``, every coefficient
-    divided by den, one entry decoded at a time. Entries with N = 0 are
-    left out.
-
-    Decoding empties out: each entry is dropped as its word is decoded, so
-    that no word is held packed and decoded at once.
-    """
+def _decode(entries, unit: int, step: int, den: int = 1):
+    """Yield (Word, LaurentPoly) for each entry (key, o, N), N ≠ 0, of a kernel
+    result or a walk, in order, one at a time, its exponents stepping by
+    ``step`` and its coefficients divided by den."""
     unpack = K.unpacker(unit, step)
-    for k in keys:
-        o, n = out[k]
-        out[k] = None
+    for k, o, n in entries:
         if n:
             p = unpack(o, n)
             if den != 1:
                 p = {e: c // den if not c % den else Fraction(c, den) for e, c in p.items()}
             yield W.Word(k), LaurentPoly(p, _raw=True)
+
+
+def _drain(out: dict):
+    """The entries (key, o, N) of {key: (o, N)} in its order, each dropped from
+    out as it is handed over, so that no word is held packed and decoded at once."""
+    for k in out:
+        o, n = out[k]
+        out[k] = None
+        yield k, o, n
     out.clear()
-
-
-def _decode(out: dict, unit: int, step: int, den: int) -> dict:
-    """{Word: LaurentPoly} of a kernel result, in its own order, emptying
-    it as _decoded does."""
-    return dict(_decoded(out, unit, step, den, out))
 
 
 def _length_norms(terms: dict) -> dict:
@@ -564,8 +558,8 @@ class Packed:
     and with the operand's Fraction denominators cleared into ``den``.
     ``norms`` is what the pre-flight reads, {word length: (word count,
     summed L1 norm)}, and ``parity`` the parity shared by every exponent
-    (None when there are two). catalan's walk makes one without decoding a
-    word, and Packed.of packs a built Element.
+    (None when there are two). catalan.packed_member makes one from a
+    walk, decoding no word, and Packed.of packs a built Element.
     """
 
     __slots__ = ("terms", "unit", "step", "norms", "parity", "den")
@@ -624,14 +618,8 @@ class Packed:
         return Packed(terms, self.unit, self.step, norms, self.parity, self.den)
 
     def decoded(self) -> Element:
-        """The Element, emptying this operand as _decode does."""
-        return Element(_decode(self.terms, self.unit, self.step, self.den), _raw=True)
-
-    def decoded_terms(self):
-        """Yield the (Word, LaurentPoly) terms in key order, as Element.terms
-        lists them, decoding one entry at a time and emptying this operand
-        as _decode does. The walk's leaves are already in key order."""
-        return _decoded(self.terms, self.unit, self.step, self.den, sorted(self.terms))
+        """The Element, emptying this operand as _drain does."""
+        return Element(dict(_decode(_drain(self.terms), self.unit, self.step, self.den)), _raw=True)
 
 
 def _operand(x) -> tuple:
@@ -759,7 +747,7 @@ def shuffle_sum(triples) -> Element:
                 n1 *= cn
                 for v, (o2, n2) in right.items():
                     _accumulate(out, table(u, v, unit), (o1 + o2, n1 * n2))
-    return Element(_decode(out, unit, step, den), _raw=True)
+    return Element(dict(_decode(_drain(out), unit, step, den)), _raw=True)
 
 
 X_EL = Element.from_word("x")

@@ -10,19 +10,15 @@ of the full family is the Catalan element C_n, m = 1 gives the inverse
 family D_n up to sign, and m = -1 picks out the single alternating word
 (xy)^n.
 
-The builders walk the Catalan prefixes once (_walk). Each prefix carries its
-product as one packed int (kronecker.py, the codec the shuffle kernel uses)
-and its word key (words.py), which the kernel reads as it is. The slot width
-comes from an exact bound on every coefficient computed before the walk
-(_path_bound).
-The walk returns its leaves packed, as an algebra.Packed operand, never
-decoded: packed_member hands them to shuffle_sum as they are, and the
-builders decode each word once. Each leaf also carries its L1 norm, the
-product of |k| over its factors [k]_q. That is exact, not only a bound:
-every [k]_q has coefficients of one sign, and for polynomials P, Q whose
-coefficients each have one sign ‖PQ‖₁ = ‖P‖₁‖Q‖₁. By tracemalloc, a word
-of ∇⁽⁰⁾₁₀ costs about 0.5 KB packed and 3.0 KB decoded, and the 58,786
-words of ∇⁽⁰⁾₁₂ take 34 MB packed against 219 MB decoded.
+The members of delta, nabla, C and D come from one walk over the Catalan
+prefixes (_walk), priced when called, that yields its leaves one at a time:
+each word's key (words.py), its product as one packed int (kronecker.py, the
+kernel's codec) in slots as wide as an exact coefficient bound needs
+(_path_bound), and its L1 norm, the product of |k| over its factors [k]_q.
+That norm is exact: every [k]_q has coefficients of one sign, and then
+‖PQ‖₁ = ‖P‖₁‖Q‖₁. packed_member collects the leaves into an algebra.Packed
+operand for shuffle_sum, the builders decode them into an Element, and
+terms decodes them one word at a time for a writer.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from fractions import Fraction
 
 from . import kronecker as K
 from . import words as W
-from .algebra import Element, Packed, X_EL, Y_EL
+from .algebra import Element, Packed, X_EL, Y_EL, _decode
 from .errors import DegenerateProfileError, NonCatalanWordError, TrivialWordError
 from .qlaurent import LaurentPoly, Q_COMM, q_falling, q_int, q_pow
 
@@ -147,22 +143,14 @@ def _path_bound(n: int, m: int, reduced: bool) -> int:
     return best[0]
 
 
-def _walk(n: int, m: int, reduced: bool = False, sign: int = 1, packed: bool = False):
-    """Sum of the Catalan words of length 2n, each weighted by sign times
-    the product of its letters' factors [k]_q (_factor), of the reduced
-    family when reduced.
-
-    One depth-first walk over Catalan prefixes. Each prefix carries its
-    product as one packed entry (o, N) (kronecker.py), so each letter is one
-    big-int multiply, and its word key, one letter appended per step; a
-    prefix whose product is zero is dropped with all its extensions. Every
-    factor's exponents have one parity, so the slots hold q^2 steps; their
-    width comes from _path_bound. Each leaf also carries its L1 norm, the product
-    of |k| over its factors [k]_q, exact since each factor has coefficients
-    of one sign. Returns the leaves, never decoded, as a Packed operand when
-    packed, else the Element they decode to, its words in the lexicographic
-    order of enumerate_catalan.
-    """
+def _walk(n: int, m: int, reduced: bool, sign: int):
+    """(unit, leaves): the slot unit, exponents stepping by 2, and a
+    generator of (key, o, N, L1 norm) for the Catalan words of length 2n in
+    key order, each weighted by sign times its letters' factors (_factor) of
+    the reduced family when reduced. Depth first, y pushed under x so that x
+    comes out first; a zero factor drops its prefix with its extensions."""
+    if reduced and n < 1:
+        raise TrivialWordError("the reduced family starts at n = 1")
     if n < 0:
         raise ValueError("n must be non-negative")
     W.check_catalan_cost(n)
@@ -173,59 +161,69 @@ def _walk(n: int, m: int, reduced: bool = False, sign: int = 1, packed: bool = F
 
     xf = [entry(_factor(m, 0, e)) for e in range(n)]
     yf = [entry(_factor(m, 1, e)) for e in range(n + 1)]
-    end = 2 * n
-    terms: dict = {}
-    norm = 0
+    # tails[e]: the y's from elevation e down to 0, which end a word once its n x's are placed
+    tails = [(0, 1, 1)]
+    for o, c, nm in yf[1:]:
+        tails.append((tails[-1][0] + o, tails[-1][1] * c, tails[-1][2] * nm))
+    if n == 0:
+        stack = [(W.EMPTY_KEY, 0, 0, 0, sign, 1)]
+    else:  # every nontrivial Catalan word starts with x at elevation 0
+        f = entry(_factor(m, 0, 0, reduced))
+        stack = [(W.EMPTY_KEY << 1, 1, 1, f[0], sign * f[1], f[2])] if f else []
 
-    def rec(key: int, pos: int, xs: int, e: int, o: int, c: int, nm: int) -> None:
-        nonlocal norm
-        if pos == end:
-            terms[key] = (o, c)
-            norm += nm
-            return
-        if xs < n:
+    def leaves():
+        pop, push = stack.pop, stack.append
+        while stack:
+            key, xs, e, o, c, nm = pop()
+            if xs == n:
+                to, tc, tn = tails[e]
+                yield key << e | (1 << e) - 1, o + to, c * tc, nm * tn
+                continue
+            if e > 0:
+                f = yf[e]
+                push((key << 1 | 1, xs, e - 1, o + f[0], c * f[1], nm * f[2]))
             f = xf[e]
             if f is not None:
-                rec(key << 1, pos + 1, xs + 1, e + 1, o + f[0], c * f[1], nm * f[2])
-        if e > 0:
-            f = yf[e]
-            rec(key << 1 | 1, pos + 1, xs, e - 1, o + f[0], c * f[1], nm * f[2])
+                push((key << 1, xs + 1, e + 1, o + f[0], c * f[1], nm * f[2]))
 
-    if n == 0:
-        rec(W.EMPTY_KEY, 0, 0, 0, 0, sign, 1)
-    else:
-        # every nontrivial Catalan word starts with x at elevation 0
-        first = entry(_factor(m, 0, 0, reduced))
-        if first is not None:
-            rec(W.EMPTY_KEY << 1, 1, 1, 1, first[0], sign * first[1], first[2])
-    parities = {o // unit & 1 for o, _ in terms.values()}
-    parity = parities.pop() if len(parities) == 1 else None
-    norms = {end: (len(terms), norm)} if terms else {}
-    leaves = Packed(terms, unit, 2, norms, parity)
-    return leaves if packed else leaves.decoded()
+    return unit, leaves()
 
 
-def delta_element(m: int, n: int, packed: bool = False) -> Element | Packed:
-    """Δ⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
-    return _walk(n, m, packed=packed)
+# walked family -> the (m, reduced, sign) of the walk of its member (m, n)
+_WALKS = {
+    "delta": lambda m, n: (m, False, 1),
+    "nabla": lambda m, n: (m, True, 1),
+    "C": lambda m, n: (2, False, 1),
+    "D": lambda m, n: (1, False, (-1) ** n),
+}
 
 
-def nabla_element(m: int, n: int, packed: bool = False) -> Element | Packed:
-    """∇⁽ᵐ⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
-    if n < 1:
-        raise TrivialWordError("the reduced family starts at n = 1")
-    return _walk(n, m, reduced=True, packed=packed)
+def _walked(family: str, m, n: int):
+    """_walk's (unit, leaves) for the member (m, n) of a walked family."""
+    _row(family, m)
+    if family not in _WALKS:
+        raise ValueError(f"{family} is not a walked family")
+    return _walk(n, *_WALKS[family](m, n))
 
 
-def catalan_element(n: int, packed: bool = False) -> Element | Packed:
-    """C_n = Δ⁽²⁾ₙ; with packed=True, the walk's leaves as a Packed operand."""
-    return _walk(n, 2, packed=packed)
+def delta_element(m: int, n: int) -> Element:
+    """Δ⁽ᵐ⁾ₙ."""
+    return Element(dict(terms("delta", m, n)), _raw=True)
 
 
-def d_element(n: int, packed: bool = False) -> Element | Packed:
-    """D_n = (-1)^n Δ⁽¹⁾ₙ; with packed=True, the walk's leaves as a Packed
-    operand."""
-    return _walk(n, 1, sign=(-1) ** n, packed=packed)
+def nabla_element(m: int, n: int) -> Element:
+    """∇⁽ᵐ⁾ₙ, defined for n >= 1."""
+    return Element(dict(terms("nabla", m, n)), _raw=True)
+
+
+def catalan_element(n: int) -> Element:
+    """C_n = Δ⁽²⁾ₙ."""
+    return Element(dict(terms("C", None, n)), _raw=True)
+
+
+def d_element(n: int) -> Element:
+    """D_n = (-1)^n Δ⁽¹⁾ₙ."""
+    return Element(dict(terms("D", None, n)), _raw=True)
 
 
 def gtilde_element(n: int) -> Element:
@@ -250,32 +248,45 @@ FAMILIES = {
 }
 
 
-def _build(family: str, m, n: int, **kw):
-    """Call the builder of a named family, looked up by name at call time,
-    so that a builder wrapped or patched on this module is the one called."""
+def _row(family: str, m) -> tuple:
+    """The FAMILIES row of a named family, which takes m exactly when m is given."""
     try:
-        builder, takes_m, _ = FAMILIES[family]
+        row = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown element family {family!r}") from None
-    if takes_m != (m is not None):
-        raise ValueError(f"{family} takes {'an integer' if takes_m else 'no'} parameter m")
-    build = globals()[builder]
-    return build(m, n, **kw) if takes_m else build(n, **kw)
+    if row[1] != (m is not None):
+        raise ValueError(f"{family} takes {'an integer' if row[1] else 'no'} parameter m")
+    return row
 
 
 def member(family: str, m, n: int) -> Element:
-    """The n-th member of a named family: delta and nabla take the parameter
-    m, the others take m = None."""
-    return _build(family, m, n)
+    """The n-th member of a named family, m None unless it is delta or nabla;
+    the builder is looked up by name at call time, so that a builder wrapped
+    or patched on this module is the one called."""
+    builder, takes_m, _ = _row(family, m)
+    build = globals()[builder]
+    return build(m, n) if takes_m else build(n)
+
+
+def terms(family: str, m, n: int):
+    """An iterator over member(family, m, n).terms(); a walked family's are
+    decoded from its walk one at a time, and refused on the call, before any."""
+    if family not in _WALKS:
+        return iter(member(family, m, n).terms())
+    unit, leaves = _walked(family, m, n)
+    return _decode(((key, o, c) for key, o, c, _ in leaves), unit, 2)
 
 
 def packed_member(family: str, m, n: int) -> Packed:
-    """member(family, m, n) as a Packed operand for shuffle_sum. The walked
-    families hand over their walk's leaves, never decoded; Gtilde and xCny,
-    which are not walked, are packed from their member."""
-    if family in ("Gtilde", "xCny"):
-        return Packed.of(member(family, m, n))
-    return _build(family, m, n, packed=True)
+    """A walked family's member (m, n) as a Packed shuffle_sum operand, never decoded."""
+    unit, leaves = _walked(family, m, n)
+    packed, norm = {}, 0
+    for key, o, c, nm in leaves:
+        packed[key] = (o, c)
+        norm += nm
+    parities = {o // unit & 1 for o, _ in packed.values()}
+    parity = parities.pop() if len(parities) == 1 else None
+    return Packed(packed, unit, 2, {2 * n: (len(packed), norm)} if packed else {}, parity)
 
 
 def embedding_image(kind: str, n: int) -> Element:

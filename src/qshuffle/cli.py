@@ -86,7 +86,7 @@ def _series(family, m, cutoff):
 # the element rows, each streamed one word at a time, are catalan.FAMILIES'
 KINDS = {
     **{family: ("element", ("m", "n") if takes_m else ("n",),
-                lambda a, f=family: catalan.packed_member(f, a.m, a.n).decoded_terms())
+                lambda a, f=family: catalan.terms(f, a.m, a.n))
        for family, (_, takes_m, _) in catalan.FAMILIES.items()},
     "damiani": ("element", ("sub", "n"),
                 lambda a: catalan.embedding_image(f"Damiani_{a.sub}", a.n).terms()),

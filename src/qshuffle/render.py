@@ -129,7 +129,7 @@ def laurent_latex(p: LaurentPoly) -> str:
 
 
 # The element writers take (word, coefficient) terms in word order, as
-# Element.terms() or Packed.decoded_terms() gives them, and yield the text in
+# Element.terms() or catalan.terms() gives them, and yield the text in
 # chunks, one term at a time, so that a caller can write an element while it
 # is still being decoded.
 
@@ -196,9 +196,9 @@ def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
 
     family "delta" includes the empty word; "nabla" starts at length 2.
     Rows are sorted by length then lexicographically; columns ascend in m.
-    Each column of length 2n is read from the walked member's packed leaves,
-    catalan.packed_member(family, m, n).decoded_terms(), one word at a time;
-    a word the walk dropped (a zero product) gets a zero cell.
+    Each column of length 2n is read from the family's walk one word at a
+    time, catalan.terms(family, m, n); a word the walk dropped (a zero
+    product) gets a zero cell.
     """
     if family not in ("delta", "nabla"):
         raise ValueError(f"unknown table family {family!r}")
@@ -212,7 +212,7 @@ def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
 def _table_rows(family, ms, start, n_max):
     zero, end = LaurentPoly.zero(), (None, None)
     for n in range(start, n_max + 1):
-        columns = [catalan.packed_member(family, m, n).decoded_terms() for m in ms]
+        columns = [catalan.terms(family, m, n) for m in ms]
         # heads[i] is column i's next (word, coefficient), in enumerate_catalan's order
         heads = [next(col, end) for col in columns]
         for w in W.enumerate_catalan(n):

@@ -22,6 +22,7 @@ from qshuffle.catalan import (
     nabla_split,
     member,
     packed_member,
+    terms,
     vanishing_bound,
     x_cn_y,
 )
@@ -291,10 +292,31 @@ def test_packed_members_decode_to_the_built_members():
     packed = packed_member("delta", 59, 8)
     assert packed.unit == 64
     assert packed.norms == algebra._length_norms(packed.decoded()._terms)
-    # the families that are not walked are packed from their members
+    # the families that are not walked have no leaves to hand over
     for family in ("Gtilde", "xCny"):
-        for n in range(FAMILIES[family][2], 5):
-            assert packed_member(family, None, n).decoded() == member(family, None, n)
+        with pytest.raises(ValueError, match=f"{family} is not a walked family"):
+            packed_member(family, None, 3)
+
+
+def test_terms_are_the_member_terms_in_order():
+    # every family, empty members (m = 0, n >= 1) included; a walked
+    # family's terms come from its walk one word at a time
+    for family, (_, takes_m, first) in FAMILIES.items():
+        for m in range(-3, 4) if takes_m else [None]:
+            for n in range(first, 8):
+                assert list(terms(family, m, n)) == member(family, m, n).terms(), (family, m, n)
+    assert list(terms("delta", 0, 3)) == []
+
+
+def test_terms_refuse_on_the_call():
+    # before the first next(): a caller prices its request up front
+    with pytest.raises(CapExceededError):
+        terms("delta", 2, 16)
+    with pytest.raises(TrivialWordError):
+        terms("nabla", 0, 0)
+    for family, m in (("bogus", None), ("bogus", 2), ("C", 2), ("Gtilde", 1), ("delta", None)):
+        with pytest.raises(ValueError):
+            terms(family, m, 3)
 
 
 def test_builders_keep_the_length_cap(monkeypatch):

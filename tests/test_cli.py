@@ -507,6 +507,34 @@ def test_streamed_members_equal_the_built_members_rendered(tmp_path, capsys):
     assert seen == {"zero", "unit", "fraction", "integral"}
 
 
+def test_compute_and_table_stream_from_the_walk_without_building(monkeypatch, capsys):
+    # a walked member is decoded from its walk one word at a time, never
+    # built or collected; Gtilde and xCny, which are not walked, are built
+    streamed = [("compute", "delta", "--m", "2", "--n", "6", "--format", "json"),
+                ("compute", "C", "5"),
+                ("compute", "nabla", "--m", "-1", "--n", "4", "--format", "latex"),
+                ("table", "delta", "0", "3", "5", "--format", "csv")]
+    built = {"gtilde_element": ("compute", "Gtilde", "3"), "x_cn_y": ("compute", "xCny", "3")}
+    want = {argv: run_cli(capsys, *argv) for argv in streamed + list(built.values())}
+    assert all(code == 0 and out for code, out, _ in want.values())
+
+    def refuse(*args):
+        raise AssertionError("a walked member was built")
+
+    for name in ("delta_element", "nabla_element", "catalan_element", "d_element", "packed_member"):
+        monkeypatch.setattr(catalan, name, refuse)
+    for argv in streamed:
+        assert run_cli(capsys, *argv) == want[argv], argv
+    monkeypatch.undo()
+    calls = []
+    for name in built:
+        real = getattr(catalan, name)
+        monkeypatch.setattr(catalan, name, lambda n, real=real, name=name: calls.append(name) or real(n))
+    for argv in built.values():
+        assert run_cli(capsys, *argv) == want[argv], argv
+    assert calls == list(built)
+
+
 def test_a_closed_pipe_ends_compute_quietly():
     # the reader takes the first line and goes, as `| head -1` does; the
     # request still exits 0 and writes nothing to stderr
