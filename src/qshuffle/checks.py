@@ -73,17 +73,18 @@ class CheckReport:
         return f"{self.status.upper():4s}  {self.name}  ({self.elapsed:.2f}s){tail}"
 
 
+# the parts of the grid that no request sets
+PAIR_DEGREE_CAP = 6  # the total degree of commutation's pairs, unbounded at m = 0
+MAIN_M_MAX, MAIN_CUTOFF = 3, 4  # main_theorems' factor count and cutoff
+QMN_N_MAX, QMN_M_MAX = 4, 5  # the n and m of its power-sum scalar identity
+
+
 @dataclass
 class VerifyConfig:
     m_min: int = -3
     m_max: int = 3
     n_max: int = 5
     cutoff: int = 5
-    pair_degree_cap: int = 6   # total degree for cross-family commutation pairs
-    main_m_max: int = 3        # factor count for the factorization theorem
-    main_cutoff: int = 4
-    qmn_m_max: int = 5
-    qmn_n_max: int = 4
     qint_grid: int = 6
     # optional hook (family, m, n, element) -> element, used by negative controls;
     # family is one of catalan.FAMILIES: "delta" and "nabla" with an integer m,
@@ -292,36 +293,38 @@ def check_nabla_recursion(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
                 run.require_zero(got - ins, "single-insertion expansion", m, n)
 
 
-@_check("commutation", lambda cfg: {
-    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "pair_degree_cap": cfg.pair_degree_cap,
-})
-def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """xy commutes with every family member; the m = 0 family commutes
-    pairwise; cross-family pairs commute up to the configured total degree."""
-    member = ctx.member
-    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
-        diff = _commutes(XY_EL, member(fam, m, n))
-        run.require_zero(diff, f"xy commutation ({fam})", m, n)
-    for k in range(2, cfg.n_max + 1):
-        for n in range(1, k):
-            diff = _commutes(member("nabla", 0, n), member("nabla", 0, k))
-            run.require_zero(diff, f"m=0 family pair ({n},{k})", 0, n + k)
-    # cross-family grid, bounded in total degree, scanned degree-ascending
-    members = []
-    for m in cfg.m_range():
-        for n in range(1, cfg.n_max + 1):
-            members.append(("delta", m, n))
-            members.append(("nabla", m, n))
+def _reduced_pairs(cfg: VerifyConfig):
+    """commutation's pairs (a, b) of reduced members ∇⁽ᵐ⁾ₙ, n ≥ 2, as (m, n):
+    those up to total degree PAIR_DEGREE_CAP and those of two m = 0 members,
+    by total degree, then a, then b, the order its first failure depends on."""
+    members = [(m, n) for m in cfg.m_range() for n in range(2, cfg.n_max + 1)]
     pairs = [
         (a, b)
         for i, a in enumerate(members)
         for b in members[i + 1:]
-        if a[2] + b[2] <= cfg.pair_degree_cap
+        if a[1] + b[1] <= PAIR_DEGREE_CAP or a[0] == b[0] == 0
     ]
-    pairs.sort(key=lambda p: (p[0][2] + p[1][2], p))
-    for (fam_a, ma, na), (fam_b, mb, nb) in pairs:
-        diff = _commutes(member(fam_a, ma, na), member(fam_b, mb, nb))
-        run.require_zero(diff, f"{fam_a}({ma},{na}) vs {fam_b}({mb},{nb})", ma, na + nb)
+    return sorted(pairs, key=lambda p: (p[0][1] + p[1][1], p))
+
+
+@_check("commutation", lambda cfg: {
+    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "pair_degree_cap": PAIR_DEGREE_CAP,
+})
+def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """xy commutes with every family member, and the reduced members
+    ∇⁽ᵐ⁾ₙ, n ≥ 2, commute pairwise (_reduced_pairs).
+
+    No other pair is needed: structural states Δ⁽ᵐ⁾ₙ = [m]_q ∇⁽ᵐ⁾ₙ and
+    ∇⁽ᵐ⁾₁ = xy. So a pair that holds a Δ member is [m]_q times a pair
+    compared here (zero at m = 0), and a pair that holds ∇⁽ᵐ⁾₁ is an xy
+    instance."""
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        diff = _commutes(XY_EL, member(fam, m, n))
+        run.require_zero(diff, f"xy commutation ({fam})", m, n)
+    for (ma, na), (mb, nb) in _reduced_pairs(cfg):
+        diff = _commutes(member("nabla", ma, na), member("nabla", mb, nb))
+        run.require_zero(diff, f"nabla({ma},{na}) vs nabla({mb},{nb})", ma, na + nb)
 
 
 @_check("yinv_calculus", lambda cfg: {
@@ -428,16 +431,16 @@ def check_exp_theorem(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
 
 
 @_check("main_theorems", lambda cfg: {
-    "m_max": cfg.main_m_max, "cutoff": cfg.main_cutoff, "qmn": [cfg.qmn_n_max, cfg.qmn_m_max],
+    "m_max": MAIN_M_MAX, "cutoff": MAIN_CUTOFF, "qmn": [QMN_N_MAX, QMN_M_MAX],
 })
 def check_main_theorems(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The m-fold rescaled factorizations, their closed-form coefficients,
     and the scalar power-sum identity behind them."""
     member = ctx.member
-    N = cfg.main_cutoff
+    N = MAIN_CUTOFF
     gt = family_series("Gtilde", None, N, member)
     dt = family_series("D", None, N, member)
-    for m in range(1, cfg.main_m_max + 1):
+    for m in range(1, MAIN_M_MAX + 1):
         gprod = None
         dprod = None
         for i in range(m):
@@ -454,8 +457,8 @@ def check_main_theorems(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
         closed_plus = family_series("delta", m, N, member)
         run.require_zero(gprod - closed_minus, "closed form, negative side", m, None)
         run.require_zero(dprod - closed_plus, "closed form, positive side", m, None)
-    for n in range(1, cfg.qmn_n_max + 1):
-        for m in range(1, cfg.qmn_m_max + 1):
+    for n in range(1, QMN_N_MAX + 1):
+        for m in range(1, QMN_M_MAX + 1):
             lhs = LaurentPoly({n * (m - 1 - 2 * i): 1 for i in range(m)})
             num = q_pow(m * n) - q_pow(-m * n)
             den = q_pow(n) - q_pow(-n)
@@ -696,21 +699,24 @@ def check_structural(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
             run.require_zero(
                 member("nabla", 0, n) - member("xCny", None, n), "m=0 reduced column is the free product", 0, n
             )
-            for m in cfg.m_range():
+            # at m = 0 this is the "m=0 column vanishes" difference
+            for m in (m for m in cfg.m_range() if m != 0):
                 run.require_zero(
                     member("delta", m, n) - member("nabla", m, n).scale(q_int(m)),
                     "element-level full vs reduced", m, n,
                 )
-            run.require_zero(
-                member("nabla", cfg.m_min, 1) - XY_EL, "reduced family starts at xy", cfg.m_min, 1
-            )
+        # commutation reads each pair that holds ∇⁽ᵐ⁾₁ as an xy instance
+        if n == 1:
+            for m in cfg.m_range():
+                run.require_zero(member("nabla", m, 1) - XY_EL, "reduced family starts at xy", m, 1)
 
 
-@_check("genfuns", lambda cfg: {"cutoff": cfg.cutoff, "pair_degree_cap": cfg.pair_degree_cap})
+@_check("genfuns", lambda cfg: {"cutoff": cfg.cutoff})
 def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The classical generating-function package: the inverse pair, the three
-    exponential formulas, the two-parameter rescaled product, and mutual
-    commutation of the free products."""
+    exponential formulas and the two-parameter rescaled product. The free
+    products x C₍ₙ₋₁₎ y are ∇⁽⁰⁾ₙ (structural), whose pairs commutation
+    compares."""
     member = ctx.member
     N = cfg.cutoff
     gt = family_series("Gtilde", None, N, member)
@@ -720,12 +726,6 @@ def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     run.require_zero(gt.star_mul(dt) - Series.unit(N), "two-sided inverse (left)")
     run.require_zero(dt.star_mul(gt) - Series.unit(N), "two-sided inverse (right)")
     run.require_zero(gt.inverse() - dt, "inverse equals the closed form")
-
-    # mutual commutation of the free products, bounded total degree
-    for n in range(1, cfg.pair_degree_cap):
-        for k in range(n + 1, cfg.pair_degree_cap - n + 1):
-            diff = _commutes(member("xCny", None, n), member("xCny", None, k))
-            run.require_zero(diff, f"free products commute ({n},{k})", None, n + k)
 
     run.require_zero(log_argument(2, N, "xCny", member).exp() - ct, "exp formula, Catalan family", 2)
     minus_arg = log_argument(-1, N, "xCny", member)
@@ -737,7 +737,7 @@ def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     rhs = dt.rescale_t(q_pow(1)).star_mul(dt.rescale_t(q_pow(-1)))
     run.require_zero(lhs - rhs, "two-factor rescaled product", 2)
 
-    for m in range(1, cfg.main_m_max + 1):
+    for m in range(1, MAIN_M_MAX + 1):
         prod = family_series("delta", -m, N, member).star_mul(family_series("delta", m, N, member))
         run.require_zero(prod - Series.unit(N), "opposite-parameter inverse", m)
     for n in range(0, cfg.cutoff + 1):

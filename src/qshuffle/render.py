@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from . import catalan, words as W
@@ -220,35 +221,31 @@ def _table_rows(family, ms, start, n_max):
             heads = [next(col, end) if u == w else (u, c) for col, (u, c) in zip(columns, heads)]
 
 
-def table_csv(family, m_min, m_max, n_max) -> str:
-    rows = scalar_table(family, m_min, m_max, n_max)
-    header = "w," + ",".join(f"m={m}" for m in range(m_min, m_max + 1))
-    lines = [header]
-    for w, cells in rows:
-        lines.append(w.display() + "," + ",".join(laurent_str(c) for c in cells))
-    return "\n".join(lines) + "\n"
+def table_csv(family, m_min, m_max, n_max):
+    """The CSV text in chunks: the header, then one row at a time."""
+    rows = scalar_table(family, m_min, m_max, n_max)  # refuses a bad range now
+    header = "w," + ",".join(f"m={m}" for m in range(m_min, m_max + 1)) + "\n"
+    return chain([header], (w.display() + "," + ",".join(laurent_str(c) for c in cells) + "\n"
+                            for w, cells in rows))
 
 
-def table_latex(family, m_min, m_max, n_max) -> str:
-    rows = scalar_table(family, m_min, m_max, n_max)
+def table_latex(family, m_min, m_max, n_max):
+    """The tabular in chunks: its head, one row at a time, then its end."""
+    rows = scalar_table(family, m_min, m_max, n_max)  # refuses a bad range now
     sym = "\\Delta" if family == "delta" else "\\nabla"
-    ncols = m_max - m_min + 1
-    out = ["\\begin{tabular}{ c|" + "|".join("c" * ncols) + " }"]
-    head = "$w$ & " + " & ".join(
-        f"${sym}^{{({m})}}(w)$" for m in range(m_min, m_max + 1)
-    ) + "\\\\"
-    out.append(head)
-    out.append("\\hline")
+    head = ("\\begin{tabular}{ c|" + "|".join("c" * (m_max - m_min + 1)) + " }\n$w$ & "
+            + " & ".join(f"${sym}^{{({m})}}(w)$" for m in range(m_min, m_max + 1)) + "\\\\\n\\hline\n")
+    return chain([head], _latex_rows(rows), ["\\end{tabular}\n"])
+
+
+def _latex_rows(rows):
     for w, cells in rows:
         disp = w.display() if not w.is_trivial() else "\\mathbb{1}"
-        out.append(
-            f"${disp}$ & " + " & ".join(f"${laurent_latex(c)}$" for c in cells) + "\\\\"
-        )
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+        yield f"${disp}$ & " + " & ".join(f"${laurent_latex(c)}$" for c in cells) + "\\\\\n"
 
 
 def table_human(family, m_min, m_max, n_max) -> str:
+    """The aligned text, joined whole: its column widths need every row."""
     rows = scalar_table(family, m_min, m_max, n_max)
     header = ["w"] + [f"m={m}" for m in range(m_min, m_max + 1)]
     table = [header] + [

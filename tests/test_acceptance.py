@@ -127,14 +127,14 @@ def test_criterion_05_exp_theorem():
 def test_criterion_06_factorization_theorems():
     with _Gate("criterion 6: rescaled factorizations (m <= 3, t^4) and the "
                "power-sum identity (n <= 4, m <= 5)", 120.0):
-        cfg = VerifyConfig(main_m_max=3, main_cutoff=4, qmn_m_max=5, qmn_n_max=4)
-        report = check_main_theorems(cfg)
+        report = check_main_theorems(VerifyConfig())
+        assert report.params == {"m_max": 3, "cutoff": 4, "qmn": [4, 5]}
         assert report.passed, report.witness and report.witness.description
 
 
 def test_criterion_07_generating_function_package():
     with _Gate("criterion 7: classical generating-function identities up to t^5", 60.0):
-        report = check_genfuns(VerifyConfig(cutoff=5, pair_degree_cap=6, main_m_max=3))
+        report = check_genfuns(VerifyConfig(cutoff=5))
         assert report.passed, report.witness and report.witness.description
         # the two-factor rescaled product, stated directly
         N = 5

@@ -143,9 +143,9 @@ def test_table_cells_are_the_scalars():
         want = [(w, [scalar(m, w) for m in ms])
                 for n in range(start, 6) for w in enumerate_catalan(n)]
         assert any(c.is_zero() for _, cells in want for c in cells)
-        csv = table_csv(family, -3, 3, 5).splitlines()
+        csv = "".join(table_csv(family, -3, 3, 5)).splitlines()
         human = table_human(family, -3, 3, 5).splitlines()
-        latex = table_latex(family, -3, 3, 5).splitlines()
+        latex = "".join(table_latex(family, -3, 3, 5)).splitlines()
         js = json.loads("".join(table_json(family, -3, 3, 5)))["rows"]
         assert len(csv) - 1 == len(human) - 2 == len(latex) - 4 == len(js) == len(want)
         for i, (w, cells) in enumerate(want):
@@ -160,10 +160,10 @@ def test_table_cells_are_the_scalars():
 
 
 def test_table_formats_are_consistent():
-    csv = table_csv("nabla", -2, 2, 2)
+    csv = "".join(table_csv("nabla", -2, 2, 2))
     human = table_human("nabla", -2, 2, 2)
     js = json.loads("".join(table_json("nabla", -2, 2, 2)))
-    latex = table_latex("nabla", -2, 2, 2)
+    latex = "".join(table_latex("nabla", -2, 2, 2))
     assert csv.splitlines()[1].startswith("xy,")
     assert "xy" in human
     assert js["rows"][0]["word"] == "xy"
@@ -202,5 +202,6 @@ def test_streamed_table_json_is_json_dumps_of_the_tree(family, m_min, m_max, n_m
 def test_oversized_table_is_refused_before_its_first_row():
     # C_13 = 742,900 words: refused when the table is asked for, so a
     # streamed writer never writes a partial table
-    with pytest.raises(CapExceededError, match="742900 Catalan words"):
-        table_json("delta", 0, 0, 13)
+    for writer in (table_csv, table_latex, table_json):
+        with pytest.raises(CapExceededError, match="742900 Catalan words"):
+            writer("delta", 0, 0, 13)
