@@ -43,16 +43,6 @@ product to one of two kernel paths, chosen by its operands' longest words:
   (_trie_shuffle), which shares the work of every common suffix among all
   word pairs and keeps nothing once the product is done.
 
-Two word-pair products c·(a ⋆ b) and −c·(b ⋆ a) of one sum, with one
-scalar c (a constant LaurentPoly counts as its scalar) and the same two
-operand objects, form a pair: each word pair adds u ⋆ v − v ⋆ u once,
-from a table (_commutator_keys) built from the two _shuffle_keys tables
-with the cancelled entries dropped and kept in the same memo. A pair with
-a constant operand cancels outright. commutator(0, ...) and the checks'
-a ⋆ b − b ⋆ a, lhs − commutator(0, a, b) and commutator via y^-1 sums take
-this route. Whatever the pairing, each distinct operand object is
-cleared, counted and packed once per call.
-
 Results are identical on both paths and whatever the memo holds; only
 speed changes.
 
@@ -124,23 +114,6 @@ def _shuffle_keys(u: int, v: int, unit: int) -> dict:
     e = 2 * unit * W.key_weight(v)
     out = {(k << 1) | b: p for k, p in _shuffle_keys(u, v >> 1, unit).items()}
     _add_letter(out, _shuffle_keys(u >> 1, v, unit), a, -e if a else e)
-    if len(_memo) < _MEMO_CAP:
-        _memo[key] = out
-    return out
-
-
-def _commutator_keys(u: int, v: int, unit: int) -> dict:
-    """u ⋆ v − v ⋆ u of two word keys as {key: (o, N)}, built from the two
-    _shuffle_keys tables with the cancelled entries dropped. Memoized in the
-    same table as _shuffle_keys, under the key (u, v, −unit): a negative
-    unit marks a difference table."""
-    key = (u, v, -unit)
-    res = _memo.get(key)
-    if res is not None:
-        return res
-    out = dict(_shuffle_keys(u, v, unit))
-    _accumulate(out, _shuffle_keys(v, u, unit), (0, -1))
-    out = {k: p for k, p in out.items() if p[1]}
     if len(_memo) < _MEMO_CAP:
         _memo[key] = out
     return out
@@ -659,19 +632,13 @@ def shuffle_sum(triples) -> Element:
     Each product is priced and refused on its own. Zero weights and zero
     operands are skipped, a constant LaurentPoly weight counts as its
     scalar, and a product by a constant (an operand holding only the empty
-    word) adds a scaled copy of the other operand.
-
-    Two word-pair products c·(a ⋆ b) and −c·(b ⋆ a) with one scalar c and
-    the same two operand objects are paired: the pair is accumulated once
-    per word pair from the memoized table of u ⋆ v − v ⋆ u
-    (_commutator_keys), and cancels outright when an operand is constant.
-    Each distinct operand object is cleared, counted and packed once per
-    call, however many products use it.
+    word) adds a scaled copy of the other operand. Each distinct operand
+    object is cleared, counted and packed once per call, however many
+    products use it.
     """
     # id(operand) -> (operand, den, terms, norms, parity); holding the
     # operand keeps its id from being reused while the call runs
     prepared: dict = {}
-    waiting: dict = {}  # (id(a), id(b)) -> index in prods of an unpaired product
     prods = []
     for c, a, b in triples:
         if a.is_zero() or b.is_zero():
@@ -696,57 +663,43 @@ def shuffle_sum(triples) -> Element:
         _, db, _, lb, pb = prepared[ib]
         longest, bound = _preflight(la, lb)
         r = c if da == db == 1 else Fraction(c, da * db)
-        if poly is None and longest <= _SMALL_LIMIT:
-            mate = waiting.get((ib, ia))
-            if mate is not None and prods[mate][0] == -r:
-                del waiting[ib, ia]
-                # b ⋆ a has a ⋆ b's bound; counting it keeps the unit the
-                # two products would take unpaired
-                r, *rest, bnd, parity, _ = prods[mate]
-                prods[mate] = (r, *rest, 2 * bnd, parity, True)
-                continue
-            waiting[ia, ib] = len(prods)
         parity = None if pa is None or pb is None else pa ^ pb
         if poly is not None:
             bound *= sum(map(abs, poly._c.values()))
             pp = _parity((poly,))
             parity = None if parity is None or pp is None else parity ^ pp
-        prods.append((r, poly, ia, ib, longest, bound, parity, False))
+        prods.append((r, poly, ia, ib, longest, bound, parity))
     den = lcm(*(r.denominator for r, *_ in prods))
     prods = [(r.numerator * (den // r.denominator), *rest) for r, *rest in prods]
-    bound = sum(abs(weight) * b for weight, *_, b, _, _ in prods)
-    parities = {parity for *_, parity, _ in prods}
+    bound = sum(abs(weight) * b for weight, *_, b, _ in prods)
+    parities = {parity for *_, parity in prods}
     step = 1 if None in parities or len(parities) > 1 else 2
     unit = K.slot_width(bound) // step
     packed = {i: _packed(terms, unit) for i, (_, _, terms, _, _) in prepared.items()}
     out: dict = {}
-    for weight, poly, ia, ib, longest, _, _, paired in prods:
+    for weight, poly, ia, ib, longest, _, _ in prods:
         if poly is None:
             c0, cn = 0, weight
         else:
             c0, cn = K.pack(poly._c, unit)
             cn *= weight
         left, right = packed[ia], packed[ib]
-        # the packed empty word is 1: a constant operand scales the other
-        # one, and c·(1 ⋆ b) − c·(b ⋆ 1) = 0
+        # the packed empty word is 1: a constant operand scales the other one
         if len(left) == 1 and 1 in left:
-            if not paired:
-                o, n = left[1]
-                _accumulate(out, right, (c0 + o, cn * n))
+            o, n = left[1]
+            _accumulate(out, right, (c0 + o, cn * n))
         elif len(right) == 1 and 1 in right:
-            if not paired:
-                o, n = right[1]
-                _accumulate(out, left, (c0 + o, cn * n))
+            o, n = right[1]
+            _accumulate(out, left, (c0 + o, cn * n))
         elif longest > _SMALL_LIMIT:
             _accumulate(out, _trie_shuffle(left, right, unit), (c0, cn))
         else:
             # one memoized kernel call per word pair
-            table = _commutator_keys if paired else _shuffle_keys
             for u, (o1, n1) in left.items():
                 o1 += c0
                 n1 *= cn
                 for v, (o2, n2) in right.items():
-                    _accumulate(out, table(u, v, unit), (o1 + o2, n1 * n2))
+                    _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
     return Element(dict(_decode(_drain(out), unit, step, den)), _raw=True)
 
 

@@ -228,7 +228,7 @@ def family_series(family: str, m, cutoff: int, member=catalan.member) -> Series:
     coefficient; the verification suite passes its cached, perturbable one."""
     if family not in catalan.FAMILIES:
         raise ValueError(f"unknown element family {family!r}")
-    if family not in ("Gtilde", "xCny"):  # walked: price every member before building any
+    if family in catalan._WALKS:  # price every walked member before building any
         for n in range(cutoff + 1):
             words.check_catalan_cost(n)
     first = catalan.FAMILIES[family][2]

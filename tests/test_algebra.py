@@ -507,6 +507,23 @@ def test_shuffle_sum_matches_bruteforce(monkeypatch, path, cached):
             for _ in range(rng.randint(1, 4))
         ]
         assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
+    # c·(a ⋆ b) − c·(b ⋆ a) in either order and beside a third product, with
+    # scalar and constant LaurentPoly weights, on int, Fraction and mixed operands
+    for i in range(12):
+        a = _random_rational_element(rng, integral=i % 3 == 0)
+        b = _random_rational_element(rng, integral=i % 3 != 2)
+        for c in (1, -3, Fraction(5, 2), LaurentPoly.const(2), LaurentPoly.const(Fraction(-1, 3))):
+            for triples in ([(c, a, b), (-c, b, a)], [(-c, b, a), (c, a, b)],
+                            [(q_pow(1), a, a), (c, b, a), (-c, a, b)]):
+                assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples), triples
+    # one Packed operand object on both sides of a commutator, and a
+    # commutator beside a repeat of one of its products
+    a = el("xyy", Fraction(1, 3)) + el("yx", q_int(2)) + el("", 2)
+    b = el("xxy", LaurentPoly({-1: 1, 1: Fraction(-1, 2)})) + el("y", 5)
+    packed = Packed.of(b)
+    assert algebra.shuffle_sum([(1, packed, a), (-1, a, packed)]) == _sum_by_oracle([(1, b, a), (-1, a, b)])
+    triples = [(2, a, b), (-2, b, a), (-2, b, a)]
+    assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
 
 
 @pytest.mark.parametrize("path", [_on_word_pairs, _on_trie])
@@ -515,14 +532,23 @@ def test_shuffle_sum_cancels_exactly(monkeypatch, path):
     a = el("xyx", Fraction(1, 3)) + el("yy", LaurentPoly({-1: 2, 1: Fraction(-1, 5)}))
     b = el("xy", q_int(2)) - el("y", Fraction(3, 7))
     shift = q_pow(1)
-    # the same product twice, with weights and scales that cancel
-    for triples in (
-        [(Fraction(2, 3), a, b), (-1, a.scale(Fraction(2, 3)), b)],
-        [(1, a, b.scale(shift)), (-1, a.scale(shift), b)],
-        [(Fraction(-1, 2), a, b), (1, a, b.scale(Fraction(1, 2)))],
-    ):
-        got = algebra.shuffle_sum(triples)
-        assert got.is_zero() and got == Element.zero()
+    two = UNIT.scale(q_pow(2))
+    for cached in (True, False):  # the memo kept, then storing nothing
+        memo_state(monkeypatch, cached)
+        for triples in (
+            # the same product twice, with weights and scales that cancel
+            [(Fraction(2, 3), a, b), (-1, a.scale(Fraction(2, 3)), b)],
+            [(1, a, b.scale(shift)), (-1, a.scale(shift), b)],
+            [(Fraction(-1, 2), a, b), (1, a, b.scale(Fraction(1, 2)))],
+            # a ⋆ a − a ⋆ a, and c·(a ⋆ b) − c·(b ⋆ a) with a constant operand,
+            # the unit, q²·1 or a Packed one
+            [(3, a, a), (-3, a, a)],
+            [(2, UNIT, a), (-2, a, UNIT)],
+            [(Fraction(1, 2), a, two), (Fraction(-1, 2), two, a)],
+            [(LaurentPoly.const(-2), Packed.of(two), b), (2, b, two)],
+        ):
+            got = algebra.shuffle_sum(triples)
+            assert got.is_zero() and got == Element.zero(), triples
     # a cancelling pair beside a product that stays
     triples = [(3, a, b), (Fraction(1, 2), b, a), (-3, a, b)]
     assert algebra.shuffle_sum(triples) == (b @ a).scale(Fraction(1, 2))
@@ -752,111 +778,6 @@ def test_shuffle_sum_packs_an_operand_again_only_at_another_unit(monkeypatch, pa
         widths.clear()
         assert algebra.shuffle_sum(triples) == want, triples
         assert widths == decoders, triples
-
-
-# -- commutator pairs: c·(a ⋆ b) − c·(b ⋆ a) from one table per word pair --------------
-
-
-def _table_calls(monkeypatch):
-    """Record the word pair of every u ⋆ v − v ⋆ u table asked for from here
-    on, and check that no table keeps a cancelled entry."""
-    calls = []
-    real = algebra._commutator_keys
-
-    def spy(u, v, unit):
-        calls.append((u, v))
-        table = real(u, v, unit)
-        assert all(n for _, n in table.values()), (u, v)
-        return table
-
-    monkeypatch.setattr(algebra, "_commutator_keys", spy)
-    return calls
-
-
-def _word_pairs(a, b):
-    """The table calls one paired product of a and b makes: one per word
-    pair, none when an operand is a constant (the pair cancels)."""
-    if a.support() == [W.EMPTY_WORD] or b.support() == [W.EMPTY_WORD]:
-        return 0
-    return len(a) * len(b)
-
-
-@pytest.mark.parametrize("cached", [True, False])
-@pytest.mark.parametrize("kind", ["integral", "fraction", "mixed"])
-def test_paired_products_match_bruteforce(monkeypatch, kind, cached):
-    # int, Fraction and mixed-denominator operands, scalar weights and
-    # constant LaurentPoly weights, each pair in either order and beside an
-    # unpaired product
-    memo_state(monkeypatch, cached)
-    calls = _table_calls(monkeypatch)
-    rng = random.Random(kind)
-    for i in range(12):
-        a = _random_rational_element(rng, integral=kind == "integral")
-        b = _random_rational_element(rng, integral=kind == "integral" or (kind == "mixed" and i % 2))
-        gap = _shuffle_by_oracle(a, b) - _shuffle_by_oracle(b, a)
-        square = _shuffle_by_oracle(a, a).scale(q_pow(1))
-        for c in (1, -3, Fraction(5, 2), LaurentPoly.const(2), LaurentPoly.const(Fraction(-1, 3))):
-            for triples, want, pairs in (
-                ([(c, a, b), (-c, b, a)], gap.scale(c), _word_pairs(a, b)),
-                ([(-c, b, a), (c, a, b)], gap.scale(c), _word_pairs(b, a)),
-                ([(q_pow(1), a, a), (c, b, a), (-c, a, b)], square - gap.scale(c), _word_pairs(b, a)),
-            ):
-                calls.clear()
-                assert algebra.shuffle_sum(triples) == want, triples
-                assert len(calls) == pairs, triples
-    # commutator(0, ...) takes the route with its weights q^0 and -q^0
-    a, b = el("xy", Fraction(1, 2)) + el("yxx", 3), el("x") - el("yy", q_pow(2))
-    calls.clear()
-    want = (_shuffle_by_oracle(a, b) - _shuffle_by_oracle(b, a)).div_exact(Q_COMM)
-    assert commutator(0, a, b) == want
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize("cached", [True, False])
-def test_paired_products_of_special_operands(monkeypatch, cached):
-    memo_state(monkeypatch, cached)
-    calls = _table_calls(monkeypatch)
-    a = el("xyy", Fraction(1, 3)) + el("yx", q_int(2)) + el("", 2)
-    b = el("xxy", LaurentPoly({-1: 1, 1: Fraction(-1, 2)})) + el("y", 5)
-    packed = Packed.of(b)
-    for triples, pairs in (
-        # a ⋆ a − a ⋆ a: every table is taken, and the sum vanishes
-        ([(3, a, a), (-3, a, a)], 9),
-        # a constant operand: the pair cancels without a table
-        ([(2, UNIT, a), (-2, a, UNIT)], 0),
-        ([(Fraction(1, 2), a, UNIT.scale(q_pow(2))), (Fraction(-1, 2), UNIT.scale(q_pow(2)), a)], 0),
-        # a zero operand is skipped before any pairing
-        ([(1, Element.zero(), a), (-1, a, Element.zero()), (1, a, b)], 0),
-        # only one pair forms from three products; the third is a plain product
-        ([(2, a, b), (-2, b, a), (-2, b, a)], 6),
-        # a Packed operand pairs by its identity too
-        ([(1, packed, a), (-1, a, packed)], 6),
-        # weights that are not negatives, or not constant, do not pair
-        ([(2, a, b), (2, b, a)], 0),
-        ([(q_int(2), a, b), (-q_int(2), b, a)], 0),
-        ([(q_pow(1), a, b), (-q_pow(-1), b, a)], 0),
-        # equal operands that are distinct objects do not pair
-        ([(1, a, b), (-1, b, a + Element.zero())], 0),
-    ):
-        plain = [(c, b if x is packed else x, b if y is packed else y) for c, x, y in triples]
-        calls.clear()
-        assert algebra.shuffle_sum(triples) == _sum_by_oracle(plain), triples
-        assert len(calls) == pairs, triples
-
-
-@pytest.mark.parametrize("cached", [True, False])
-def test_paired_products_above_the_word_pair_limit_take_the_trie_walk(monkeypatch, cached):
-    memo_state(monkeypatch, cached)
-    calls = _table_calls(monkeypatch)
-    walks = []
-    real = algebra._trie_shuffle
-    monkeypatch.setattr(algebra, "_trie_shuffle", lambda *args: walks.append(1) or real(*args))
-    a = el("xxyxyyx", q_int(2)) + el("xyxyxy", Fraction(-1, 2))
-    b = el("xxyyxy") + el("yxxyy", q_pow(-1))
-    assert a.max_word_len() + b.max_word_len() > algebra._SMALL_LIMIT
-    triples = [(1, a, b), (-1, b, a)]
-    assert algebra.shuffle_sum(triples) == _sum_by_oracle(triples)
-    assert not calls and len(walks) == 2
 
 
 def test_products_route_by_combined_word_length(monkeypatch):

@@ -58,7 +58,7 @@ DEFAULT_EVALUATED = {
     "qint_identities": 61516,  # 2 * 13^3 + 2 * 13^4 on the grid -6..6
     "structural": 3055,
     "nabla_recursion": 186,
-    "commutation": 221,
+    "commutation": 172,
     "yinv_calculus": 340,
     "ode": 83,
     "exp_theorem": 84,
@@ -257,13 +257,17 @@ def test_perturbed_named_family_fails_through_its_series(family, check, where):
 
 @pytest.mark.parametrize(
     "check, where",
-    [("commutation", "xy commutation (delta)"), ("zeta_suite", "delta fixed by zeta")],
+    [("commutation", "xy commutation (nabla)"), ("zeta_suite", "delta fixed by zeta")],
 )
 def test_non_zeta_fixed_catalan_word_fails(check, where):
     # xyxxyy is a Catalan word that zeta does not fix (its image is xxyyxy),
-    # so the bumped delta member is no longer fixed by zeta
+    # so the bumped member is no longer fixed by zeta. commutation compares
+    # xy only with the reduced members, so it gets ∇⁽¹⁾₃ bumped; a bumped
+    # Δ⁽¹⁾₃ is caught by structural's Δ⁽¹⁾₃ = [1]_q ∇⁽¹⁾₃
+    key = ("nabla" if check == "commutation" else "delta", 1, 3)
+
     def bump(fam, m, n, el):
-        return el + Element.from_word("xyxxyy") if (fam, m, n) == ("delta", 1, 3) else el
+        return el + Element.from_word("xyxxyy") if (fam, m, n) == key else el
 
     report = CHECKS[check](VerifyConfig(**{**SMALL.__dict__, "perturb": bump}))
     assert not report.passed
@@ -348,22 +352,24 @@ def test_negative_controls_match_the_golden_reports(monkeypatch):
         assert any(r["status"] == "fail" for r in got[family]), family
 
 
-def test_a_wrong_commutator_table_turns_the_paired_checks_red(monkeypatch):
-    # the paired route of shuffle_sum, mutated to read u ⋆ v + v ⋆ u where
-    # its tables hold u ⋆ v − v ⋆ u; the mutant memoizes nothing
-    def plus(u, v, unit):
-        out = dict(algebra._shuffle_keys(u, v, unit))
-        algebra._accumulate(out, algebra._shuffle_keys(v, u, unit), (0, 1))
-        return out
+def _swapped_kernel(monkeypatch):
+    """Mutate the word-pair kernel to compute v ⋆ u where u ⋆ v is asked
+    for, at every step of its recursion. Its tables go to an empty memo of
+    their own, and the real memo is back once the test ends."""
+    real = algebra._shuffle_keys
+    monkeypatch.setattr(algebra, "_memo", {})
+    monkeypatch.setattr(algebra, "_shuffle_keys", lambda u, v, unit: real(v, u, unit))
 
-    monkeypatch.setattr(algebra, "_commutator_keys", plus)
-    # commutator(0, ...) divides the mutant's numerator by q − q⁻¹, which
-    # need not divide it: nabla_recursion and ode report the element that
-    # did not divide instead of raising out of run_all
+
+def test_a_swapped_kernel_turns_ten_checks_red(monkeypatch):
+    _swapped_kernel(monkeypatch)
+    # a wrong product need not leave a numerator that q − q⁻¹ divides: a
+    # check reports the element that did not divide instead of raising out
+    # of run_all
     reports = run_all(SMALL)
     assert len(reports) == len(CHECKS)
     red = {r.name for r in reports if not r.passed}
-    assert red == {"commutation", "yinv_calculus", "nabla_recursion", "ode"}
+    assert red == set(CHECKS) - {"qint_identities", "structural"}
     assert all(r.status == "fail" and not r.witness.diff.is_zero() for r in reports if r.name in red)
 
 
@@ -415,13 +421,10 @@ def test_each_dropped_commutation_pair_is_a_central_multiple_of_a_compared_one()
 def _unpacked_commutation(cfg, ctx=None):
     member = (ctx or checks.CheckContext(cfg)).member
     run = checks._Run("commutation", {})
-    for n in range(0, cfg.n_max + 1):
+    for n in range(2, cfg.n_max + 1):
         for m in cfg.m_range():
-            for fam, first in checks._M_FAMILIES:
-                if n >= first:
-                    u = member(fam, m, n)
-                    diff = XY_EL.shuffle(u) - u.shuffle(XY_EL)
-                    run.require_zero(diff, f"xy commutation ({fam})", m, n)
+            u = member("nabla", m, n)
+            run.require_zero(XY_EL.shuffle(u) - u.shuffle(XY_EL), "xy commutation (nabla)", m, n)
     for (ma, na), (mb, nb) in checks._reduced_pairs(cfg):
         a, b = member("nabla", ma, na), member("nabla", mb, nb)
         diff = a.shuffle(b) - b.shuffle(a)
@@ -657,12 +660,7 @@ def test_parallel_reports_equal_the_serial_reports(monkeypatch):
 
 def test_parallel_reports_equal_the_serial_reports_under_a_kernel_mutant(monkeypatch):
     # the workers are forked, so they inherit the patched kernel
-    def plus(u, v, unit):
-        out = dict(algebra._shuffle_keys(u, v, unit))
-        algebra._accumulate(out, algebra._shuffle_keys(v, u, unit), (0, 1))
-        return out
-
-    monkeypatch.setattr(algebra, "_commutator_keys", plus)
+    _swapped_kernel(monkeypatch)
     serial = _run_with(monkeypatch, 1)
     assert _run_with(monkeypatch, 2) == serial
     assert {r["status"] for r in serial} == {"pass", "fail"}

@@ -176,6 +176,18 @@ def test_verify_empty_grid_fails(capsys):
     assert out.strip().split("\n")[-1] == "2/3 checks passed"
 
 
+def test_verify_at_n_max_one_fails_on_an_empty_commutation(capsys):
+    # commutation compares xy and the reduced members ∇⁽ᵐ⁾ₙ with n ≥ 2
+    # only, and a check that compares nothing must not pass
+    code, out, err = run_cli(capsys, "verify", "--all", "--n-max", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "11/12 checks passed"
+    assert [line.split()[:2] for line in lines[:-1] if not line.startswith("PASS")] == [
+        ["EMPTY", "commutation"]]
+    assert err == ""
+
+
 def test_verify_at_cutoff_zero_reports_every_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--all", "--cutoff", "0",
                              "--m-min", "-1", "--m-max", "1", "--n-max", "2")
