@@ -630,11 +630,10 @@ def shuffle_sum(triples) -> Element:
     are packed again only when its unit differs from the sum's.
 
     Each product is priced and refused on its own. Zero weights and zero
-    operands are skipped, a constant LaurentPoly weight counts as its
-    scalar, and a product by a constant (an operand holding only the empty
-    word) adds a scaled copy of the other operand. Each distinct operand
-    object is cleared, counted and packed once per call, however many
-    products use it.
+    operands are skipped, and a product by a constant (an operand holding
+    only the empty word) adds a scaled copy of the other operand. Each
+    distinct operand object is cleared, counted and packed once per call,
+    however many products use it.
     """
     # id(operand) -> (operand, den, terms, norms, parity); holding the
     # operand keeps its id from being reused while the call runs
@@ -647,11 +646,8 @@ def shuffle_sum(triples) -> Element:
         if isinstance(c, LaurentPoly):
             if c.is_zero():
                 continue
-            if len(c._c) == 1 and 0 in c._c:
-                c = c._c[0]
-            else:
-                d = lcm(*(v.denominator for v in c._c.values() if type(v) is Fraction))
-                poly, c = c.scale(d), Fraction(1, d)
+            d = lcm(*(v.denominator for v in c._c.values() if type(v) is Fraction))
+            poly, c = c.scale(d), Fraction(1, d)
         elif not c:
             continue
         ia, ib = id(a), id(b)

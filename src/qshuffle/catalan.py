@@ -189,23 +189,6 @@ def _walk(n: int, m: int, reduced: bool, sign: int):
     return unit, leaves()
 
 
-# walked family -> the (m, reduced, sign) of the walk of its member (m, n)
-_WALKS = {
-    "delta": lambda m, n: (m, False, 1),
-    "nabla": lambda m, n: (m, True, 1),
-    "C": lambda m, n: (2, False, 1),
-    "D": lambda m, n: (1, False, (-1) ** n),
-}
-
-
-def _walked(family: str, m, n: int):
-    """_walk's (unit, leaves) for the member (m, n) of a walked family."""
-    _row(family, m)
-    if family not in _WALKS:
-        raise ValueError(f"{family} is not a walked family")
-    return _walk(n, *_WALKS[family](m, n))
-
-
 def delta_element(m: int, n: int) -> Element:
     """Δ⁽ᵐ⁾ₙ."""
     return Element(dict(terms("delta", m, n)), _raw=True)
@@ -237,14 +220,16 @@ def x_cn_y(n: int) -> Element:
     return X_EL * catalan_element(n - 1) * Y_EL
 
 
-# family name -> (builder, whether it takes m, first index n)
+# family name -> (builder, whether it takes m, first index n, walk): walk
+# gives the (m, reduced, sign) of _walk for the member (m, n), None when the
+# family is not walked
 FAMILIES = {
-    "delta": ("delta_element", True, 0),
-    "nabla": ("nabla_element", True, 1),
-    "C": ("catalan_element", False, 0),
-    "D": ("d_element", False, 0),
-    "Gtilde": ("gtilde_element", False, 0),
-    "xCny": ("x_cn_y", False, 1),
+    "delta": ("delta_element", True, 0, lambda m, n: (m, False, 1)),
+    "nabla": ("nabla_element", True, 1, lambda m, n: (m, True, 1)),
+    "C": ("catalan_element", False, 0, lambda m, n: (2, False, 1)),
+    "D": ("d_element", False, 0, lambda m, n: (1, False, (-1) ** n)),
+    "Gtilde": ("gtilde_element", False, 0, None),
+    "xCny": ("x_cn_y", False, 1, None),
 }
 
 
@@ -259,11 +244,21 @@ def _row(family: str, m) -> tuple:
     return row
 
 
+def price(family: str, m, n_max: int) -> tuple:
+    """The FAMILIES row of a named family (see _row), once a walked family's
+    members n <= n_max are priced: refused up front, before any is built."""
+    row = _row(family, m)
+    if row[3] is not None:
+        for n in range(n_max + 1):
+            W.check_catalan_cost(n)
+    return row
+
+
 def member(family: str, m, n: int) -> Element:
     """The n-th member of a named family, m None unless it is delta or nabla;
     the builder is looked up by name at call time, so that a builder wrapped
     or patched on this module is the one called."""
-    builder, takes_m, _ = _row(family, m)
+    builder, takes_m, _, _ = _row(family, m)
     build = globals()[builder]
     return build(m, n) if takes_m else build(n)
 
@@ -271,15 +266,19 @@ def member(family: str, m, n: int) -> Element:
 def terms(family: str, m, n: int):
     """An iterator over member(family, m, n).terms(); a walked family's are
     decoded from its walk one at a time, and refused on the call, before any."""
-    if family not in _WALKS:
+    walk = _row(family, m)[3]
+    if walk is None:
         return iter(member(family, m, n).terms())
-    unit, leaves = _walked(family, m, n)
+    unit, leaves = _walk(n, *walk(m, n))
     return _decode(((key, o, c) for key, o, c, _ in leaves), unit, 2)
 
 
 def packed_member(family: str, m, n: int) -> Packed:
     """A walked family's member (m, n) as a Packed shuffle_sum operand, never decoded."""
-    unit, leaves = _walked(family, m, n)
+    walk = _row(family, m)[3]
+    if walk is None:
+        raise ValueError(f"{family} is not a walked family")
+    unit, leaves = _walk(n, *walk(m, n))
     packed, norm = {}, 0
     for key, o, c, nm in leaves:
         packed[key] = (o, c)

@@ -179,14 +179,19 @@ class _Run:
         return CheckReport(self.name, self.params, status, self.witness, elapsed, self.evaluated)
 
 
+# check name -> check, in catalog order: the order in which _check made them
+CHECKS: dict = {}
+
+
 def _check(name: str, params: Callable[[VerifyConfig], dict]):
     """The one check harness: it makes check_<name>(cfg=None, ctx=None, **kw)
     from body(run, cfg, ctx, **kw), which only requires identity instances
-    on run. The harness defaults cfg and ctx, starts the _Run with
-    params(cfg) as the report's params, and returns its report. That is the
-    one failure path: the first failing instance, or the Element that an
-    exact division in the body could not divide, is the witness; a division
-    error that carries no such Element propagates."""
+    on run, and adds it to CHECKS under name. The harness defaults cfg and
+    ctx, starts the _Run with params(cfg) as the report's params, and
+    returns its report. That is the one failure path: the first failing
+    instance, or the Element that an exact division in the body could not
+    divide, is the witness; a division error that carries no such Element
+    propagates."""
 
     def wrap(body):
         def run_check(cfg: VerifyConfig = None, ctx: CheckContext = None, **kw) -> CheckReport:
@@ -206,6 +211,7 @@ def _check(name: str, params: Callable[[VerifyConfig], dict]):
         # the body's name and docstring, but run_check's signature
         run_check.__name__ = run_check.__qualname__ = body.__name__
         run_check.__doc__ = body.__doc__
+        CHECKS[name] = run_check
         return run_check
 
     return wrap
@@ -226,7 +232,7 @@ def _commutator_gap(lhs: Element, a: Element, b: Element) -> Element:
 
 # the families that take the parameter m, with their first index n
 _M_FAMILIES = tuple(
-    (family, first) for family, (_, takes_m, first) in catalan.FAMILIES.items() if takes_m
+    (family, first) for family, (_, takes_m, first, _) in catalan.FAMILIES.items() if takes_m
 )
 
 
@@ -256,281 +262,6 @@ def check_qserre(run: _Run, cfg: VerifyConfig, ctx: CheckContext, third_coeff: L
         t3 = shuffle_fold([a, b, a, a]).scale(c)
         t4 = shuffle_fold([b, a, a, a])
         run.require_zero(t1 - t2 + t3 - t4, f"serre relation ({label})", n=4)
-
-
-@_check("nabla_recursion", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
-def check_nabla_recursion(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """One-step recursions: both families, both the x- and the mirrored y-form,
-    plus the m = 0 specialization for the free products x C_n."""
-    member = ctx.member
-    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max)):
-        u = member(fam, m, n)
-        lhs = member(fam, m, n + 1)
-        rec_x = commutator(m, X_EL, u) * Y_EL
-        run.require_zero(lhs - rec_x, f"{fam} recursion, x form", m, n + 1)
-        rec_y = X_EL * commutator(m, u, Y_EL)
-        run.require_zero(lhs - rec_y, f"{fam} recursion, y form", m, n + 1)
-    for n in range(1, cfg.n_max):
-        # x C_n = (x * xC_(n-1)y - xC_(n-1)y * x)/(q - q^-1)
-        rec = commutator(0, X_EL, member("xCny", None, n))
-        lhs = X_EL * member("C", None, n)
-        run.require_zero(lhs - rec, "free-product recursion at m=0", 0, n)
-    # the commutator realizes the weighted single-insertion sum on words
-    for n in range(1, min(cfg.n_max, 3) + 1):
-        for w in W.enumerate_catalan(n):
-            base = Element.from_word(w)
-            for m in cfg.m_range():
-                ins = Element.zero()
-                prefix = 0
-                s = str(w)
-                for i in range(2 * n + 1):
-                    ins = ins + Element.from_word(
-                        s[:i] + "x" + s[i:], q_int(m + 2 * prefix)
-                    )
-                    if i < 2 * n:
-                        prefix += 1 if s[i] == "x" else -1
-                got = commutator(m, X_EL, base)
-                run.require_zero(got - ins, "single-insertion expansion", m, n)
-
-
-def _reduced_pairs(cfg: VerifyConfig):
-    """commutation's pairs (a, b) of reduced members ∇⁽ᵐ⁾ₙ, n ≥ 2, as (m, n):
-    those up to total degree PAIR_DEGREE_CAP and those of two m = 0 members,
-    by total degree, then a, then b, the order its first failure depends on."""
-    members = [(m, n) for m in cfg.m_range() for n in range(2, cfg.n_max + 1)]
-    pairs = [
-        (a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1:]
-        if a[1] + b[1] <= PAIR_DEGREE_CAP or a[0] == b[0] == 0
-    ]
-    return sorted(pairs, key=lambda p: (p[0][1] + p[1][1], p))
-
-
-@_check("commutation", lambda cfg: {
-    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "pair_degree_cap": PAIR_DEGREE_CAP,
-})
-def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """xy and the reduced members ∇⁽ᵐ⁾ₙ, n ≥ 2, commute pairwise: xy with
-    each of them, and the pairs of _reduced_pairs.
-
-    No other pair is needed. structural states Δ⁽ᵐ⁾ₙ = [m]_q ∇⁽ᵐ⁾ₙ for
-    n ≥ 1 (zero at m = 0) and ∇⁽ᵐ⁾₁ = xy, and Δ⁽ᵐ⁾₀ = 1 is the t⁰
-    coefficient of exp_theorem. So a pair that holds a Δ member is [m]_q
-    times a pair compared here, or holds 1, and a pair that holds ∇⁽ᵐ⁾₁
-    holds xy in its place."""
-    member = ctx.member
-    for n in range(2, cfg.n_max + 1):
-        for m in cfg.m_range():
-            run.require_zero(_commutes(XY_EL, member("nabla", m, n)), "xy commutation (nabla)", m, n)
-    for (ma, na), (mb, nb) in _reduced_pairs(cfg):
-        diff = _commutes(member("nabla", ma, na), member("nabla", mb, nb))
-        run.require_zero(diff, f"nabla({ma},{na}) vs nabla({mb},{nb})", ma, na + nb)
-
-
-@_check("yinv_calculus", lambda cfg: {
-    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff,
-})
-def check_yinv_calculus(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The y^-1 / x^-1 calculus: commutator reformulations, the (n, k) truncated
-    recursion, the weighted convolution identities, and their series forms."""
-    member = ctx.member
-    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
-        u = member(fam, m, n)
-        uy = u.y_inverse()
-        # (x ⋆ u − u ⋆ x) − (u' ⋆ xy − xy ⋆ u'), u' = y^-1 u
-        diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
-        run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
-
-    # its (1, n) and (n, 1) instances are the one-step recursions, as ∇⁽⁰⁾₁y⁻¹ = x
-    for total in range(2, 2 * cfg.n_max + 1):
-        # the (n_max, n_max) pair sets the peak memory of verify --all: its
-        # left side goes from the walk to the kernel packed, held for one
-        # total only, and its two products meet in one packed table, never
-        # decoded when the identity holds
-        lhs = ctx.packed_member("nabla", 0, total).y_inverse()
-        for n in range(1, cfg.n_max + 1):
-            k = total - n
-            if not 1 <= k <= cfg.n_max:
-                continue
-            diff = _commutator_gap(lhs, member("nabla", 0, n).y_inverse(), member("nabla", 0, k))
-            run.require_zero(diff, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
-
-    for n in range(0, cfg.n_max):
-        for m in cfg.m_range():
-            # target − [m]_q Σ_k q^(∓mk) (the two orders of nky ⋆ dk)
-            target = member("delta", m, n + 1).y_inverse()
-            sum1 = [(1, target, UNIT)]
-            sum2 = [(1, target, UNIT)]
-            for k in range(0, n + 1):
-                nky = member("nabla", 0, k + 1).y_inverse()
-                dk = member("delta", m, n - k)
-                sum1.append((-q_pow(-m * k) * q_int(m), nky, dk))
-                sum2.append((-q_pow(m * k) * q_int(m), dk, nky))
-            run.require_zero(shuffle_sum(sum1), "weighted convolution (i)", m, n + 1)
-            run.require_zero(shuffle_sum(sum2), "weighted convolution (ii)", m, n + 1)
-
-    N = cfg.cutoff
-    nab_t = family_series("nabla", 0, N, member)
-    for m in cfg.m_range():
-        dt = family_series("delta", m, N, member)
-        dty = dt.apply_y_inverse()
-        pref = q_pow(m) * q_int(m)
-        rhs1 = nab_t.rescale_t(q_pow(-m)).apply_y_inverse().star_mul(dt).scale(pref)
-        run.require_zero(dty - rhs1, "series y^-1 form (i)", m, None)
-        pref2 = q_pow(-m) * q_int(m)
-        rhs2 = dt.star_mul(nab_t.rescale_t(q_pow(m)).apply_y_inverse()).scale(pref2)
-        run.require_zero(dty - rhs2, "series y^-1 form (ii)", m, None)
-        dtx = dt.apply_x_inverse()
-        rhs3 = dt.star_mul(nab_t.rescale_t(q_pow(-m)).apply_x_inverse()).scale(pref)
-        run.require_zero(dtx - rhs3, "series x^-1 form (iii)", m, None)
-        rhs4 = nab_t.rescale_t(q_pow(m)).apply_x_inverse().star_mul(dt).scale(pref2)
-        run.require_zero(dtx - rhs4, "series x^-1 form (iv)", m, None)
-
-
-@_check("ode", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
-def check_ode(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The t-derivative identity and both generating-function recursions."""
-    member = ctx.member
-    N = cfg.cutoff
-    nab_t = family_series("nabla", 0, N, member)
-
-    def tx_commutator(m, s):
-        # (q^m tx ⋆ s − q^-m s ⋆ tx)/(q − q^-1) with tx = t·x, whose t^k
-        # coefficient is commutator(m, x, s_(k-1)) and whose t^0 one is 0
-        return Series([Element.zero()] + [commutator(m, X_EL, c) for c in s.coeffs[:-1]], N)
-
-    lhs = nab_t.apply_y_inverse()
-    rhs = Series([Element.zero(), X_EL], N) + tx_commutator(0, nab_t)
-    run.require_zero(lhs - rhs, "m=0 generating-function recursion")
-
-    for m in cfg.m_range():
-        dt = family_series("delta", m, N, member)
-        lhs = dt.apply_y_inverse()
-        run.require_zero(lhs - tx_commutator(m, dt), "generating-function recursion", m, None)
-
-        # at cutoff 0 the derivative has no coefficient to compare
-        if N >= 1:
-            deriv = dt.derivative()
-            diff = nab_t.rescale_t(q_pow(m)) - nab_t.rescale_t(q_pow(-m))
-            kernel = diff.divide_t().div_exact(Q_COMM)
-            rhs_ode = kernel.star_mul(dt.truncate(N - 1))
-            run.require_zero(deriv - rhs_ode, "derivative identity", m, None)
-
-
-@_check("exp_theorem", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
-def check_exp_theorem(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The family's generating function equals the exponential of the weighted
-    m = 0 series; verified by exponentiating and, independently, by taking log."""
-    member = ctx.member
-    N = cfg.cutoff
-    for m in cfg.m_range():
-        arg = log_argument(m, N, "nabla", member)
-        dt = family_series("delta", m, N, member)
-        run.require_zero(arg.exp() - dt, "exp of weighted series", m, None)
-        run.require_zero(dt.log() - arg, "log extraction", m, None)
-
-
-@_check("main_theorems", lambda cfg: {
-    "m_max": MAIN_M_MAX, "cutoff": MAIN_CUTOFF, "qmn": [QMN_N_MAX, QMN_M_MAX],
-})
-def check_main_theorems(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The m-fold rescaled factorizations, their closed-form coefficients,
-    and the scalar power-sum identity behind them."""
-    member = ctx.member
-    N = MAIN_CUTOFF
-    gt = family_series("Gtilde", None, N, member)
-    dt = family_series("D", None, N, member)
-    for m in range(1, MAIN_M_MAX + 1):
-        gprod = None
-        dprod = None
-        for i in range(m):
-            c = q_pow(m - 1 - 2 * i).scale(-1)
-            gfac = gt.rescale_t(c)
-            dfac = dt.rescale_t(c)
-            gprod = gfac if gprod is None else gprod.star_mul(gfac)
-            dprod = dfac if dprod is None else dprod.star_mul(dfac)
-        exp_minus = log_argument(-m, N, "xCny", member).exp()
-        exp_plus = log_argument(m, N, "xCny", member).exp()
-        run.require_zero(gprod - exp_minus, "alternating-factor product vs exp", m, None)
-        run.require_zero(dprod - exp_plus, "inverse-factor product vs exp", m, None)
-        closed_minus = family_series("delta", -m, N, member)
-        closed_plus = family_series("delta", m, N, member)
-        run.require_zero(gprod - closed_minus, "closed form, negative side", m, None)
-        run.require_zero(dprod - closed_plus, "closed form, positive side", m, None)
-    for n in range(1, QMN_N_MAX + 1):
-        for m in range(1, QMN_M_MAX + 1):
-            lhs = LaurentPoly({n * (m - 1 - 2 * i): 1 for i in range(m)})
-            num = q_pow(m * n) - q_pow(-m * n)
-            den = q_pow(n) - q_pow(-n)
-            rhs = num.div_exact(den)
-            run.require_zero(lhs - rhs, f"power-sum scalar identity at n={n} m={m}", m, n)
-
-
-@_check("expderivative", lambda cfg: {"cutoff": cfg.cutoff})
-def check_recurrences_expderivative(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The derivative-of-exponential convolution recurrences for the three
-    named families."""
-    member = ctx.member
-    for n in range(1, cfg.cutoff + 1):
-        acc_c = Element.zero()
-        acc_g = Element.zero()
-        acc_d = Element.zero()
-        for k in range(1, n + 1):
-            body = member("xCny", None, k)
-            sign = -1 if k % 2 else 1
-            acc_c = acc_c + body.scale(q_int(2 * k)).shuffle(member("C", None, n - k))
-            acc_g = acc_g + body.scale(q_int(k)).scale(sign).shuffle(member("Gtilde", None, n - k))
-            acc_d = acc_d + body.scale(q_int(k)).scale(sign).shuffle(member("D", None, n - k))
-        inv_n = Fraction(1, n)
-        run.require_zero(member("C", None, n) - acc_c.scale(inv_n), "Catalan family recurrence", None, n)
-        run.require_zero(
-            member("Gtilde", None, n) + acc_g.scale(inv_n), "alternating family recurrence", None, n
-        )
-        run.require_zero(member("D", None, n) - acc_d.scale(inv_n), "inverse family recurrence", None, n)
-
-
-@_check("zeta_suite", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
-def check_zeta_suite(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
-    """The reverse-and-swap antiautomorphism: fixes the families, reverses
-    both products, turns y^-1 into x^-1, and squares to the identity."""
-    member = ctx.member
-    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
-        u = member(fam, m, n)
-        run.require_zero(u.zeta() - u, f"{fam} fixed by zeta", m, n)
-    for n in range(1, cfg.n_max + 1):
-        for w in W.enumerate_catalan(n):
-            zw = W.zeta_word(w)
-            run.require(W.is_catalan(zw), "zeta image not Catalan", None, n, w)
-            for m in cfg.m_range():
-                run.require(
-                    catalan.nabla_scalar(m, w) == catalan.nabla_scalar(m, zw)
-                    and catalan.delta_scalar(m, w) == catalan.delta_scalar(m, zw),
-                    "scalar not zeta-invariant", m, n, w,
-                )
-    samples = [
-        X_EL,
-        Y_EL,
-        XY_EL,
-        Element.from_word("xxy"),
-        member("delta", 2, 1),
-        member("nabla", 1, 2),
-        member("D", None, 2),
-        member("delta", -2, 2),
-    ]
-    for i, u in enumerate(samples):
-        run.require_zero(u.zeta().zeta() - u, "zeta is an involution", None, i)
-        run.require_zero(
-            u.y_inverse().zeta() - u.zeta().x_inverse(), "zeta swaps the truncations", None, i
-        )
-        for v in samples:
-            run.require_zero(
-                u.shuffle(v).zeta() - v.zeta().shuffle(u.zeta()),
-                "zeta antiautomorphism (shuffle)", None, i,
-            )
-            run.require_zero(
-                (u * v).zeta() - v.zeta() * u.zeta(), "zeta antiautomorphism (free)", None, i
-            )
 
 
 @_check("qint_identities", lambda cfg: {"grid": cfg.qint_grid})
@@ -712,12 +443,187 @@ def check_structural(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
                 run.require_zero(member("nabla", m, 1) - XY_EL, "reduced family starts at xy", m, 1)
 
 
+@_check("nabla_recursion", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
+def check_nabla_recursion(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """One-step recursions: both families, both the x- and the mirrored y-form,
+    plus the m = 0 specialization for the free products x C_n."""
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max)):
+        u = member(fam, m, n)
+        lhs = member(fam, m, n + 1)
+        rec_x = commutator(m, X_EL, u) * Y_EL
+        run.require_zero(lhs - rec_x, f"{fam} recursion, x form", m, n + 1)
+        rec_y = X_EL * commutator(m, u, Y_EL)
+        run.require_zero(lhs - rec_y, f"{fam} recursion, y form", m, n + 1)
+    for n in range(1, cfg.n_max):
+        # x C_n = (x * xC_(n-1)y - xC_(n-1)y * x)/(q - q^-1)
+        rec = commutator(0, X_EL, member("xCny", None, n))
+        lhs = X_EL * member("C", None, n)
+        run.require_zero(lhs - rec, "free-product recursion at m=0", 0, n)
+    # the commutator realizes the weighted single-insertion sum on words
+    for n in range(1, min(cfg.n_max, 3) + 1):
+        for w in W.enumerate_catalan(n):
+            base = Element.from_word(w)
+            for m in cfg.m_range():
+                ins = Element.zero()
+                prefix = 0
+                s = str(w)
+                for i in range(2 * n + 1):
+                    ins = ins + Element.from_word(
+                        s[:i] + "x" + s[i:], q_int(m + 2 * prefix)
+                    )
+                    if i < 2 * n:
+                        prefix += 1 if s[i] == "x" else -1
+                got = commutator(m, X_EL, base)
+                run.require_zero(got - ins, "single-insertion expansion", m, n)
+
+
+def _reduced_pairs(cfg: VerifyConfig):
+    """commutation's pairs (a, b) of reduced members ∇⁽ᵐ⁾ₙ, n ≥ 2, as (m, n):
+    those up to total degree PAIR_DEGREE_CAP and those of two m = 0 members,
+    by total degree, then a, then b, the order its first failure depends on."""
+    members = [(m, n) for m in cfg.m_range() for n in range(2, cfg.n_max + 1)]
+    pairs = [
+        (a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+        if a[1] + b[1] <= PAIR_DEGREE_CAP or a[0] == b[0] == 0
+    ]
+    return sorted(pairs, key=lambda p: (p[0][1] + p[1][1], p))
+
+
+@_check("commutation", lambda cfg: {
+    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "pair_degree_cap": PAIR_DEGREE_CAP,
+})
+def check_commutation(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """xy and the reduced members ∇⁽ᵐ⁾ₙ, n ≥ 2, commute pairwise: xy with
+    each of them, and the pairs of _reduced_pairs.
+
+    No other pair is needed. structural states Δ⁽ᵐ⁾ₙ = [m]_q ∇⁽ᵐ⁾ₙ for
+    n ≥ 1 (zero at m = 0) and ∇⁽ᵐ⁾₁ = xy, and Δ⁽ᵐ⁾₀ = 1 is the t⁰
+    coefficient of exp_theorem. So a pair that holds a Δ member is [m]_q
+    times a pair compared here, or holds 1, and a pair that holds ∇⁽ᵐ⁾₁
+    holds xy in its place."""
+    member = ctx.member
+    for n in range(2, cfg.n_max + 1):
+        for m in cfg.m_range():
+            run.require_zero(_commutes(XY_EL, member("nabla", m, n)), "xy commutation (nabla)", m, n)
+    for (ma, na), (mb, nb) in _reduced_pairs(cfg):
+        diff = _commutes(member("nabla", ma, na), member("nabla", mb, nb))
+        run.require_zero(diff, f"nabla({ma},{na}) vs nabla({mb},{nb})", ma, na + nb)
+
+
+@_check("yinv_calculus", lambda cfg: {
+    "m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max, "cutoff": cfg.cutoff,
+})
+def check_yinv_calculus(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The y^-1 / x^-1 calculus: commutator reformulations, the (n, k) truncated
+    recursion, the weighted convolution identities, and their series forms."""
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        u = member(fam, m, n)
+        uy = u.y_inverse()
+        # (x ⋆ u − u ⋆ x) − (u' ⋆ xy − xy ⋆ u'), u' = y^-1 u
+        diff = shuffle_sum(((1, X_EL, u), (-1, u, X_EL), (-1, uy, XY_EL), (1, XY_EL, uy)))
+        run.require_zero(diff, f"commutator via y^-1 ({fam})", m, n)
+
+    # its (1, n) and (n, 1) instances are the one-step recursions, as ∇⁽⁰⁾₁y⁻¹ = x
+    for total in range(2, 2 * cfg.n_max + 1):
+        # the (n_max, n_max) pair sets the peak memory of verify --all: its
+        # left side goes from the walk to the kernel packed, held for one
+        # total only, and its two products meet in one packed table, never
+        # decoded when the identity holds
+        lhs = ctx.packed_member("nabla", 0, total).y_inverse()
+        for n in range(1, cfg.n_max + 1):
+            k = total - n
+            if not 1 <= k <= cfg.n_max:
+                continue
+            diff = _commutator_gap(lhs, member("nabla", 0, n).y_inverse(), member("nabla", 0, k))
+            run.require_zero(diff, f"(n,k) truncated recursion ({n},{k})", 0, n + k)
+
+    for n in range(0, cfg.n_max):
+        for m in cfg.m_range():
+            # target − [m]_q Σ_k q^(∓mk) (the two orders of nky ⋆ dk)
+            target = member("delta", m, n + 1).y_inverse()
+            sum1 = [(1, target, UNIT)]
+            sum2 = [(1, target, UNIT)]
+            for k in range(0, n + 1):
+                nky = member("nabla", 0, k + 1).y_inverse()
+                dk = member("delta", m, n - k)
+                sum1.append((-q_pow(-m * k) * q_int(m), nky, dk))
+                sum2.append((-q_pow(m * k) * q_int(m), dk, nky))
+            run.require_zero(shuffle_sum(sum1), "weighted convolution (i)", m, n + 1)
+            run.require_zero(shuffle_sum(sum2), "weighted convolution (ii)", m, n + 1)
+
+    N = cfg.cutoff
+    nab_t = family_series("nabla", 0, N, member)
+    for m in cfg.m_range():
+        dt = family_series("delta", m, N, member)
+        dty = dt.apply_y_inverse()
+        pref = q_pow(m) * q_int(m)
+        rhs1 = nab_t.rescale_t(q_pow(-m)).apply_y_inverse().star_mul(dt).scale(pref)
+        run.require_zero(dty - rhs1, "series y^-1 form (i)", m, None)
+        pref2 = q_pow(-m) * q_int(m)
+        rhs2 = dt.star_mul(nab_t.rescale_t(q_pow(m)).apply_y_inverse()).scale(pref2)
+        run.require_zero(dty - rhs2, "series y^-1 form (ii)", m, None)
+        dtx = dt.apply_x_inverse()
+        rhs3 = dt.star_mul(nab_t.rescale_t(q_pow(-m)).apply_x_inverse()).scale(pref)
+        run.require_zero(dtx - rhs3, "series x^-1 form (iii)", m, None)
+        rhs4 = nab_t.rescale_t(q_pow(m)).apply_x_inverse().star_mul(dt).scale(pref2)
+        run.require_zero(dtx - rhs4, "series x^-1 form (iv)", m, None)
+
+
+@_check("ode", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+def check_ode(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The t-derivative identity and both generating-function recursions."""
+    member = ctx.member
+    N = cfg.cutoff
+    nab_t = family_series("nabla", 0, N, member)
+
+    def tx_commutator(m, s):
+        # (q^m tx ⋆ s − q^-m s ⋆ tx)/(q − q^-1) with tx = t·x, whose t^k
+        # coefficient is commutator(m, x, s_(k-1)) and whose t^0 one is 0
+        return Series([Element.zero()] + [commutator(m, X_EL, c) for c in s.coeffs[:-1]], N)
+
+    lhs = nab_t.apply_y_inverse()
+    rhs = Series([Element.zero(), X_EL], N) + tx_commutator(0, nab_t)
+    run.require_zero(lhs - rhs, "m=0 generating-function recursion")
+
+    for m in cfg.m_range():
+        dt = family_series("delta", m, N, member)
+        lhs = dt.apply_y_inverse()
+        run.require_zero(lhs - tx_commutator(m, dt), "generating-function recursion", m, None)
+
+        # at cutoff 0 the derivative has no coefficient to compare
+        if N >= 1:
+            deriv = dt.derivative()
+            diff = nab_t.rescale_t(q_pow(m)) - nab_t.rescale_t(q_pow(-m))
+            kernel = diff.divide_t().div_exact(Q_COMM)
+            rhs_ode = kernel.star_mul(dt.truncate(N - 1))
+            run.require_zero(deriv - rhs_ode, "derivative identity", m, None)
+
+
+@_check("exp_theorem", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "cutoff": cfg.cutoff})
+def check_exp_theorem(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The family's generating function equals the exponential of the weighted
+    m = 0 series; verified by exponentiating and, independently, by taking log."""
+    member = ctx.member
+    N = cfg.cutoff
+    for m in cfg.m_range():
+        arg = log_argument(m, N, "nabla", member)
+        dt = family_series("delta", m, N, member)
+        run.require_zero(arg.exp() - dt, "exp of weighted series", m, None)
+        run.require_zero(dt.log() - arg, "log extraction", m, None)
+
+
 @_check("genfuns", lambda cfg: {"cutoff": cfg.cutoff})
 def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
     """The classical generating-function package: the inverse pair, the three
     exponential formulas and the two-parameter rescaled product. The free
     products x C₍ₙ₋₁₎ y are ∇⁽⁰⁾ₙ (structural), whose pairs commutation
-    compares."""
+    compares. The signed coefficients of the inverse repeat structural's
+    m = 1 column for n ≤ min(n_max, cutoff), and are kept for their reach to
+    cutoff."""
     member = ctx.member
     N = cfg.cutoff
     gt = family_series("Gtilde", None, N, member)
@@ -748,20 +654,106 @@ def check_genfuns(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
         )
 
 
-CHECKS = {
-    "qserre": check_qserre,
-    "qint_identities": check_qint_identities,
-    "structural": check_structural,
-    "nabla_recursion": check_nabla_recursion,
-    "commutation": check_commutation,
-    "yinv_calculus": check_yinv_calculus,
-    "ode": check_ode,
-    "exp_theorem": check_exp_theorem,
-    "genfuns": check_genfuns,
-    "main_theorems": check_main_theorems,
-    "expderivative": check_recurrences_expderivative,
-    "zeta_suite": check_zeta_suite,
-}
+@_check("main_theorems", lambda cfg: {
+    "m_max": MAIN_M_MAX, "cutoff": MAIN_CUTOFF, "qmn": [QMN_N_MAX, QMN_M_MAX],
+})
+def check_main_theorems(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The m-fold rescaled factorizations, their closed-form coefficients,
+    and the scalar power-sum identity behind them."""
+    member = ctx.member
+    N = MAIN_CUTOFF
+    gt = family_series("Gtilde", None, N, member)
+    dt = family_series("D", None, N, member)
+    for m in range(1, MAIN_M_MAX + 1):
+        gprod = None
+        dprod = None
+        for i in range(m):
+            c = q_pow(m - 1 - 2 * i).scale(-1)
+            gfac = gt.rescale_t(c)
+            dfac = dt.rescale_t(c)
+            gprod = gfac if gprod is None else gprod.star_mul(gfac)
+            dprod = dfac if dprod is None else dprod.star_mul(dfac)
+        exp_minus = log_argument(-m, N, "xCny", member).exp()
+        exp_plus = log_argument(m, N, "xCny", member).exp()
+        run.require_zero(gprod - exp_minus, "alternating-factor product vs exp", m, None)
+        run.require_zero(dprod - exp_plus, "inverse-factor product vs exp", m, None)
+        closed_minus = family_series("delta", -m, N, member)
+        closed_plus = family_series("delta", m, N, member)
+        run.require_zero(gprod - closed_minus, "closed form, negative side", m, None)
+        run.require_zero(dprod - closed_plus, "closed form, positive side", m, None)
+    for n in range(1, QMN_N_MAX + 1):
+        for m in range(1, QMN_M_MAX + 1):
+            lhs = LaurentPoly({n * (m - 1 - 2 * i): 1 for i in range(m)})
+            num = q_pow(m * n) - q_pow(-m * n)
+            den = q_pow(n) - q_pow(-n)
+            rhs = num.div_exact(den)
+            run.require_zero(lhs - rhs, f"power-sum scalar identity at n={n} m={m}", m, n)
+
+
+@_check("expderivative", lambda cfg: {"cutoff": cfg.cutoff})
+def check_recurrences_expderivative(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The derivative-of-exponential convolution recurrences for the three
+    named families."""
+    member = ctx.member
+    for n in range(1, cfg.cutoff + 1):
+        acc_c = Element.zero()
+        acc_g = Element.zero()
+        acc_d = Element.zero()
+        for k in range(1, n + 1):
+            body = member("xCny", None, k)
+            sign = -1 if k % 2 else 1
+            acc_c = acc_c + body.scale(q_int(2 * k)).shuffle(member("C", None, n - k))
+            acc_g = acc_g + body.scale(q_int(k)).scale(sign).shuffle(member("Gtilde", None, n - k))
+            acc_d = acc_d + body.scale(q_int(k)).scale(sign).shuffle(member("D", None, n - k))
+        inv_n = Fraction(1, n)
+        run.require_zero(member("C", None, n) - acc_c.scale(inv_n), "Catalan family recurrence", None, n)
+        run.require_zero(
+            member("Gtilde", None, n) + acc_g.scale(inv_n), "alternating family recurrence", None, n
+        )
+        run.require_zero(member("D", None, n) - acc_d.scale(inv_n), "inverse family recurrence", None, n)
+
+
+@_check("zeta_suite", lambda cfg: {"m": [cfg.m_min, cfg.m_max], "n_max": cfg.n_max})
+def check_zeta_suite(run: _Run, cfg: VerifyConfig, ctx: CheckContext):
+    """The reverse-and-swap antiautomorphism: fixes the families, reverses
+    both products, turns y^-1 into x^-1, and squares to the identity."""
+    member = ctx.member
+    for fam, m, n in _family_grid(cfg, range(0, cfg.n_max + 1)):
+        u = member(fam, m, n)
+        run.require_zero(u.zeta() - u, f"{fam} fixed by zeta", m, n)
+    for n in range(1, cfg.n_max + 1):
+        for w in W.enumerate_catalan(n):
+            zw = W.zeta_word(w)
+            run.require(W.is_catalan(zw), "zeta image not Catalan", None, n, w)
+            for m in cfg.m_range():
+                run.require(
+                    catalan.nabla_scalar(m, w) == catalan.nabla_scalar(m, zw)
+                    and catalan.delta_scalar(m, w) == catalan.delta_scalar(m, zw),
+                    "scalar not zeta-invariant", m, n, w,
+                )
+    samples = [
+        X_EL,
+        Y_EL,
+        XY_EL,
+        Element.from_word("xxy"),
+        member("delta", 2, 1),
+        member("nabla", 1, 2),
+        member("D", None, 2),
+        member("delta", -2, 2),
+    ]
+    for i, u in enumerate(samples):
+        run.require_zero(u.zeta().zeta() - u, "zeta is an involution", None, i)
+        run.require_zero(
+            u.y_inverse().zeta() - u.zeta().x_inverse(), "zeta swaps the truncations", None, i
+        )
+        for v in samples:
+            run.require_zero(
+                u.shuffle(v).zeta() - v.zeta().shuffle(u.zeta()),
+                "zeta antiautomorphism (shuffle)", None, i,
+            )
+            run.require_zero(
+                (u * v).zeta() - v.zeta() * u.zeta(), "zeta antiautomorphism (free)", None, i
+            )
 
 
 def _cpu_count() -> int:
@@ -785,7 +777,7 @@ def _run_in_worker(name: str) -> CheckReport:
 
 def run_all(cfg: VerifyConfig = None, names=None):
     """Run the selected checks (all by default); reports come back in
-    catalog order.
+    catalog order: the order of CHECKS, in which the checks are defined.
 
     An empty m-range or an empty list of names raises ValueError: either
     would evaluate nothing, and an empty report list reads as a pass.

@@ -87,7 +87,7 @@ def _series(family, m, cutoff):
 KINDS = {
     **{family: ("element", ("m", "n") if takes_m else ("n",),
                 lambda a, f=family: catalan.terms(f, a.m, a.n))
-       for family, (_, takes_m, _) in catalan.FAMILIES.items()},
+       for family, (_, takes_m, _, _) in catalan.FAMILIES.items()},
     "damiani": ("element", ("sub", "n"),
                 lambda a: catalan.embedding_image(f"Damiani_{a.sub}", a.n).terms()),
     "beck": ("element", ("n",), lambda a: catalan.embedding_image("Beck_Edelta", a.n).terms()),

@@ -195,19 +195,16 @@ def scalar_table(family: str, m_min: int, m_max: int, n_max: int):
     """Rows (word, cells) of the weighted-Catalan-word scalar table, yielded
     one at a time.
 
-    family "delta" includes the empty word; "nabla" starts at length 2.
-    Rows are sorted by length then lexicographically; columns ascend in m.
-    Each column of length 2n is read from the family's walk one word at a
-    time, catalan.terms(family, m, n); a word the walk dropped (a zero
-    product) gets a zero cell.
+    family is one of catalan.FAMILIES that takes m, and its rows start at
+    the family's first index. Rows are sorted by length then
+    lexicographically; columns ascend in m. Each column of length 2n is
+    read from the family's walk one word at a time, catalan.terms(family,
+    m, n); a word the walk dropped (a zero product) gets a zero cell.
     """
-    if family not in ("delta", "nabla"):
-        raise ValueError(f"unknown table family {family!r}")
     if m_min > m_max or n_max < 0:
         raise ValueError("empty table range")
-    for n in range(n_max + 1):  # refused before a streamed writer writes a row
-        W.check_catalan_cost(n)
-    return _table_rows(family, range(m_min, m_max + 1), 0 if family == "delta" else 1, n_max)
+    first = catalan.price(family, m_min, n_max)[2]  # priced before a writer writes a row
+    return _table_rows(family, range(m_min, m_max + 1), first, n_max)
 
 
 def _table_rows(family, ms, start, n_max):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from . import catalan, words
+from . import catalan
 from .algebra import Element, UNIT, shuffle_sum
 from .errors import CutoffMismatchError, InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
@@ -224,14 +224,10 @@ class Series:
 
 def family_series(family: str, m, cutoff: int, member=catalan.member) -> Series:
     """Sum of the members of a named family (see catalan.FAMILIES) times t^n,
-    zero below the family's first index. member(family, m, n) supplies each
-    coefficient; the verification suite passes its cached, perturbable one."""
-    if family not in catalan.FAMILIES:
-        raise ValueError(f"unknown element family {family!r}")
-    if family in catalan._WALKS:  # price every walked member before building any
-        for n in range(cutoff + 1):
-            words.check_catalan_cost(n)
-    first = catalan.FAMILIES[family][2]
+    zero below the family's first index, priced up front (catalan.price).
+    member(family, m, n) supplies each coefficient; the verification suite
+    passes its cached, perturbable one."""
+    first = catalan.price(family, m, cutoff)[2]
     return Series(
         [member(family, m, n) if n >= first else Element.zero() for n in range(cutoff + 1)],
         cutoff,

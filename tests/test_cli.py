@@ -424,15 +424,23 @@ def test_oversized_family_is_refused_at_once(capsys):
 
 
 def test_oversized_series_is_refused_before_any_member_is_built(capsys, monkeypatch):
-    # member 13 is over the word budget; members 0..12 would take seconds and
-    # over a gigabyte to build first
+    # member 13 of a walked family is over the word budget; members 0..12
+    # would take seconds and over a gigabyte to build first. Gtilde is not
+    # walked, and its member 13 is one word of 26 letters, under the cap
     def build(*args, **kw):
         raise AssertionError("a family builder was called")
 
-    for builder, _, _ in catalan.FAMILIES.values():
+    gtilde = catalan.gtilde_element
+    for builder, _, _, _ in catalan.FAMILIES.values():
         monkeypatch.setattr(catalan, builder, build)
-    assert run_cli(capsys, "compute", "series:delta", "--m", "2", "--cutoff", "13") == (
-        2, "", "error: n = 13 has 742900 Catalan words, over the budget of 300000\n")
+    refused = (2, "", "error: n = 13 has 742900 Catalan words, over the budget of 300000\n")
+    assert run_cli(capsys, "compute", "series:delta", "--m", "2", "--cutoff", "13") == refused
+    for family in ("C", "D"):
+        assert run_cli(capsys, "compute", f"series:{family}", "--cutoff", "13") == refused
+    monkeypatch.setattr(catalan, "gtilde_element", gtilde)
+    code, out, _ = run_cli(capsys, "compute", "series:Gtilde", "--cutoff", "13")
+    assert code == 0
+    assert out.endswith(f" + ({'xy' * 13}) t^13\n")
 
 
 def test_verify_refused_product_exits_2(capsys, monkeypatch):

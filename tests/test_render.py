@@ -68,7 +68,7 @@ def test_factorization_filter_matches_the_unfiltered_greedy():
     # the families that take m), their sums with 1 and halves, and the PBW
     # images, which do not factor
     coeffs = set()
-    for family, (_, takes_m, first) in catalan.FAMILIES.items():
+    for family, (_, takes_m, first, _) in catalan.FAMILIES.items():
         for n in range(first, 7):
             for m in range(-3, 4) if takes_m else (None,):
                 coeffs.update(c for _, c in catalan.member(family, m, n).terms())
