@@ -2,9 +2,10 @@
 
 An Element is a finite map from words to nonzero Laurent coefficients. It
 carries the free (concatenation) product and the q-shuffle product. Every
-q-shuffle product enters the kernel through one function, shuffle_sum,
-which computes a sum Σ c·(a ⋆ b) of products in one accumulation, with
-weights c that are ints, Fractions or LaurentPolys. Element.shuffle is its
+q-shuffle product enters the kernel through one function, shuffle_sum
+(or Packed.sum, the same sum left packed), which computes a sum
+Σ c·(a ⋆ b) of products in one accumulation, with weights c that are
+ints, Fractions or LaurentPolys. Element.shuffle is its
 one-term case and commutator its two-term case, with weights q^m and
 -q^-m; the series layer makes one call per output coefficient, and the
 commutation and y^-1 checks make one per identity. The kernel works on
@@ -55,6 +56,12 @@ packed_member collects a walked family member's leaves into one, their
 L1 norms exact. Its y^-1 image keeps the entries of the words that end in y
 (bit 0 of the key) under their keys shifted right by one, so the (n, k)
 recursion takes ∇⁽⁰⁾ₙ₊ₖ to the kernel without a LaurentPoly per word.
+
+A sum's result can stay packed too (Packed.sum): the series layer packs
+each coefficient of its operands once per operation, feeds each Horner
+level and each partial inverse to the next sum packed, and decodes only
+the coefficients it returns. A packed result is counted (its norms and
+parity read off its entries) only when it is used again as an operand.
 
 Before any kernel call each product is priced on its own: the
 interleavings it would walk are summed over its word pairs, and a product
@@ -286,6 +293,21 @@ def _parity(coeffs):
     return parities.pop() if len(parities) == 1 else None
 
 
+def _entry_norms(terms: dict, unit: int, step: int) -> tuple:
+    """(_length_norms, _parity) of packed entries {key: (o, N)}, N ≠ 0, at
+    unit and step, each entry unpacked once and none decoded."""
+    unpack = K.unpacker(unit, step)
+    norms: dict = {}
+    parities = set()
+    for k, p in terms.items():
+        c = unpack(*p)
+        i = k.bit_length() - 1
+        count, norm = norms.get(i, (0, 0))
+        norms[i] = (count + 1, norm + sum(map(abs, c.values())))
+        parities.update(e & 1 for e in c)
+    return norms, parities.pop() if len(parities) == 1 else None
+
+
 def _preflight(la: dict, lb: dict) -> tuple:
     """(longest word, bound B) for the product of two operands given by
     their length norms. Refuses the product up front when its longest word
@@ -461,7 +483,12 @@ class Element:
                     d = lcm(d, v.denominator)
         if d == 1:
             return 1, self._terms
-        return d, {w: c.scale(d) for w, c in self._terms.items()}
+        # c·d in ints: a Fraction's numerator times the cofactor of its denominator
+        return d, {
+            w: LaurentPoly({e: v * d if type(v) is int else v.numerator * (d // v.denominator)
+                            for e, v in c._c.items()}, _raw=True)
+            for w, c in self._terms.items()
+        }
 
     def shuffle(self, other: "Element") -> "Element":
         """The q-shuffle product: a one-term shuffle_sum."""
@@ -524,7 +551,7 @@ class Element:
 
 
 class Packed:
-    """A shuffle_sum operand held in the kernel's packed form.
+    """A shuffle_sum operand or result held in the kernel's packed form.
 
     ``terms`` maps the key of each word to its coefficient packed
     at ``unit`` as (o, N), with N ≠ 0 and exponents that step by ``step``,
@@ -532,7 +559,10 @@ class Packed:
     ``norms`` is what the pre-flight reads, {word length: (word count,
     summed L1 norm)}, and ``parity`` the parity shared by every exponent
     (None when there are two). catalan.packed_member makes one from a
-    walk, decoding no word, and Packed.of packs a built Element.
+    walk, decoding no word, Packed.of packs a built Element, and
+    Packed.sum keeps a shuffle_sum's result packed. A sum's result has no
+    norms until it is used as an operand (see counted), and is decoded only
+    by decoded().
     """
 
     __slots__ = ("terms", "unit", "step", "norms", "parity", "den")
@@ -551,9 +581,22 @@ class Packed:
         den, terms = el._cleared()
         parity = _parity(terms.values())
         step = 1 if parity is None else 2
-        top = max((abs(v) for c in terms.values() for v in c._c.values()), default=0)
+        top = max((max(map(abs, c._c.values())) for c in terms.values()), default=0)
         unit = K.slot_width(top) // step
         return Packed(_packed(terms, unit), unit, step, _length_norms(terms), parity, den)
+
+    @staticmethod
+    def sum(triples) -> "Packed":
+        """shuffle_sum(triples) left packed, its cancelled entries dropped."""
+        out, unit, step, den = _sum(triples)
+        return Packed({k: p for k, p in out.items() if p[1]}, unit, step, None, None, den)
+
+    def counted(self) -> tuple:
+        """(norms, parity), read off the entries on first use when this is
+        a sum's result."""
+        if self.norms is None:
+            self.norms, self.parity = _entry_norms(self.terms, self.unit, self.step)
+        return self.norms, self.parity
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -575,31 +618,30 @@ class Packed:
         Bit 0 of a word's key is its last letter, so a word ending in y
         keeps its entry under its key shifted right by one; stripping
         is injective, so nothing merges. The words that go (those ending in
-        x, and 1) are decoded to take their norms off their length; every
-        word of a Catalan member ends in y, so its image decodes nothing.
+        x, and 1) are unpacked to take their norms off their length; every
+        word of a Catalan member ends in y, so its image unpacks nothing.
         """
         terms = {k >> 1: p for k, p in self.terms.items() if k & 1 and k != 1}
-        norms = dict(self.norms)
+        norms, parity = self.counted()
+        norms = dict(norms)
         if len(terms) < len(self.terms):
-            unpack = K.unpacker(self.unit, self.step)
-            for k, p in self.terms.items():
-                if not k & 1 or k == 1:
-                    i = k.bit_length() - 1
-                    count, norm = norms[i]
-                    norms[i] = (count - 1, norm - sum(map(abs, unpack(*p).values())))
+            gone = {k: p for k, p in self.terms.items() if not k & 1 or k == 1}
+            for i, (count, norm) in _entry_norms(gone, self.unit, self.step)[0].items():
+                kept, total = norms[i]
+                norms[i] = (kept - count, total - norm)
         norms = {i - 1: v for i, v in norms.items() if v[0]}
-        return Packed(terms, self.unit, self.step, norms, self.parity, self.den)
+        return Packed(terms, self.unit, self.step, norms, parity, self.den)
 
     def decoded(self) -> Element:
         """The Element, emptying this operand as _drain does."""
-        return Element(dict(_decode(_drain(self.terms), self.unit, self.step, self.den)), _raw=True)
+        return _decoded(self.terms, self.unit, self.step, self.den)
 
 
 def _operand(x) -> tuple:
     """(den, terms, length norms, parity) of a shuffle_sum operand, an
     Element or a Packed, its terms cleared of denominators."""
     if isinstance(x, Packed):
-        return x.den, x, x.norms, x.parity
+        return (x.den, x, *x.counted())
     den, terms = x._cleared()
     return den, terms, _length_norms(terms), _parity(terms.values())
 
@@ -613,7 +655,22 @@ def _packed(terms, unit: int) -> dict:
 
 def shuffle_sum(triples) -> Element:
     """Σ c·(a ⋆ b) over the triples (c, a, b), c an int, a Fraction or a
-    LaurentPoly, and a, b Elements or Packed operands.
+    LaurentPoly, and a, b Elements or Packed operands: _sum's packed table,
+    decoded once. Packed.sum leaves the same table packed instead.
+    """
+    return _decoded(*_sum(triples))
+
+
+def _decoded(out: dict, unit: int, step: int, den: int) -> Element:
+    """The Element of a packed table {key: (o, N)}, emptied as it is decoded
+    (see _drain): one decoder, and each word unpacked once."""
+    return Element(dict(_decode(_drain(out), unit, step, den)), _raw=True)
+
+
+def _sum(triples) -> tuple:
+    """(out, unit, step, den): Σ c·(a ⋆ b) over the triples (c, a, b) as one
+    packed table out = {key: (o, N)} at unit and step, its coefficients
+    times den. Entries that cancelled stay in out with N = 0.
 
     Fraction coefficients never reach the kernel. A weight is written
     c = s·P, s rational and P an integer polynomial: P = 1 for an int or a
@@ -625,9 +682,10 @@ def shuffle_sum(triples) -> Element:
     accumulated in one packed table, whose coefficients are bounded by
     Σ |r·D|·‖P‖₁·B over the products' bounds B, and whose exponents step
     by two only when every product, P included, has results of one parity.
-    Each result coefficient is decoded and divided by D once. A Packed
-    operand brings its own denominator, norms and parity, and its entries
-    are packed again only when its unit differs from the sum's.
+    The table's den is D, which its decoder divides out of each result
+    coefficient once. A Packed operand brings its own denominator, norms
+    and parity, and its entries are packed again only when its unit
+    differs from the sum's.
 
     Each product is priced and refused on its own. Zero weights and zero
     operands are skipped, and a product by a constant (an operand holding
@@ -696,7 +754,7 @@ def shuffle_sum(triples) -> Element:
                 n1 *= cn
                 for v, (o2, n2) in right.items():
                     _accumulate(out, _shuffle_keys(u, v, unit), (o1 + o2, n1 * n2))
-    return Element(dict(_decode(_drain(out), unit, step, den)), _raw=True)
+    return out, unit, step, den
 
 
 X_EL = Element.from_word("x")

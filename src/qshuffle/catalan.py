@@ -220,16 +220,16 @@ def x_cn_y(n: int) -> Element:
     return X_EL * catalan_element(n - 1) * Y_EL
 
 
-# family name -> (builder, whether it takes m, first index n, walk): walk
-# gives the (m, reduced, sign) of _walk for the member (m, n), None when the
-# family is not walked
+# family name -> (builder, whether it takes m, first index n, walk, LaTeX
+# symbol): walk gives the (m, reduced, sign) of _walk for the member (m, n),
+# None when the family is not walked
 FAMILIES = {
-    "delta": ("delta_element", True, 0, lambda m, n: (m, False, 1)),
-    "nabla": ("nabla_element", True, 1, lambda m, n: (m, True, 1)),
-    "C": ("catalan_element", False, 0, lambda m, n: (2, False, 1)),
-    "D": ("d_element", False, 0, lambda m, n: (1, False, (-1) ** n)),
-    "Gtilde": ("gtilde_element", False, 0, None),
-    "xCny": ("x_cn_y", False, 1, None),
+    "delta": ("delta_element", True, 0, lambda m, n: (m, False, 1), "\\Delta"),
+    "nabla": ("nabla_element", True, 1, lambda m, n: (m, True, 1), "\\nabla"),
+    "C": ("catalan_element", False, 0, lambda m, n: (2, False, 1), "C"),
+    "D": ("d_element", False, 0, lambda m, n: (1, False, (-1) ** n), "D"),
+    "Gtilde": ("gtilde_element", False, 0, None, "\\tilde{G}"),
+    "xCny": ("x_cn_y", False, 1, None, "xC_{n-1}y"),
 }
 
 
@@ -258,7 +258,7 @@ def member(family: str, m, n: int) -> Element:
     """The n-th member of a named family, m None unless it is delta or nabla;
     the builder is looked up by name at call time, so that a builder wrapped
     or patched on this module is the one called."""
-    builder, takes_m, _, _ = _row(family, m)
+    builder, takes_m, *_ = _row(family, m)
     build = globals()[builder]
     return build(m, n) if takes_m else build(n)
 

@@ -232,7 +232,7 @@ def _commutator_gap(lhs: Element, a: Element, b: Element) -> Element:
 
 # the families that take the parameter m, with their first index n
 _M_FAMILIES = tuple(
-    (family, first) for family, (_, takes_m, first, _) in catalan.FAMILIES.items() if takes_m
+    (family, first) for family, (_, takes_m, first, *_) in catalan.FAMILIES.items() if takes_m
 )
 
 

@@ -87,7 +87,7 @@ def _series(family, m, cutoff):
 KINDS = {
     **{family: ("element", ("m", "n") if takes_m else ("n",),
                 lambda a, f=family: catalan.terms(f, a.m, a.n))
-       for family, (_, takes_m, _, _) in catalan.FAMILIES.items()},
+       for family, (_, takes_m, *_) in catalan.FAMILIES.items()},
     "damiani": ("element", ("sub", "n"),
                 lambda a: catalan.embedding_image(f"Damiani_{a.sub}", a.n).terms()),
     "beck": ("element", ("n",), lambda a: catalan.embedding_image("Beck_Edelta", a.n).terms()),
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", parents=[output], help="export a scalar table")
     t.set_defaults(handler=cmd_table)
-    t.add_argument("family", choices=("delta", "nabla"))
+    t.add_argument("family", choices=[f for f, (_, takes_m, *_) in catalan.FAMILIES.items() if takes_m])
     t.add_argument("m_min", type=int)
     t.add_argument("m_max", type=int)
     t.add_argument("n_max", type=int)

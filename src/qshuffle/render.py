@@ -229,7 +229,7 @@ def table_csv(family, m_min, m_max, n_max):
 def table_latex(family, m_min, m_max, n_max):
     """The tabular in chunks: its head, one row at a time, then its end."""
     rows = scalar_table(family, m_min, m_max, n_max)  # refuses a bad range now
-    sym = "\\Delta" if family == "delta" else "\\nabla"
+    sym = catalan.FAMILIES[family][4]
     head = ("\\begin{tabular}{ c|" + "|".join("c" * (m_max - m_min + 1)) + " }\n$w$ & "
             + " & ".join(f"${sym}^{{({m})}}(w)$" for m in range(m_min, m_max + 1)) + "\\\\\n\\hline\n")
     return chain([head], _latex_rows(rows), ["\\end{tabular}\n"])

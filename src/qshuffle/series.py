@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import catalan
-from .algebra import Element, UNIT, shuffle_sum
+from .algebra import Element, Packed, UNIT, shuffle_sum
 from .errors import CutoffMismatchError, InexactDivisionError
 from .qlaurent import LaurentPoly, q_int
 
@@ -96,10 +96,12 @@ class Series:
 
     def star_mul(self, other: "Series") -> "Series":
         """Cauchy product with the q-shuffle on coefficients: one shuffle_sum
-        per coefficient."""
+        per coefficient. Each coefficient of either operand is packed once
+        per call (once in all when squaring) and used packed by every sum."""
         if not self._matches(other):
             raise TypeError(f"star_mul needs a Series, not {type(other).__name__}")
-        a, b = self.coeffs, other.coeffs
+        a = [Packed.of(c) for c in self.coeffs]
+        b = a if other is self else [Packed.of(c) for c in other.coeffs]
         return Series(
             [shuffle_sum((1, a[i], b[k - i]) for i in range(k + 1))
              for k in range(self.cutoff + 1)],
@@ -145,17 +147,20 @@ class Series:
         By Horner's rule: with L the lcm of the denominators of the c[k],
         H_k = L c[k] + A ⋆ H_(k+1) is kept below degree cutoff - k + 1 (A^k
         lifts the rest past the cutoff), and the sum is c[0] + (A ⋆ H_1) / L.
-        Every level is one shuffle_sum per coefficient. The powers stay
-        literal products A ⋆ (A ⋆ ...), which by associativity and central
-        scalars sum to exactly Σ c[k] A^k; nothing about commutation of the
-        coefficients is assumed.
+        Every level is one shuffle_sum per coefficient. A's coefficients are
+        packed once, every level H_k stays packed (Packed.sum), and only the
+        sum's own coefficients are decoded. The powers stay literal products
+        A ⋆ (A ⋆ ...), which by associativity and central scalars sum to
+        exactly Σ c[k] A^k; nothing about commutation of the coefficients is
+        assumed.
         """
-        n, a = self.cutoff, self.coeffs
+        n = self.cutoff
+        a = [Packed.of(x) for x in self.coeffs]
         den = lcm(*(Fraction(ck).denominator for ck in c))
         h: list = []  # H_(n+1) = 0
         for k in range(n, 0, -1):
-            h = [UNIT.scale(den * c[k])] + [
-                shuffle_sum((1, a[i], h[d - i]) for i in range(1, d + 1))
+            h = [Packed.of(UNIT.scale(den * c[k]))] + [
+                Packed.sum((1, a[i], h[d - i]) for i in range(1, d + 1))
                 for d in range(1, n - k + 1)
             ]
         return Series(
@@ -187,14 +192,16 @@ class Series:
         )
 
     def inverse(self) -> "Series":
-        """Two-sided multiplicative inverse; constant term must be the unit."""
+        """Two-sided multiplicative inverse; constant term must be the unit.
+        The coefficients are packed once, and inv_1 ... inv_N stay packed
+        (Packed.sum) until each is decoded once, at the end."""
         if self.coeffs[0] != UNIT:
             raise ValueError("inverse needs unit constant term")
-        s = self.coeffs
-        inv = [UNIT]
+        s = [Packed.of(c) for c in self.coeffs]
+        inv = [Packed.of(UNIT)]
         for n in range(1, self.cutoff + 1):
-            inv.append(shuffle_sum((-1, s[k], inv[n - k]) for k in range(1, n + 1)))
-        return Series(inv, self.cutoff)
+            inv.append(Packed.sum((-1, s[k], inv[n - k]) for k in range(1, n + 1)))
+        return Series([UNIT] + [p.decoded() for p in inv[1:]], self.cutoff)
 
     def apply_y_inverse(self) -> "Series":
         return Series([a.y_inverse() for a in self.coeffs], self.cutoff)

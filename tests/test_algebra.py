@@ -688,8 +688,8 @@ def test_shuffle_sum_scales_by_a_constant_operand_without_the_kernel(monkeypatch
 
 def _packed_operands(rng):
     """Random operands for shuffle_sum, each with its Packed form: rational
-    elements with words that end in x and the empty word, constants, and
-    their y^-1 images."""
+    elements with words that end in x and the empty word, constants, their
+    y^-1 images, and sums of their products left packed (Packed.sum)."""
     out = []
     for i in range(12):
         a = _random_rational_element(rng, integral=i % 2 == 0)
@@ -698,6 +698,9 @@ def _packed_operands(rng):
     for c in (3, Fraction(-1, 2), q_int(2).scale(Fraction(1, 3))):
         const = UNIT.scale(c)
         out.append((const, Packed.of(const)))
+    for _ in range(4):
+        triples = [(rng.choice(WEIGHTS), rng.choice(out)[0], rng.choice(out)[0]) for _ in range(2)]
+        out.append((algebra.shuffle_sum(triples), Packed.sum(triples)))
     return [(a, p) for a, p in out if not a.is_zero()]
 
 
@@ -740,6 +743,13 @@ def test_shuffle_sum_takes_packed_operands(monkeypatch, path, cached):
         assert algebra.shuffle_sum(elements) == want
         assert algebra.shuffle_sum([(c, pa, pb) for c, (_, pa), (_, pb) in picked]) == want
         assert algebra.shuffle_sum(mixed) == want
+    # a packed sum of both parities, from operands of one parity each, times
+    # operands of one parity: its parity is read off its entries
+    even, odd = el("xy", Fraction(1, 3)) - el("y", q_pow(2)), el("x", q_int(2))
+    triples = [(1, even, even), (Fraction(-1, 2), odd, even)]
+    for other in (even, odd, UNIT):
+        want = _sum_by_oracle([(1, algebra.shuffle_sum(triples), other)])
+        assert algebra.shuffle_sum([(1, Packed.sum(triples), other)]) == want, other
     # a member's y^-1 image, packed straight from the walk, in the sum of
     # the (1, 3) truncated recursion, which vanishes, and beside it
     lhs = catalan.packed_member("nabla", 0, 4).y_inverse()

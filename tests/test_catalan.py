@@ -301,7 +301,7 @@ def test_packed_members_decode_to_the_built_members():
 def test_terms_are_the_member_terms_in_order():
     # every family, empty members (m = 0, n >= 1) included; a walked
     # family's terms come from its walk one word at a time
-    for family, (_, takes_m, first, _) in FAMILIES.items():
+    for family, (_, takes_m, first, *_) in FAMILIES.items():
         for m in range(-3, 4) if takes_m else [None]:
             for n in range(first, 8):
                 assert list(terms(family, m, n)) == member(family, m, n).terms(), (family, m, n)

@@ -431,7 +431,7 @@ def test_oversized_series_is_refused_before_any_member_is_built(capsys, monkeypa
         raise AssertionError("a family builder was called")
 
     gtilde = catalan.gtilde_element
-    for builder, _, _, _ in catalan.FAMILIES.values():
+    for builder, *_ in catalan.FAMILIES.values():
         monkeypatch.setattr(catalan, builder, build)
     refused = (2, "", "error: n = 13 has 742900 Catalan words, over the budget of 300000\n")
     assert run_cli(capsys, "compute", "series:delta", "--m", "2", "--cutoff", "13") == refused

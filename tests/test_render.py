@@ -68,7 +68,7 @@ def test_factorization_filter_matches_the_unfiltered_greedy():
     # the families that take m), their sums with 1 and halves, and the PBW
     # images, which do not factor
     coeffs = set()
-    for family, (_, takes_m, first, _) in catalan.FAMILIES.items():
+    for family, (_, takes_m, first, *_) in catalan.FAMILIES.items():
         for n in range(first, 7):
             for m in range(-3, 4) if takes_m else (None,):
                 coeffs.update(c for _, c in catalan.member(family, m, n).terms())
@@ -170,6 +170,15 @@ def test_table_formats_are_consistent():
     assert js["m_range"] == [-2, 2]
     assert js["rows"][1]["cells"][4] == P("[2][3]").to_json()
     assert "\\begin{tabular}" in latex and "\\nabla" in latex
+
+
+def test_table_latex_heads_each_family_with_its_symbol(monkeypatch):
+    # the symbol is the family's FAMILIES row, so a third family that takes
+    # m is headed by its own symbol, not by the delta's or the nabla's
+    monkeypatch.setitem(catalan.FAMILIES, "theta", catalan.FAMILIES["delta"][:4] + ("\\Theta",))
+    for family, sym in (("delta", "\\Delta"), ("nabla", "\\nabla"), ("theta", "\\Theta")):
+        head = next(iter(table_latex(family, -1, 0, 1)))
+        assert head.endswith(f"$w$ & ${sym}^{{(-1)}}(w)$ & ${sym}^{{(0)}}(w)$\\\\\n\\hline\n"), family
 
 
 def _table_tree(family, m_min, m_max, n_max):

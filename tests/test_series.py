@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import algebra
-from qshuffle.algebra import Element, UNIT, X_EL
+from qshuffle.algebra import Element, Packed, UNIT, X_EL
 from qshuffle.catalan import (
     catalan_element,
     d_element,
@@ -230,20 +230,77 @@ def _noncommuting(cutoff):
     )
 
 
+def _packed_edge_cases(cutoff):
+    """Zero constant term series whose packed path has edges: a 2^70
+    coefficient, whose later Horner levels need 128-bit slots, and a
+    coefficient of both parities with denominators beside a zero one."""
+    zero = Element.zero()
+    wide = Series([zero, Element.from_word("x"), Element.from_word("y", 1 << 70)], cutoff)
+    mixed = LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 3)})
+    sparse = Series([zero, Element.from_word("xy", mixed), zero, Element.from_word("y")], cutoff)
+    return wide, sparse
+
+
 @pytest.mark.parametrize("cutoff", [0, 1, 5])
-def test_series_calculus_matches_the_literal_definitions(cutoff):
+def test_series_calculus_matches_the_literal_definitions(monkeypatch, cutoff):
     a = _noncommuting(cutoff)
     b = Series.unit(cutoff) + a.zeta()  # 1 + y t + (x/3) t^2 + ...
     c = Series.unit(cutoff) + a.rescale_t(q_pow(1))
     if cutoff > 1:
         assert a.star_mul(b) != b.star_mul(a)  # the coefficients do not commute
-    for left, right in ((a, b), (b, a), (b, c), (a, a)):
+    wide, sparse = _packed_edge_cases(cutoff)
+    ones = [Series.unit(cutoff) + s for s in (wide, sparse)]
+    for left, right in ((a, b), (b, a), (b, c), (a, a), (wide, sparse), (sparse, wide)):
         assert left.star_mul(right) == _star_mul_literal(left, right)
-    for arg in (a, a.zeta(), a.rescale_t(-1)):
+    for s in [wide, sparse] + ones:
+        assert s.star_mul(s) == _star_mul_literal(s, s)
+    for arg in (a, a.zeta(), a.rescale_t(-1), wide, sparse):
         assert arg.exp() == _exp_literal(arg)
-    for arg in (b, c, delta_series(2, cutoff)):
+    for arg in [b, c, delta_series(2, cutoff)] + ones:
         assert arg.log() == _log_literal(arg)
         assert arg.inverse() == _inverse_literal(arg)
+    # from t^3 on, exp's Horner levels of wide need wider slots than the
+    # sums that made them: a packed level is packed again at the next unit
+    levels, repacked = [], []
+    packed_sum, at = Packed.sum, Packed.at
+
+    def sum_spy(triples):
+        levels.append(packed_sum(triples))
+        return levels[-1]
+
+    def at_spy(self, unit):
+        repacked.append(unit > self.unit and any(self is h for h in levels))
+        return at(self, unit)
+
+    monkeypatch.setattr(Packed, "sum", staticmethod(sum_spy))
+    monkeypatch.setattr(Packed, "at", at_spy)
+    assert wide.exp() == _exp_literal(wide)
+    assert any(repacked) == (cutoff > 2)
+
+
+def test_series_calculus_decodes_only_the_words_it_returns(monkeypatch):
+    # every Horner level of exp and log, and every inv_n of inverse, stays
+    # packed: the words decoded are those of the coefficients returned,
+    # but for the constant terms of exp, log and inverse, which take no sum
+    decoded = []
+    real = algebra._decode
+
+    def spy(*args):
+        for w, c in real(*args):
+            decoded.append(w.key)
+            yield w, c
+
+    a, delta = beck_log_argument(2, 6), delta_series(2, 6)
+    wide, sparse = _packed_edge_cases(6)
+    one = Series.unit(6) + sparse
+    monkeypatch.setattr(algebra, "_decode", spy)
+    for op, first in ((a.exp, 1), (a.zeta().exp, 1), (wide.exp, 1), (sparse.exp, 1),
+                      (delta.log, 1), (one.log, 1), (delta.inverse, 1),
+                      (lambda: delta.star_mul(delta), 0)):
+        decoded.clear()
+        got = op()
+        assert sorted(decoded) == sorted(w.key for c in got.coeffs[first:] for w in c.support())
+        assert len(decoded) == sum(map(len, got.coeffs[first:])) > 0
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
